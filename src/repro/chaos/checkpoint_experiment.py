@@ -33,16 +33,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.taskgraph import make_layered_dag
 from repro.chaos.controller import ChaosController
 from repro.chaos.domains import DomainTree, build_domain_tree
 from repro.chaos.experiment import CHAOS_PRESETS, graph_signature
-from repro.core.compute_node import ComputeNode
-from repro.core.runtime import (
-    ExecutionEngine,
-    FaultTolerancePolicy,
-    JobManager,
-)
+from repro.core.runtime import FaultTolerancePolicy, JobManager
 from repro.core.runtime.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
@@ -50,12 +44,8 @@ from repro.core.runtime.checkpoint import (
     SnapshotStore,
     daly_interval_ns,
 )
-from repro.presets import compiled_suite, node_preset
-from repro.sim import Simulator
-
-#: the task functions every checkpointable workload draws from (recorded
-#: in the snapshot's workload block so restore rebuilds identical graphs)
-WORKLOAD_FUNCTIONS = ("saxpy", "stencil5", "montecarlo")
+from repro.experiments import GRAPH_FUNCTIONS, build_engine, layered_graph
+from repro.presets import compiled_suite
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +60,9 @@ def workload_spec(
     max_variants: int = 1,
 ) -> Dict[str, Any]:
     """The snapshot's ``workload`` block: a chaos preset's job mix in
-    self-contained form (restore rebuilds the machine from this alone)."""
+    self-contained form (restore rebuilds the machine from this alone;
+    the task functions are recorded so restore rebuilds identical
+    graphs)."""
     if preset_name not in CHAOS_PRESETS:
         known = ", ".join(sorted(CHAOS_PRESETS))
         raise KeyError(
@@ -84,7 +76,7 @@ def workload_spec(
         "layers": preset.layers,
         "width": preset.width,
         "graph_seed": preset.graph_seed,
-        "functions": list(WORKLOAD_FUNCTIONS),
+        "functions": list(GRAPH_FUNCTIONS),
         "policies": list(policies),
         "priorities": [2 if i == 0 else 1 for i in range(len(policies))],
         "max_variants": int(max_variants),
@@ -92,60 +84,23 @@ def workload_spec(
     }
 
 
-def _build_machine(
-    workload: Dict[str, Any],
-    fault_tolerance: Optional[FaultTolerancePolicy] = None,
-    telemetry=None,
-    compiled=None,
-    start_ns: float = 0.0,
-):
-    """Fresh (sim, node, engine, manager) for a workload spec.  A
-    restore passes ``start_ns`` so the new incarnation's clock resumes
-    at the snapshot time instead of replaying history from zero."""
-    registry, library = (
-        compiled
-        if compiled is not None
-        else compiled_suite(max_variants=workload["max_variants"])
-    )
-    sim = Simulator()
-    if start_ns > 0.0:
-        sim.warp_to(start_ns)
-    node = ComputeNode(sim, node_preset(workload["node"]))
-    engine = ExecutionEngine(
-        node,
-        registry,
-        library,
-        use_daemon=True,
-        daemon_period_ns=100_000.0,
-        fault_tolerance=fault_tolerance,
-        telemetry=telemetry,
-    )
-    manager = JobManager(engine)
-    return sim, node, engine, manager
-
-
-def _workload_graph(workload: Dict[str, Any], index: int, num_workers: int):
-    """Job ``index``'s graph, deterministically (seed = graph_seed+i,
-    the same derivation the multi-job chaos experiment uses)."""
-    return make_layered_dag(
-        layers=workload["layers"],
-        width=workload["width"],
-        num_workers=num_workers,
-        functions=tuple(workload["functions"]),
-        seed=workload["graph_seed"] + index,
-    )
-
-
 def _signature_rows(graph) -> List[List[Any]]:
     return [list(row) for row in graph_signature(graph)]
 
 
 def submit_workload(manager: JobManager, workload: Dict[str, Any]):
-    """Submit the workload's job mix fresh (no prior progress)."""
+    """Submit the workload's job mix fresh (no prior progress).  Job
+    ``i``'s graph is seeded ``graph_seed + i``."""
     handles = []
     num_workers = len(manager.engine.node)
     for i, policy in enumerate(workload["policies"]):
-        graph = _workload_graph(workload, i, num_workers)
+        graph = layered_graph(
+            workload["layers"],
+            workload["width"],
+            num_workers,
+            workload["graph_seed"] + i,
+            functions=workload["functions"],
+        )
         handles.append(
             manager.submit_job(
                 graph, policy=policy, priority=workload["priorities"][i]
@@ -180,17 +135,28 @@ def restore_from_snapshot(
         raise ValueError(
             f"cannot restore workload kind {workload.get('kind')!r}"
         )
-    _, _, _, manager = _build_machine(
-        workload,
-        fault_tolerance=fault_tolerance,
-        telemetry=telemetry,
-        compiled=compiled,
-        start_ns=snapshot.taken_at_ns,
+    # the new incarnation's clock resumes at the snapshot time instead
+    # of replaying history from zero
+    manager = JobManager(
+        build_engine(
+            workload["node"],
+            fault_tolerance=fault_tolerance,
+            telemetry=telemetry,
+            compiled=compiled,
+            max_variants=workload["max_variants"],
+            start_ns=snapshot.taken_at_ns,
+        )
     )
     num_workers = len(manager.engine.node)
     handles = []
     for i, progress in enumerate(sorted(snapshot.jobs, key=lambda j: j.job_id)):
-        graph = _workload_graph(workload, i, num_workers)
+        graph = layered_graph(
+            workload["layers"],
+            workload["width"],
+            num_workers,
+            workload["graph_seed"] + i,
+            functions=workload["functions"],
+        )
         if progress.signature and _signature_rows(graph) != progress.signature:
             raise ValueError(
                 f"job {progress.job_id}: rebuilt graph does not match the "
@@ -349,20 +315,19 @@ def run_checkpoint_restore_experiment(
         compiled = compiled_suite(max_variants=workload["max_variants"])
 
     # --- phase 1: uninterrupted baseline -------------------------------
-    _, _, _, manager0 = _build_machine(workload, compiled=compiled)
+    manager0 = JobManager(build_engine(workload["node"], compiled=compiled))
     handles0 = submit_workload(manager0, workload)
     baseline = manager0.run()
 
     # --- phase 2: checkpointed run, domain kill, abandonment -----------
-    ft = FaultTolerancePolicy(
-        heartbeat_period_ns=preset.heartbeat_period_ns,
-        max_attempts=preset.max_attempts,
-    )
+    ft = preset.fault_tolerance()
     if interval_ns is None:
         interval_ns = baseline.makespan_ns / 8.0
-    sim, node, engine, manager = _build_machine(
-        workload, fault_tolerance=ft, telemetry=telemetry, compiled=compiled
+    engine = build_engine(
+        workload["node"], fault_tolerance=ft, telemetry=telemetry, compiled=compiled
     )
+    node, sim = engine.node, engine.node.sim
+    manager = JobManager(engine)
     handles = submit_workload(manager, workload)
     ckpt = CheckpointManager(
         manager,
@@ -555,7 +520,7 @@ def run_checkpoint_interval_sweep(
         workload = workload_spec("mini", seed=seed)
         if compiled is None:
             compiled = compiled_suite(max_variants=workload["max_variants"])
-        _, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = JobManager(build_engine(workload["node"], compiled=compiled))
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload

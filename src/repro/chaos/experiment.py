@@ -18,18 +18,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.taskgraph import TaskGraph, make_layered_dag
+from repro.apps.taskgraph import TaskGraph
 from repro.chaos.controller import ChaosConfig, ChaosController
-from repro.core.compute_node import ComputeNode
 from repro.core.runtime import (
-    ExecutionEngine,
     FaultTolerancePolicy,
     JobManager,
     MachineReport,
     RunReport,
 )
-from repro.presets import compiled_suite, node_preset
-from repro.sim import Simulator
+from repro.experiments import build_engine, layered_graph
+from repro.presets import compiled_suite
 
 
 @dataclass(frozen=True)
@@ -49,6 +47,27 @@ class ChaosPreset:
     window_fraction: Tuple[float, float] = (0.2, 0.6)
     heartbeat_period_ns: float = 20_000.0
     max_attempts: int = 4
+
+    def fault_tolerance(self) -> FaultTolerancePolicy:
+        """The self-healing runtime this scenario's faulted runs arm."""
+        return FaultTolerancePolicy(
+            heartbeat_period_ns=self.heartbeat_period_ns,
+            max_attempts=self.max_attempts,
+        )
+
+    def fault_config(self, baseline_makespan_ns: float) -> ChaosConfig:
+        """The scenario's fault mix, windowed on the fault-free makespan
+        (so "mid-graph" is derived, not guessed)."""
+        lo, hi = self.window_fraction
+        return ChaosConfig(
+            worker_crashes=self.worker_crashes,
+            transient_fraction=self.transient_fraction,
+            worker_downtime_ns=self.worker_downtime_ns,
+            link_degradations=self.link_degradations,
+            link_drop_rate=self.link_drop_rate,
+            link_latency_multiplier=self.link_latency_multiplier,
+            window_ns=(lo * baseline_makespan_ns, hi * baseline_makespan_ns),
+        )
 
 
 #: The scenarios ``python -m repro chaos <preset>`` accepts.  ``mini``
@@ -148,25 +167,6 @@ class ChaosReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _build_run(preset: ChaosPreset, registry, library, warm: bool = False,
-               **engine_kwargs):
-    """One fresh (sim, node, engine, graph) quadruple for the preset."""
-    from repro.presets import build_preset_node
-
-    sim = Simulator()
-    node = build_preset_node(sim, preset.node, warm=warm)
-    engine = ExecutionEngine(
-        node, registry, library,
-        use_daemon=True, daemon_period_ns=100_000.0,
-        **engine_kwargs,
-    )
-    graph = make_layered_dag(
-        layers=preset.layers, width=preset.width, num_workers=len(node),
-        functions=("saxpy", "stencil5", "montecarlo"), seed=preset.graph_seed,
-    )
-    return sim, node, engine, graph
-
-
 def run_chaos_experiment(
     preset_name: str,
     seed: int = 0,
@@ -186,38 +186,34 @@ def run_chaos_experiment(
         known = ", ".join(sorted(CHAOS_PRESETS))
         raise KeyError(f"unknown chaos preset {preset_name!r}; choose from: {known}")
     preset = CHAOS_PRESETS[preset_name]
-    from repro.experiments import resolve_warm_start
-
-    warm = resolve_warm_start(warm_start, preset.node)
-    registry, library = compiled if compiled is not None else compiled_suite(max_variants=1)
+    if compiled is None:
+        compiled = compiled_suite(max_variants=1)
 
     # --- baseline: fault tolerance off, no faults ----------------------
-    _, _, baseline_engine, baseline_graph = _build_run(
-        preset, registry, library, warm=warm
+    baseline_engine = build_engine(
+        preset.node, warm_start=warm_start, compiled=compiled
+    )
+    baseline_graph = layered_graph(
+        preset.layers, preset.width, len(baseline_engine.node), preset.graph_seed
     )
     baseline_report = baseline_engine.run_graph(baseline_graph)
 
     # --- chaos: self-healing runtime + seeded fault plan ---------------
-    policy = FaultTolerancePolicy(
-        heartbeat_period_ns=preset.heartbeat_period_ns,
-        max_attempts=preset.max_attempts,
+    engine = build_engine(
+        preset.node,
+        warm_start=warm_start,
+        compiled=compiled,
+        fault_tolerance=preset.fault_tolerance(),
+        telemetry=telemetry,
     )
-    sim, node, engine, graph = _build_run(
-        preset, registry, library, warm=warm,
-        fault_tolerance=policy, telemetry=telemetry,
+    node = engine.node
+    graph = layered_graph(preset.layers, preset.width, len(node), preset.graph_seed)
+    controller = ChaosController(node.sim, seed=seed, telemetry=telemetry)
+    controller.schedule_random(
+        engine,
+        node.network.links,
+        config=preset.fault_config(baseline_report.makespan_ns),
     )
-    lo, hi = preset.window_fraction
-    config = ChaosConfig(
-        worker_crashes=preset.worker_crashes,
-        transient_fraction=preset.transient_fraction,
-        worker_downtime_ns=preset.worker_downtime_ns,
-        link_degradations=preset.link_degradations,
-        link_drop_rate=preset.link_drop_rate,
-        link_latency_multiplier=preset.link_latency_multiplier,
-        window_ns=(lo * baseline_report.makespan_ns, hi * baseline_report.makespan_ns),
-    )
-    controller = ChaosController(sim, seed=seed, telemetry=telemetry)
-    controller.schedule_random(engine, node.network.links, config=config)
     controller.arm()
     chaos_report = engine.run_graph(graph)
 
@@ -320,30 +316,6 @@ class MultiJobChaosReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _submit_job_mix(
-    preset: ChaosPreset,
-    engine: ExecutionEngine,
-    policies: Tuple[str, ...],
-):
-    """One JobManager with ``len(policies)`` jobs: distinct per-job
-    graphs (seeded off the preset's graph seed) and a 2:1 priority for
-    job 1 so fair-share weighting is exercised."""
-    manager = JobManager(engine)
-    handles = []
-    for i, policy in enumerate(policies):
-        graph = make_layered_dag(
-            layers=preset.layers,
-            width=preset.width,
-            num_workers=len(engine.node),
-            functions=("saxpy", "stencil5", "montecarlo"),
-            seed=preset.graph_seed + i,
-        )
-        handles.append(
-            manager.submit_job(graph, policy=policy, priority=2 if i == 0 else 1)
-        )
-    return manager, handles
-
-
 def run_multi_job_chaos_experiment(
     preset_name: str,
     seed: int = 0,
@@ -358,50 +330,38 @@ def run_multi_job_chaos_experiment(
     window, then the chaos run arms the self-healing runtime and injects
     the seeded plan while the jobs stream concurrently.  The verdicts
     are *per job*: each tenant's workload signature and task integrity
-    is checked independently.
+    is checked independently.  The job mix is the checkpoint workload's
+    (:func:`~repro.chaos.checkpoint_experiment.workload_spec`): per-job
+    graphs seeded off the preset's graph seed and a 2:1 priority for job
+    1, so fair-share weighting is exercised.
     """
-    if preset_name not in CHAOS_PRESETS:
-        known = ", ".join(sorted(CHAOS_PRESETS))
-        raise KeyError(f"unknown chaos preset {preset_name!r}; choose from: {known}")
+    from repro.chaos.checkpoint_experiment import submit_workload, workload_spec
+
+    workload = workload_spec(preset_name, seed=seed, policies=policies)
     preset = CHAOS_PRESETS[preset_name]
-    registry, library = (
-        compiled if compiled is not None else compiled_suite(max_variants=1)
-    )
+    if compiled is None:
+        compiled = compiled_suite(max_variants=1)
 
     # --- baseline: concurrent jobs, fault tolerance off, no faults -----
-    sim0 = Simulator()
-    node0 = ComputeNode(sim0, node_preset(preset.node))
-    engine0 = ExecutionEngine(
-        node0, registry, library, use_daemon=True, daemon_period_ns=100_000.0
-    )
-    manager0, handles0 = _submit_job_mix(preset, engine0, policies)
+    manager0 = JobManager(build_engine(preset.node, compiled=compiled))
+    handles0 = submit_workload(manager0, workload)
     baseline = manager0.run()
 
     # --- chaos: self-healing runtime + seeded fault plan ---------------
-    ft = FaultTolerancePolicy(
-        heartbeat_period_ns=preset.heartbeat_period_ns,
-        max_attempts=preset.max_attempts,
+    engine = build_engine(
+        preset.node,
+        compiled=compiled,
+        fault_tolerance=preset.fault_tolerance(),
+        telemetry=telemetry,
     )
-    sim = Simulator()
-    node = ComputeNode(sim, node_preset(preset.node))
-    engine = ExecutionEngine(
-        node, registry, library,
-        use_daemon=True, daemon_period_ns=100_000.0,
-        fault_tolerance=ft, telemetry=telemetry,
+    manager = JobManager(engine)
+    handles = submit_workload(manager, workload)
+    controller = ChaosController(engine.node.sim, seed=seed, telemetry=telemetry)
+    controller.schedule_random(
+        engine,
+        engine.node.network.links,
+        config=preset.fault_config(baseline.makespan_ns),
     )
-    manager, handles = _submit_job_mix(preset, engine, policies)
-    lo, hi = preset.window_fraction
-    config = ChaosConfig(
-        worker_crashes=preset.worker_crashes,
-        transient_fraction=preset.transient_fraction,
-        worker_downtime_ns=preset.worker_downtime_ns,
-        link_degradations=preset.link_degradations,
-        link_drop_rate=preset.link_drop_rate,
-        link_latency_multiplier=preset.link_latency_multiplier,
-        window_ns=(lo * baseline.makespan_ns, hi * baseline.makespan_ns),
-    )
-    controller = ChaosController(sim, seed=seed, telemetry=telemetry)
-    controller.schedule_random(engine, node.network.links, config=config)
     controller.arm()
     chaos = manager.run()
 

@@ -101,9 +101,9 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.apps import make_layered_dag
     from repro.core import ComputeNode
     from repro.core.runtime import ExecutionEngine
+    from repro.experiments import DAEMON_PERIOD_NS, layered_graph
     from repro.presets import board_node, compiled_suite
     from repro.sim import Simulator, Tracer, render_timeline
 
@@ -113,13 +113,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     node = ComputeNode(sim, board_node(workers=args.workers))
     tracer = Tracer(sim)
     engine = ExecutionEngine(
-        node, registry, library, use_daemon=True, daemon_period_ns=100_000.0,
-        tracer=tracer,
+        node, registry, library, use_daemon=True,
+        daemon_period_ns=DAEMON_PERIOD_NS, tracer=tracer,
     )
-    graph = make_layered_dag(
-        layers=args.layers, width=args.width, num_workers=args.workers,
-        functions=("saxpy", "stencil5", "montecarlo"), seed=args.seed,
-    )
+    graph = layered_graph(args.layers, args.width, args.workers, args.seed)
     print(f"running {len(graph)} tasks on {args.workers} workers...")
     report = engine.run_graph(graph)
     print(f"  makespan : {report.makespan_ns / 1e6:.3f} ms")
@@ -143,33 +140,23 @@ def _telemetry_run(args: argparse.Namespace):
     reconfiguration daemon on -- so the trace/snapshot covers the
     interconnect, memory, fabric and runtime layers in one run.
     """
-    from repro.apps import make_layered_dag
-    from repro.core import ComputeNode
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset
-    from repro.sim import Simulator
+    from repro.experiments import build_engine, layered_graph
     from repro.telemetry import Telemetry, attach_simulator
+
+    def instrumented(sim):
+        hub = Telemetry(sim)
+        attach_simulator(hub, sim)
+        return hub
 
     print(f"compiling the kernel suite, building preset {args.preset!r}...",
           file=sys.stderr)
-    registry, library = compiled_suite(max_variants=1)
-    sim = Simulator()
-    hub = Telemetry(sim)
-    attach_simulator(hub, sim)
-    node = ComputeNode(sim, node_preset(args.preset))
-    node.attach_telemetry(hub)
-    engine = ExecutionEngine(
-        node, registry, library,
-        use_daemon=True, daemon_period_ns=100_000.0, telemetry=hub,
-    )
-    graph = make_layered_dag(
-        layers=args.layers, width=args.width, num_workers=len(node),
-        functions=("saxpy", "stencil5", "montecarlo"), seed=args.seed,
-    )
-    print(f"running {len(graph)} tasks on {len(node)} workers...",
+    engine = build_engine(args.preset, telemetry=instrumented)
+    workers = len(engine.node)
+    graph = layered_graph(args.layers, args.width, workers, args.seed)
+    print(f"running {len(graph)} tasks on {workers} workers...",
           file=sys.stderr)
     report = engine.run_graph(graph)
-    return hub, report
+    return engine.telemetry, report
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -358,20 +345,24 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         run_checkpoint_restore_experiment,
         submit_workload,
         workload_spec,
-        _build_machine,
     )
-    from repro.core.runtime import FaultTolerancePolicy
+    from repro.core.runtime import FaultTolerancePolicy, JobManager
     from repro.core.runtime.checkpoint import (
         CheckpointManager,
         CheckpointPolicy,
         SnapshotStore,
     )
+    from repro.experiments import build_engine
+
+    # save/restore/ls always use a directory; the experiment persists
+    # snapshots only when --dir is given
+    directory = args.dir if args.dir is not None else "checkpoints"
 
     if args.action == "ls":
-        store = SnapshotStore(args.dir)
+        store = SnapshotStore(directory)
         paths = store.list()
         if not paths:
-            print(f"no snapshots under {args.dir}")
+            print(f"no snapshots under {directory}")
             return 0
         print("  seq   taken-at        jobs  done  file")
         for path in paths:
@@ -385,15 +376,18 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
               f"{args.preset!r} every {args.interval / 1e3:.0f} us...",
               file=sys.stderr)
         workload = workload_spec(args.preset, seed=args.seed)
-        _, _, _, manager = _build_machine(
-            workload,
-            fault_tolerance=FaultTolerancePolicy(),
+        manager = JobManager(
+            build_engine(
+                workload["node"],
+                fault_tolerance=FaultTolerancePolicy(),
+                max_variants=workload["max_variants"],
+            )
         )
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager,
             CheckpointPolicy(interval_ns=args.interval),
-            store=SnapshotStore(args.dir),
+            store=SnapshotStore(directory),
             workload=workload,
         )
         ckpt.start()
@@ -402,19 +396,19 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         else:
             manager.run()
         ckpt.stop()
-        print(f"  snapshots : {len(ckpt.snapshots)} written to {args.dir}")
+        print(f"  snapshots : {len(ckpt.snapshots)} written to {directory}")
         for s in ckpt.snapshots:
             print(f"    seq {s.seq} at {s.taken_at_ns / 1e6:.3f} ms "
                   f"({s.tasks_completed} tasks done)")
         return 0
 
     if args.action == "restore":
-        store = SnapshotStore(args.dir)
+        store = SnapshotStore(directory)
         snapshot = (
             store.load(args.snapshot) if args.snapshot else store.load_latest()
         )
         if snapshot is None:
-            print(f"no snapshots under {args.dir}")
+            print(f"no snapshots under {directory}")
             return 1
         print(f"restoring seq {snapshot.seq} "
               f"(taken at {snapshot.taken_at_ns / 1e6:.3f} ms, "
@@ -447,7 +441,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             args.preset,
             seed=args.seed,
             domain=args.domain,
-            store_dir=args.dir if args.dir != "checkpoints" else None,
+            store_dir=args.dir,
         )
         if args.events_out:
             _write_or_print(report.events_json(indent=2), args.events_out)
@@ -706,11 +700,7 @@ def _client_script(client, frame: dict, args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.core import ComputeNode
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
-    from repro.serving import BurnRatePolicy, ServingGateway, TraceConfig
-    from repro.sim import Simulator
+    from repro.serving import BurnRatePolicy, TraceConfig, build_serving_gateway
     from repro.telemetry import Telemetry, validate_span_tree
 
     print(
@@ -718,29 +708,18 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         f"(seed {args.seed}, 1-in-{args.sample_every} sampling)...",
         file=sys.stderr,
     )
-    scenario = serving_preset(args.preset)
-    registry, library = compiled_suite(max_variants=2)
-    sim = Simulator()
-    # a hub only when an export asks for one: the traced run itself works
-    # dark (spans land on the request tracer's standalone sink)
-    hub = Telemetry(sim) if (args.trace_out or args.events_out) else None
-    node = ComputeNode(sim, node_preset(scenario.node))
-    if hub is not None:
-        node.attach_telemetry(hub)
-    engine = ExecutionEngine(
-        node, registry, library, use_daemon=False, telemetry=hub,
-    )
-    gateway = ServingGateway(
-        engine,
-        scenario,
+    gateway = build_serving_gateway(
+        args.preset,
         seed=args.seed,
-        scenario_name=args.preset,
-        telemetry=hub,
+        # a hub only when an export asks for one: the traced run itself
+        # works dark (spans land on the request tracer's standalone sink)
+        telemetry=Telemetry if (args.trace_out or args.events_out) else None,
         tracing=TraceConfig(
             sample_every=args.sample_every, top_k=args.top_k
         ),
         alerts=BurnRatePolicy(slo_scale=args.slo_scale),
     )
+    hub = gateway.telemetry
     report = gateway.run()
     if args.out:
         _write_or_print(report.json(indent=2), args.out)
@@ -938,8 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("mini", "board", "board-transient", "chassis"),
                    help="chaos workload preset (save/experiment)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dir", default="checkpoints",
-                   help="snapshot directory (save/restore/ls)")
+    p.add_argument("--dir", default=None,
+                   help="snapshot directory (save/restore/ls: default "
+                        "checkpoints; experiment: persist snapshots here)")
     p.add_argument("--interval", type=float, default=100_000.0,
                    help="checkpoint cadence in ns (save)")
     p.add_argument("--until", type=float, default=None,

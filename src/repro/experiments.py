@@ -1,32 +1,57 @@
-"""Shared batch-experiment harnesses and machine warm-start plumbing.
+"""The one machine builder, and the batch jobs harness built on it.
 
-Historically each CLI command hand-built its machine inline; the service
-daemon (``repro.service``) needs to build the *same* machines from the
-same seeds so a scripted daemon session stays byte-identical to the
-batch run.  This module is the single home for that construction:
+In the paper every Compute Node is one PGAS partition run by one
+Execution Engine, so every harness builds the same stack.  This module
+is the only place that builds it:
 
-- :func:`build_jobs_machine` / :func:`run_jobs_experiment` -- the
-  multi-job batch harness (``python -m repro jobs``) as a library call.
-- :func:`resolve_warm_start` -- turns a ``warm_start`` argument (bool or
-  path to a saved machine snapshot) into a primed template cache, so
-  repeated experiments on one topology skip the expensive bring-up.
+- :func:`build_engine` -- one preset Compute Node and its
+  :class:`~repro.core.runtime.ExecutionEngine`.  It owns the
+  construction order every canonical report depends on:
+  ``compiled_suite`` (or a caller's shared pair), a fresh
+  ``Simulator``, the ``warp_to`` of a restored incarnation, the
+  telemetry factory (``sim -> hub``), ``build_preset_node`` (cold, or
+  templated at a node id), wiring the hub into the node, then the
+  engine with the fixed reconfiguration-daemon period
+  :data:`DAEMON_PERIOD_NS`.
+- :func:`layered_graph` -- the layered-DAG recipe over
+  :data:`GRAPH_FUNCTIONS`, the only copy of the function tuple.
 
-Warm starts ride the shard layer's :class:`~repro.shard.bringup.NodeTemplate`
-machinery: templated builds are bit-identical to cold ones, so a warm
-experiment's canonical report matches the cold report byte for byte.
-A snapshot path additionally pins *which* topology was prebuilt; passing
-a snapshot taken on a different node preset is an error, not a silent
-cold build.
+Callers: :func:`build_jobs_machine` / :func:`run_jobs_experiment` (the
+``jobs`` command and the daemon's jobs epochs),
+:func:`repro.serving.gateway.build_serving_gateway` (batch serving,
+the daemon's serving epochs, ``inspect`` and the serving bench
+entries), the chaos and multi-job chaos experiments, the checkpoint
+experiments, restore and ``checkpoint save``, the three sharded
+partition builders in :mod:`repro.shard.experiments`, and the
+``trace``/``metrics`` commands.  Only ``ClusterEngine`` (one simulator
+for many nodes) and the ``demo`` command (a Tracer and a custom Worker
+count) build their own engines.
+
+:func:`resolve_warm_start` turns a ``warm_start`` argument (bool or
+path to a saved machine snapshot) into a primed template cache, so
+repeated experiments on one topology skip the expensive bring-up.
+Warm starts ride the shard layer's
+:class:`~repro.shard.bringup.NodeTemplate` machinery: templated builds
+are bit-identical to cold ones, so a warm experiment's canonical report
+matches the cold report byte for byte.  A snapshot path additionally
+pins *which* topology was prebuilt; passing a snapshot taken on a
+different node preset is an error, not a silent cold build.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.core.runtime.report import MachineReport
 
 WarmStart = Union[bool, str]
+
+#: the Fig. 5 reconfiguration daemon's period on every harness machine
+DAEMON_PERIOD_NS = 100_000.0
+
+#: the task functions every layered harness workload draws from
+GRAPH_FUNCTIONS = ("saxpy", "stencil5", "montecarlo")
 
 
 def resolve_warm_start(warm_start: WarmStart, node: str) -> bool:
@@ -71,6 +96,78 @@ def _prime_template(node: str) -> None:
     shared_template_cache().get(node_preset(node))
 
 
+def build_engine(
+    preset: str,
+    *,
+    node_id: int = 0,
+    warm_start: WarmStart = False,
+    telemetry=None,
+    fault_tolerance=None,
+    compiled=None,
+    max_variants: int = 1,
+    start_ns: float = 0.0,
+    use_daemon: bool = True,
+):
+    """Build one Compute Node of node preset ``preset`` and its engine.
+
+    ``compiled`` is a ``(registry, library)`` pair shared across the
+    machines of one experiment (otherwise ``compiled_suite(max_variants)``);
+    ``start_ns`` resumes a restored incarnation's clock at its snapshot
+    time; ``telemetry`` is a hub or a factory ``sim -> hub`` (the
+    simulator is created here) and reaches the node's Workers and NoC as
+    well as the runtime.  ``use_daemon=False`` leaves the Fig. 5 loop to
+    a serving autoscaler.  The node is ``engine.node``, its simulator
+    ``engine.node.sim``.
+    """
+    from repro.core.runtime import ExecutionEngine
+    from repro.presets import build_preset_node, compiled_suite
+    from repro.sim import Simulator
+
+    warm = resolve_warm_start(warm_start, preset)
+    registry, library = (
+        compiled if compiled is not None else compiled_suite(max_variants=max_variants)
+    )
+    sim = Simulator()
+    if start_ns > 0.0:
+        sim.warp_to(start_ns)
+    if callable(telemetry):
+        telemetry = telemetry(sim)
+    node = build_preset_node(sim, preset, warm=warm, node_id=node_id)
+    node.attach_telemetry(telemetry)
+    return ExecutionEngine(
+        node,
+        registry,
+        library,
+        use_daemon=use_daemon,
+        daemon_period_ns=DAEMON_PERIOD_NS,
+        telemetry=telemetry,
+        fault_tolerance=fault_tolerance,
+    )
+
+
+def layered_graph(
+    layers: int,
+    width: int,
+    num_workers: int,
+    seed: int,
+    functions: Sequence[str] = GRAPH_FUNCTIONS,
+):
+    """One layered DAG of the harness workload recipe.
+
+    ``functions`` is only for replaying a recorded workload (a snapshot's
+    ``functions`` list); new workloads use :data:`GRAPH_FUNCTIONS`.
+    """
+    from repro.apps import make_layered_dag
+
+    return make_layered_dag(
+        layers=layers,
+        width=width,
+        num_workers=num_workers,
+        functions=tuple(functions),
+        seed=seed,
+    )
+
+
 def build_jobs_machine(
     preset: str,
     seed: int = 0,
@@ -85,29 +182,19 @@ def build_jobs_machine(
     Returns the :class:`~repro.core.runtime.jobs.JobManager` owning a
     fresh machine with the preset's job mix submitted (unless
     ``submit_mix=False``, which leaves the manager empty for a service
-    session to feed).  Construction order matches the historical CLI
-    inline build exactly, so reports stay byte-identical.
+    session to feed).  ``telemetry`` may be a factory ``sim -> hub``:
+    the service daemon attaches one per epoch.
     """
-    from repro.core.runtime import ExecutionEngine, JobManager
-    from repro.presets import build_preset_node, compiled_suite, job_preset
-    from repro.sim import Simulator
+    from repro.core.runtime import JobManager
+    from repro.presets import job_preset
 
     mix = job_preset(preset)
-    warm = resolve_warm_start(warm_start, mix.node)
-    registry, library = compiled_suite(max_variants=max_variants)
-    sim = Simulator()
-    if callable(telemetry):
-        # factory (sim -> hub): the service daemon attaches one per epoch
-        telemetry = telemetry(sim)
-    node = build_preset_node(sim, mix.node, warm=warm)
-    engine = ExecutionEngine(
-        node,
-        registry,
-        library,
-        use_daemon=True,
-        daemon_period_ns=100_000.0,
+    engine = build_engine(
+        mix.node,
+        warm_start=warm_start,
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
+        max_variants=max_variants,
     )
     manager = JobManager(engine)
     if submit_mix:
@@ -117,17 +204,11 @@ def build_jobs_machine(
 
 def submit_job_mix(manager, mix, seed: int) -> list:
     """Submit every job of ``mix`` onto ``manager`` (CLI-identical)."""
-    from repro.apps import make_layered_dag
-
     handles = []
-    node = manager.engine.node
+    num_workers = len(manager.engine.node)
     for spec in mix.jobs:
-        graph = make_layered_dag(
-            layers=spec.layers,
-            width=spec.width,
-            num_workers=len(node),
-            functions=("saxpy", "stencil5", "montecarlo"),
-            seed=spec.graph_seed + seed,
+        graph = layered_graph(
+            spec.layers, spec.width, num_workers, spec.graph_seed + seed
         )
         handles.append(
             manager.submit_job(

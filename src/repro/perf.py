@@ -150,21 +150,11 @@ def bench_smmu_translate(quick: bool) -> int:
 
 def bench_serving_steady(quick: bool) -> int:
     """End-to-end serving `steady` preset (compile + serve + report)."""
-    from repro.core import ComputeNode
-    from repro.core.runtime.engine import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
-    from repro.serving.gateway import ServingGateway
-    from repro.sim import Simulator
+    from repro.serving.gateway import build_serving_gateway
 
-    scenario = serving_preset("steady")
-    registry, library = compiled_suite(max_variants=2)
-    sim = Simulator()
-    node = ComputeNode(sim, node_preset(scenario.node))
-    engine = ExecutionEngine(node, registry, library, use_daemon=False)
-    gateway = ServingGateway(engine, scenario, seed=0, scenario_name="steady")
-    report = gateway.run()
-    report.json()  # include report serialization in the timed region
-    return sim.events_processed
+    gateway = build_serving_gateway("steady")
+    gateway.run().json()  # include report serialization in the timed region
+    return gateway.sim.events_processed
 
 
 def bench_serving_steady_traced(quick: bool) -> int:
@@ -173,27 +163,17 @@ def bench_serving_steady_traced(quick: bool) -> int:
     Paired with ``serving.steady``: the two walls bound the observability
     tax (CI's trace-smoke job asserts the ratio stays under its gate).
     """
-    from repro.core import ComputeNode
-    from repro.core.runtime.engine import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
     from repro.serving.alerts import BurnRatePolicy
-    from repro.serving.gateway import ServingGateway
+    from repro.serving.gateway import build_serving_gateway
     from repro.serving.tracing import TraceConfig
-    from repro.sim import Simulator
 
-    scenario = serving_preset("steady")
-    registry, library = compiled_suite(max_variants=2)
-    sim = Simulator()
-    node = ComputeNode(sim, node_preset(scenario.node))
-    engine = ExecutionEngine(node, registry, library, use_daemon=False)
-    gateway = ServingGateway(
-        engine, scenario, seed=0, scenario_name="steady",
+    gateway = build_serving_gateway(
+        "steady",
         tracing=TraceConfig(sample_every=1),       # worst case: trace all
         alerts=BurnRatePolicy(slo_scale=0.1),
     )
-    report = gateway.run()
-    report.json()  # include report serialization in the timed region
-    return sim.events_processed
+    gateway.run().json()  # include report serialization in the timed region
+    return gateway.sim.events_processed
 
 
 def bench_exascale_build(quick: bool) -> int:

@@ -14,11 +14,14 @@ Determinism is the whole design:
   stepping changes nothing; control commands are only applied *between*
   windows, pinning them to reproducible simulated times.
 - **Epochs build batch-identical machines.**  A ``submit`` builds a
-  fresh machine through the same construction paths the batch harnesses
-  use (:func:`repro.serving.gateway.build_serving_gateway`,
+  fresh machine through the same construction path the batch harnesses
+  use (:func:`repro.experiments.build_engine`, via
+  :func:`repro.serving.gateway.build_serving_gateway` and
   :func:`repro.experiments.build_jobs_machine`), with the same seeds and
   compile settings -- so a scripted session's canonical report is
-  byte-identical to the equivalent ``run_*_experiment`` call.
+  byte-identical to the equivalent ``run_*_experiment`` call.  The
+  epoch's telemetry hub reaches every layer (NoC, memories, fabric,
+  runtime), and a hub never changes a report.
 - **Snapshot = journal.**  Every state-changing command is journaled
   with the boundary time it was applied at.  A snapshot persists the
   current epoch's journal (plus archived reports verbatim) through PR
@@ -310,8 +313,7 @@ class _JobsEpoch:
 
     def submit_more(self, args: Dict[str, Any]) -> Dict[str, Any]:
         """A ``submit`` onto the live machine: a whole mix or one job."""
-        from repro.apps import make_layered_dag
-        from repro.experiments import submit_job_mix
+        from repro.experiments import layered_graph, submit_job_mix
         from repro.presets import job_preset
 
         _require(
@@ -332,12 +334,11 @@ class _JobsEpoch:
                 self.manager, mix, int(args.get("seed", self.seed))
             )
             return {"jobs": [h.job_id for h in handles], "at_ns": self.now}
-        graph = make_layered_dag(
-            layers=int(args.get("layers", 4)),
-            width=int(args.get("width", 8)),
-            num_workers=len(self.manager.engine.node),
-            functions=("saxpy", "stencil5", "montecarlo"),
-            seed=int(args.get("graph_seed", 1)) + int(args.get("seed", self.seed)),
+        graph = layered_graph(
+            int(args.get("layers", 4)),
+            int(args.get("width", 8)),
+            len(self.manager.engine.node),
+            int(args.get("graph_seed", 1)) + int(args.get("seed", self.seed)),
         )
         handle = self.manager.submit_job(
             graph,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro.apps.taskgraph import Task, TaskGraph
 from repro.core.runtime.jobs import JobManager
@@ -52,6 +52,9 @@ from repro.serving.tracing import RequestTracer, TraceConfig
 from repro.serving.autoscaler import Autoscaler
 from repro.sim import spawn
 from repro.telemetry.tracing import Tracer
+
+if TYPE_CHECKING:
+    from repro.presets import ServingScenario
 
 
 @dataclass
@@ -630,44 +633,43 @@ def build_serving_gateway(
     brownout: Optional[BrownoutPolicy] = None,
     warm_start=False,
     spawn_arrivals: bool = True,
+    *,
+    scenario: Optional[ServingScenario] = None,
+    node_id: int = 0,
 ) -> "ServingGateway":
     """Build (but do not run) the serving machine for one preset.
 
-    The shared construction path for :func:`run_serving_experiment` and
-    the service daemon's serving epochs: same build order, same seeds,
-    so a daemon-built gateway is byte-identical to a batch one.
+    The only construction path for serving gateways -- batch runs, the
+    service daemon's serving epochs, ``inspect`` and each node of a
+    sharded run -- over :func:`repro.experiments.build_engine`: same
+    build order, same seeds, so a daemon-built gateway is byte-identical
+    to a batch one.  ``telemetry`` may be a factory ``sim -> hub``.
     ``warm_start`` may be ``True`` or a saved-snapshot path (see
     :func:`repro.experiments.resolve_warm_start`); templated bring-up is
-    bit-identical to cold, so warm never changes the report.
+    bit-identical to cold, so warm never changes the report.  A sharded
+    run passes node ``node_id``'s slice of the preset as ``scenario``;
+    the report still names ``preset``.
     """
-    from repro.core.runtime.engine import ExecutionEngine
-    from repro.experiments import resolve_warm_start
-    from repro.presets import build_preset_node, compiled_suite, serving_preset
-    from repro.sim import Simulator
+    from repro.experiments import build_engine
+    from repro.presets import serving_preset
 
-    scenario = serving_preset(preset)
-    warm = resolve_warm_start(warm_start, scenario.node)
-    registry, library = compiled_suite(max_variants=max_variants)
-    sim = Simulator()
-    if callable(telemetry):
-        # the hub needs the simulator this builder creates: a factory
-        # (sim -> hub) lets the service daemon attach one per epoch
-        telemetry = telemetry(sim)
-    node = build_preset_node(sim, scenario.node, warm=warm)
-    engine = ExecutionEngine(
-        node,
-        registry,
-        library,
-        use_daemon=False,        # the autoscaler owns the Fig. 5 loop here
+    if scenario is None:
+        scenario = serving_preset(preset)
+    engine = build_engine(
+        scenario.node,
+        node_id=node_id,
+        warm_start=warm_start,
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
+        max_variants=max_variants,
+        use_daemon=False,        # the autoscaler owns the Fig. 5 loop here
     )
     return ServingGateway(
         engine,
         scenario,
         seed=seed,
         scenario_name=preset,
-        telemetry=telemetry,
+        telemetry=engine.telemetry,
         tracing=tracing,
         alerts=alerts,
         brownout=brownout,

@@ -31,7 +31,7 @@ import json
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.shard.bringup import TemplateCache, build_node, shared_template_cache
+from repro.shard.bringup import build_node, shared_template_cache
 from repro.shard.merge import max_field, merged_report, sum_field
 from repro.shard.plan import PartitionPlan, ShardError
 from repro.shard.sync import NodeCell, PartitionRuntime
@@ -106,38 +106,28 @@ def build_jobs_partition(
     t=0, a DATA reply on delivery, submission when the DATA lands --
     deterministic cross-partition traffic on every run.
     """
-    from repro.apps import make_layered_dag
-    from repro.core.runtime import ExecutionEngine, JobManager
-    from repro.presets import compiled_suite, job_preset, node_preset
-    from repro.sim import Simulator
+    from repro.core.runtime import JobManager
+    from repro.experiments import build_engine, layered_graph
+    from repro.presets import compiled_suite, job_preset
 
     mix = job_preset(config["preset"])
-    registry, library = compiled_suite(max_variants=1)
+    compiled = compiled_suite(max_variants=1)
     restore = config.get("restore") or {}
     runtime = PartitionRuntime(partition, plan)
-    cache = shared_template_cache()
     for node_id in plan.nodes_in(partition):
-        sim = Simulator()
-        node = build_node(sim, node_preset(mix.node), node_id, cache)
-        engine = ExecutionEngine(
-            node, registry, library,
-            use_daemon=True, daemon_period_ns=100_000.0,
+        engine = build_engine(
+            mix.node, node_id=node_id, warm_start=True, compiled=compiled
         )
+        sim = engine.node.sim
         manager = JobManager(engine)
-        graphs = []
+        seed = config["seed"] + node_id * _GRAPH_SEED_STRIDE
         with _task_id_base(node_id * _TASK_ID_STRIDE):
-            for spec in mix.jobs:
-                graphs.append(
-                    make_layered_dag(
-                        layers=spec.layers,
-                        width=spec.width,
-                        num_workers=len(node),
-                        functions=("saxpy", "stencil5", "montecarlo"),
-                        seed=spec.graph_seed
-                        + config["seed"]
-                        + node_id * _GRAPH_SEED_STRIDE,
-                    )
+            graphs = [
+                layered_graph(
+                    spec.layers, spec.width, len(engine.node), spec.graph_seed + seed
                 )
+                for spec in mix.jobs
+            ]
 
         cell = NodeCell(node_id, sim)
         state = {"staged_at": None}
@@ -302,27 +292,22 @@ def build_serving_partition(
     and broadcasts brownout enter/exit transitions (and the final stop)
     back over the bridge.
     """
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
+    from repro.presets import serving_preset
     from repro.serving.brownout import BrownoutPolicy
-    from repro.serving.gateway import ServingGateway
-    from repro.sim import Simulator
+    from repro.serving.gateway import build_serving_gateway
 
     scenario = serving_preset(config["preset"])
-    registry, library = compiled_suite(max_variants=2)
     runtime = PartitionRuntime(partition, plan)
-    cache = shared_template_cache()
     for node_id in plan.nodes_in(partition):
-        sim = Simulator()
-        node = build_node(sim, node_preset(scenario.node), node_id, cache)
-        engine = ExecutionEngine(node, registry, library, use_daemon=False)
-        gateway = ServingGateway(
-            engine,
-            _node_scenario(scenario, node_id, plan.num_nodes),
+        gateway = build_serving_gateway(
+            config["preset"],
             seed=config["seed"] + node_id * _SERVE_SEED_STRIDE,
-            scenario_name=config["preset"],
             brownout=BrownoutPolicy(),
+            warm_start=True,
+            scenario=_node_scenario(scenario, node_id, plan.num_nodes),
+            node_id=node_id,
         )
+        sim = gateway.sim
         gateway.start()
 
         cell = NodeCell(node_id, sim)
@@ -501,63 +486,42 @@ def build_chaos_partition(
     baseline to node 0, which derives the seeded global fault plan and
     sends each KILL so it is *delivered* exactly at its planned time.
     """
-    from repro.apps import make_layered_dag
     from repro.chaos.controller import seeded_node_plan
     from repro.chaos.experiment import CHAOS_PRESETS, graph_signature
-    from repro.core.runtime import (
-        ExecutionEngine,
-        FaultTolerancePolicy,
-        JobManager,
-    )
-    from repro.presets import compiled_suite, node_preset
-    from repro.sim import Simulator
+    from repro.core.runtime import JobManager
+    from repro.experiments import build_engine, layered_graph
+    from repro.presets import compiled_suite
 
     preset = CHAOS_PRESETS[config["preset"]]
-    registry, library = compiled_suite(max_variants=1)
+    compiled = compiled_suite(max_variants=1)
     runtime = PartitionRuntime(partition, plan)
-    cache = shared_template_cache()
     for node_id in plan.nodes_in(partition):
         graph_seed = (
             preset.graph_seed + config["seed"] + node_id * _GRAPH_SEED_STRIDE
         )
 
         # ---- phase A: fault-free baseline on a throwaway machine ------
-        scratch = Simulator()
-        scratch_node = build_node(
-            scratch, node_preset(preset.node), node_id, cache
-        )
-        base_engine = ExecutionEngine(
-            scratch_node, registry, library,
-            use_daemon=True, daemon_period_ns=100_000.0,
+        base_engine = build_engine(
+            preset.node, node_id=node_id, warm_start=True, compiled=compiled
         )
         with _task_id_base(node_id * _TASK_ID_STRIDE):
-            base_graph = make_layered_dag(
-                layers=preset.layers, width=preset.width,
-                num_workers=len(scratch_node),
-                functions=("saxpy", "stencil5", "montecarlo"),
-                seed=graph_seed,
+            base_graph = layered_graph(
+                preset.layers, preset.width, len(base_engine.node), graph_seed
             )
         baseline = base_engine.run_graph(base_graph)
 
         # ---- phase B: armed runtime, workload from t=0 ----------------
-        sim = Simulator()
-        node = build_node(sim, node_preset(preset.node), node_id, cache)
-        engine = ExecutionEngine(
-            node, registry, library,
-            use_daemon=True, daemon_period_ns=100_000.0,
-            fault_tolerance=FaultTolerancePolicy(
-                heartbeat_period_ns=preset.heartbeat_period_ns,
-                max_attempts=preset.max_attempts,
-            ),
+        engine = build_engine(
+            preset.node,
+            node_id=node_id,
+            warm_start=True,
+            compiled=compiled,
+            fault_tolerance=preset.fault_tolerance(),
         )
+        node, sim = engine.node, engine.node.sim
         manager = JobManager(engine, fair_share=False)
         with _task_id_base(node_id * _TASK_ID_STRIDE + _TASK_ID_STRIDE // 2):
-            graph = make_layered_dag(
-                layers=preset.layers, width=preset.width,
-                num_workers=len(node),
-                functions=("saxpy", "stencil5", "montecarlo"),
-                seed=graph_seed,
-            )
+            graph = layered_graph(preset.layers, preset.width, len(node), graph_seed)
         manager.submit_job(graph)
 
         cell = NodeCell(node_id, sim)

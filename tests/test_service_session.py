@@ -382,6 +382,21 @@ class TestDrain:
         again = session.handle({"cmd": "events"})
         assert again["cursor"] >= tail["cursor"]
 
+    def test_telemetry_reaches_every_layer_without_changing_the_report(self):
+        session = fresh_session(telemetry=True)
+        run_script(session, [
+            {"cmd": "submit", "kind": "serving", "preset": "steady", "seed": 0},
+            {"cmd": "step", "windows": 2},
+        ])
+        names = list(session.workload.hub.snapshot())
+        for probe in (".noc.", ".cache.", ".dram.", ".smmu.", ".fabric.",
+                      "runtime."):
+            assert any(probe in name for name in names), probe
+        assert "_noc_" in session.handle({"cmd": "metrics"})["text"]
+        run_script(session, [{"cmd": "run"}])
+        batch = run_serving_experiment("steady", seed=0).json(indent=2)
+        assert archived_report(session) == batch
+
     def test_metrics_errors(self):
         session = fresh_session(telemetry=True)
         assert session.handle({"cmd": "metrics"})["error"] == "no-workload"
