@@ -72,8 +72,8 @@ class ComputeNode:
 
         # ``template`` (see repro.shard.bringup.NodeTemplate) shares the
         # structures that are pure functions of ``params`` -- tile grid,
-        # region budget, NUMA distance matrix, intra-tree route paths --
-        # across identical nodes; every mutable object stays per-node.
+        # region budget, NUMA distance matrix -- across identical nodes;
+        # every mutable object stays per-node.
         grid = template.grid if template is not None else None
         budget = template.budget if template is not None else None
         self.workers: List[Worker] = [
@@ -83,8 +83,6 @@ class ComputeNode:
             )
             for i in range(n)
         ]
-        if template is not None and template.route_paths:
-            self.network.seed_routes(template.route_paths)
 
         # UNIMEM space + NUMA-aware allocator over it
         self.unimem = UnimemSpace(n, params.dram_window)

@@ -10,9 +10,10 @@ reconfiguration block."
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.telemetry.quantiles import latency_summary, mean
 
@@ -38,21 +39,36 @@ class ExecutionRecord:
 
 
 class ExecutionHistory:
-    """Append-only store of execution records with query helpers."""
+    """Append-only store of execution records with query helpers.
+
+    Next to the record log it keeps one list per ``(function, None)``
+    and per ``(function, device)``, in append order, so the per-task
+    queries (``mean_latency``, ``mean_energy``, ``records(function)``)
+    read only the matching records instead of rescanning the log.
+    """
 
     def __init__(self, capacity: Optional[int] = 100_000) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._records: List[ExecutionRecord] = []
+        self._records: Deque[ExecutionRecord] = deque(maxlen=capacity)
+        self._index: Dict[Tuple[str, Optional[str]], Deque[ExecutionRecord]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
     def append(self, record: ExecutionRecord) -> None:
+        if len(self._records) == self.capacity:
+            # the evicted record is the oldest, so it heads both its lists
+            oldest = self._records[0]
+            self._index[(oldest.function, None)].popleft()
+            self._index[(oldest.function, oldest.device)].popleft()
         self._records.append(record)
-        if self.capacity is not None and len(self._records) > self.capacity:
-            del self._records[: len(self._records) - self.capacity]
+        for key in ((record.function, None), (record.function, record.device)):
+            bucket = self._index.get(key)
+            if bucket is None:
+                bucket = self._index[key] = deque()
+            bucket.append(record)
 
     def record(self, **kwargs) -> ExecutionRecord:
         rec = ExecutionRecord(**kwargs)
@@ -69,11 +85,12 @@ class ExecutionHistory:
         since: Optional[float] = None,
         job: Optional[int] = None,
     ) -> List[ExecutionRecord]:
-        out = self._records
         if function is not None:
-            out = [r for r in out if r.function == function]
-        if device is not None:
-            out = [r for r in out if r.device == device]
+            out = self._index.get((function, device), ())
+        else:
+            out = self._records
+            if device is not None:
+                out = [r for r in out if r.device == device]
         if since is not None:
             out = [r for r in out if r.timestamp >= since]
         if job is not None:
@@ -92,7 +109,7 @@ class ExecutionHistory:
     def mean_latency(
         self, function: str, device: Optional[str] = None
     ) -> Optional[float]:
-        recs = self.records(function, device)
+        recs = self._index.get((function, device))
         if not recs:
             return None
         return mean([r.latency_ns for r in recs])
@@ -100,7 +117,7 @@ class ExecutionHistory:
     def mean_energy(
         self, function: str, device: Optional[str] = None
     ) -> Optional[float]:
-        recs = self.records(function, device)
+        recs = self._index.get((function, device))
         if not recs:
             return None
         return mean([r.energy_pj for r in recs])
@@ -109,11 +126,7 @@ class ExecutionHistory:
         self, function: Optional[str] = None, device: Optional[str] = None
     ) -> Dict[str, float]:
         """p50/p95/p99 latency block over matching records (shared math)."""
-        recs = self._records
-        if function is not None:
-            recs = [r for r in recs if r.function == function]
-        if device is not None:
-            recs = [r for r in recs if r.device == device]
+        recs = self.records(function, device)
         return latency_summary([r.latency_ns for r in recs])
 
     def call_counts_by_job(self, since: Optional[float] = None) -> Dict[int, int]:

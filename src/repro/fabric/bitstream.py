@@ -16,6 +16,7 @@ which is where the compression wins come from.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -99,6 +100,17 @@ def compress_rle(data: bytes) -> bytes:
     return bytes(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _compress_cached(data: bytes) -> bytes:
+    """:func:`compress_rle` memoized on the content of immutable ``data``.
+
+    Every machine built from one module library reconfigures with the
+    same bitstream bytes, so the RLE pass runs once per distinct content
+    per process instead of once per load.
+    """
+    return compress_rle(data)
+
+
 def decompress_rle(data: bytes) -> bytes:
     """Inverse of :func:`compress_rle`."""
     out = bytearray()
@@ -147,7 +159,8 @@ class Bitstream:
         return len(self.data)
 
     def compress(self) -> "CompressedBitstream":
-        compressed = compress_rle(self.data)
+        # bytes() is a no-op on bytes; it makes other buffers hashable
+        compressed = _compress_cached(bytes(self.data))
         return CompressedBitstream(
             module_name=self.module_name,
             frames=self.frames,

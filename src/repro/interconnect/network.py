@@ -44,12 +44,12 @@ class Network:
         self.name = name
         self.graph = nx.Graph()
         self._route_cache: Dict[Tuple[Hashable, Hashable], Route] = {}
-        # label paths seeded from a template, materialized into Routes
-        # lazily on first use (most seeded pairs never carry traffic)
-        self._seeded_paths: Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]] = {}
         # (parent, depth) maps from index_tree(); lets route() build any
         # pair's unique path by an LCA walk instead of a graph search
         self._tree_index: Optional[Tuple[Dict, Dict]] = None
+        # links in graph edge order, derived once per topology; the
+        # reporting sums below fold over it in that same order
+        self._links: Optional[List[Link]] = None
         self.messages_sent = 0
         self.bytes_sent = 0
         # armed by repro.telemetry.wiring.attach_network
@@ -72,8 +72,8 @@ class Network:
         link = Link(self.sim, params, name or f"{a}<->{b}")
         self.graph.add_edge(a, b, link=link, weight=params.latency_ns)
         self._route_cache.clear()
-        self._seeded_paths.clear()
         self._tree_index = None
+        self._links = None
         return link
 
     @property
@@ -82,7 +82,13 @@ class Network:
 
     @property
     def links(self) -> List[Link]:
-        return [data["link"] for _, _, data in self.graph.edges(data=True)]
+        return list(self._link_list())
+
+    def _link_list(self) -> List[Link]:
+        """The cached link list; callers must not mutate it."""
+        if self._links is None:
+            self._links = [data["link"] for _, _, data in self.graph.edges(data=True)]
+        return self._links
 
     # ------------------------------------------------------------------
     # routing
@@ -93,18 +99,6 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        seeded = self._seeded_paths.pop(key, None)
-        if seeded is not None:
-            edges = self.graph.edges
-            route = Route(
-                list(seeded),
-                [
-                    edges[seeded[i], seeded[i + 1]]["link"]
-                    for i in range(len(seeded) - 1)
-                ],
-            )
-            self._route_cache[key] = route
-            return route
         treed = self._tree_path(src, dst)
         if treed is not None:
             edges = self.graph.edges
@@ -134,35 +128,6 @@ class Network:
 
     def hop_distance(self, src: Hashable, dst: Hashable) -> int:
         return self.route(src, dst).hops
-
-    def route_paths(self) -> Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]]:
-        """Every cached route as a node-label path (no Link references).
-
-        Label paths are safe to carry across *identically shaped*
-        networks -- shard bring-up computes the shortest paths once per
-        node template and replays them into each clone's cache via
-        :meth:`seed_routes`, skipping the per-pair graph search.
-        """
-        out = {
-            key: tuple(route.nodes) for key, route in self._route_cache.items()
-        }
-        for key, nodes in self._seeded_paths.items():
-            out.setdefault(key, tuple(nodes))
-        return out
-
-    def seed_routes(
-        self, paths: Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]]
-    ) -> None:
-        """Pre-populate routing from label paths over *this* network.
-
-        Paths are stored as labels and materialized into Route objects
-        (with this network's own Link references) only on first use;
-        a path that does not exist edge-by-edge here fails loudly at
-        materialization instead of mis-routing.
-        """
-        for key, nodes in paths.items():
-            if key not in self._route_cache and key not in self._seeded_paths:
-                self._seeded_paths[key] = tuple(nodes)
 
     def index_tree(self) -> None:
         """Index a tree topology for O(depth) route materialization.
@@ -217,17 +182,22 @@ class Network:
     ) -> Dict[Hashable, int]:
         """Hop counts from ``src`` to each destination in one sweep.
 
-        One single-source Dijkstra replaces a per-pair search, which is
+        On a tree-indexed network each count is an LCA walk.  Otherwise
+        one single-source Dijkstra replaces a per-pair search, which is
         what makes all-pairs consumers (NUMA distance matrices) linear in
         sources instead of quadratic.  Deliberately does *not* populate
         the route cache: on graphs with equal-cost paths a batched sweep
         may pick a different representative path than :meth:`route`, and
-        traffic must keep flowing over exactly the cached routes.
+        traffic must keep flowing over exactly the cached routes.  That
+        caveat cannot arise on a tree, where every pair has one path.
         """
         if src not in self.graph:
             raise ValueError(f"unknown node {src!r}")
         targets = list(dsts) if dsts is not None else self.nodes
-        _, paths = nx.single_source_dijkstra(self.graph, src, weight="weight")
+        if self._tree_index is not None:
+            paths = {dst: self._tree_path(src, dst) for dst in targets}
+        else:
+            _, paths = nx.single_source_dijkstra(self.graph, src, weight="weight")
         out: Dict[Hashable, int] = {}
         for dst in targets:
             if dst == src:
@@ -302,15 +272,15 @@ class Network:
     # reporting
     # ------------------------------------------------------------------
     def total_energy_pj(self) -> float:
-        return sum(link.energy_pj for link in self.links)
+        return sum(link.energy_pj for link in self._link_list())
 
     def total_link_bytes(self) -> int:
         """Sum of bytes carried per link (counts each hop separately) --
         the 'data traffic' metric of the paper's energy argument."""
-        return sum(link.bytes_carried for link in self.links)
+        return sum(link.bytes_carried for link in self._link_list())
 
     def reset_traffic(self) -> None:
-        for link in self.links:
+        for link in self._link_list():
             link.bytes_carried = 0
             link.messages_carried = 0
             link.energy_pj = 0.0

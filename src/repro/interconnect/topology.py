@@ -51,7 +51,9 @@ def build_tree(
     """A balanced tree: ``fanouts[0]`` children at the root, etc.
 
     Leaves are Workers named ``("w", i)``; internal switches are
-    ``("s", depth, index)``.  ``params_per_level[d]`` parameterizes the
+    ``("s", depth, index)``.  The returned network is tree-indexed
+    (:meth:`Network.index_tree`), so routes resolve without a graph
+    search until a later ``add_link`` drops the index.  ``params_per_level[d]`` parameterizes the
     links *below* depth-``d`` switches; by default deeper (closer to the
     leaves) levels are faster, per :func:`level_params`.
     """
@@ -85,6 +87,8 @@ def build_tree(
                     next_frontier.append(child)
                 net.add_link(parent, child, params_per_level[d])
         frontier = next_frontier
+    # a tree has one simple path per pair: route by LCA walk, not search
+    net.index_tree()
     return net, workers
 
 

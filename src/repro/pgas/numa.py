@@ -50,8 +50,8 @@ class NumaMap:
             # can share one sweep's result instead of re-running Dijkstra
             self._distance = dict(distances)
         elif network is not None:
-            # one Dijkstra sweep per distinct endpoint instead of one
-            # shortest-path search per (domain, domain) pair
+            # one sweep per distinct endpoint (LCA walks on a tree-indexed
+            # network) instead of one search per (domain, domain) pair
             nodes = {d.worker_node for d in domains}
             by_src: Dict[Hashable, Dict[Hashable, int]] = {}
             for a in domains:

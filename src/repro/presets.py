@@ -115,7 +115,7 @@ def build_preset_node(sim, name: str, warm: bool = False, node_id: int = 0):
 
     ``warm=True`` routes bring-up through the shard layer's process-wide
     :class:`~repro.shard.bringup.TemplateCache`: the pure-function parts
-    of bring-up (tile grid, region budget, NUMA distances, routes) are
+    of bring-up (tile grid, region budget, NUMA distances, diameter) are
     computed once per node shape and shared, so repeated experiments on
     the same topology skip the expensive part.  Templated builds are
     bit-identical to cold ones, so warm starts never change reports.

@@ -3,18 +3,19 @@
 Building a sharded machine means building many *identical* Compute
 Nodes.  Everything that is a pure function of the node parameters --
 the fabric tile grid and its prefix sums, the frozen region budget, the
-NUMA hop-distance matrix, the intra-node shortest-path routes, the intra
-tree diameter -- is computed once per distinct shape and shared across
-clones as immutable state.  Mutable simulation objects (Workers, caches,
-links, queues) are always built fresh per node, so behaviour is
+NUMA hop-distance matrix, the intra tree diameter -- is computed once
+per distinct shape and shared across clones as immutable state.  Routes
+need no template: ``build_tree`` indexes every node network, so each
+pair resolves by an LCA walk.  Mutable simulation objects (Workers,
+caches, links, queues) are always built fresh per node, so behaviour is
 bit-identical to an untemplated build; the legacy monolithic
 constructors never use templates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.compute_node import ComputeNode, ComputeNodeParams
 
@@ -27,9 +28,6 @@ class NodeTemplate:
     grid: object = None                 # fabric.floorplan.TileGrid
     budget: Optional[list] = None       # frozen Placement list
     numa_distances: Optional[Dict[tuple, int]] = None
-    route_paths: Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]] = field(
-        default_factory=dict
-    )
     intra_diameter: int = 0
 
     @classmethod
@@ -39,17 +37,12 @@ class NodeTemplate:
 
         scratch = Simulator()
         node = ComputeNode(scratch, params, node_id=0)
-        # warm every worker-pair route once; clones replay the label paths
-        for a in node.endpoints:
-            for b in node.endpoints:
-                node.network.route(a, b)
         w0 = node.workers[0]
         return cls(
             params=params,
             grid=w0.floorplanner.grid,
             budget=list(w0.floorplanner.budget_regions(params.worker.fabric_regions)),
             numa_distances=node.numa.distance_table(),
-            route_paths=node.network.route_paths(),
             intra_diameter=node.network.diameter_hops(node.endpoints),
         )
 

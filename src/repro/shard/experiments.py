@@ -754,10 +754,6 @@ def run_sharded_build(
     sim = Simulator()
     inter_network, endpoints = build_tree(sim, fanouts, params_per_level)
     world = Communicator(inter_network, endpoints, name="world")
-    # the allreduce touches most leaf pairs; the inter tree has exactly
-    # one path per pair, so the LCA index resolves the same routes a
-    # per-pair graph search would find
-    inter_network.index_tree()
     result = world.allreduce(payload_bytes)
 
     intra = int(max_field(fragments, "intra_diameter"))

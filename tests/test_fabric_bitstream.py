@@ -9,6 +9,7 @@ from repro.fabric import (
     decompress_rle,
     synthesize_config_data,
 )
+from repro.fabric import bitstream as bitstream_mod
 from repro.fabric.bitstream import FRAME_BYTES
 
 
@@ -62,6 +63,12 @@ class TestSynthesize:
         dense = synthesize_config_data(50, 0.9)
         assert len(compress_rle(sparse)) < len(compress_rle(dense))
 
+    def test_accepts_bytearray_and_memoryview(self):
+        data = b"\x00" * 40 + b"xyz" + b"\x07" * 9
+        want = compress_rle(data)
+        assert compress_rle(bytearray(data)) == want
+        assert compress_rle(memoryview(data)) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             synthesize_config_data(-1, 0.5)
@@ -96,3 +103,31 @@ class TestBitstream:
         a = Bitstream.synthesize("a", 1, 0.5)
         b = Bitstream.synthesize("b", 1, 0.5)
         assert a.bitstream_id != b.bitstream_id
+
+    def test_compress_accepts_bytearray_data(self):
+        bs = Bitstream.synthesize("mod", frames=4, fill_fraction=0.5)
+        copy = Bitstream("mod", frames=4, data=bytearray(bs.data))
+        assert copy.compress().data == bs.compress().data
+
+
+def test_one_rle_pass_per_blueprint_content(monkeypatch):
+    """Machines built from one compiled suite share one compression."""
+    from repro.presets import compiled_suite
+
+    function = compiled_suite()[1].functions()[0]
+    first = compiled_suite()[1].variants(function)[0].bitstream
+    second = compiled_suite()[1].variants(function)[0].bitstream
+    assert first is not second and first.data == second.data
+
+    calls = []
+
+    def counting(data):
+        calls.append(len(data))
+        return compress_rle(data)
+
+    bitstream_mod._compress_cached.cache_clear()
+    monkeypatch.setattr(bitstream_mod, "compress_rle", counting)
+    a, b = first.compress(), second.compress()
+    assert calls == [first.size_bytes]
+    assert a.data == b.data == compress_rle(first.data)
+    assert a.raw_size == b.raw_size == first.size_bytes

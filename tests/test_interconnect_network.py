@@ -119,8 +119,8 @@ class TestTreeIndex:
         depth = len(fanouts)
         params = [level_params(depth - 1 - d + 1) for d in range(depth)]
         searched, eps = build_tree(Simulator(), fanouts, params)
+        searched._tree_index = None  # build_tree indexes; force graph search
         indexed, _ = build_tree(Simulator(), fanouts, params)
-        indexed.index_tree()
         return searched, indexed, eps
 
     @pytest.mark.parametrize("fanouts", [[4], [2, 3], [4, 4], [1, 4]])
@@ -133,6 +133,8 @@ class TestTreeIndex:
                 assert got.nodes == want.nodes
                 assert got.latency(4096) == want.latency(4096)
         assert indexed.diameter_hops(eps) == searched.diameter_hops(eps)
+        for a in eps:
+            assert indexed.hop_distances_from(a) == searched.hop_distances_from(a)
 
     def test_index_tree_rejects_cycles(self):
         _, net = line_network(3)

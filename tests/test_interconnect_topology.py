@@ -1,5 +1,6 @@
 """Unit tests for topology builders."""
 
+import networkx
 import pytest
 
 from repro.interconnect import (
@@ -13,7 +14,12 @@ from repro.interconnect import (
     build_tree,
 )
 from repro.interconnect.topology import level_params
+from repro.presets import NODE_PRESETS, build_preset_node
 from repro.sim import Simulator
+
+
+def _no_graph_search(*args, **kwargs):
+    raise AssertionError("graph search on a tree-indexed network")
 
 
 class TestLevelParams:
@@ -56,6 +62,22 @@ class TestTree:
             build_tree(Simulator(), [0, 2])
         with pytest.raises(ValueError):
             build_tree(Simulator(), [2, 2], [LinkParams()])  # wrong length
+
+    def test_tree_is_indexed(self):
+        net, _ = build_tree(Simulator(), [2, 3])
+        assert net._tree_index is not None
+
+    @pytest.mark.parametrize("preset", sorted(NODE_PRESETS))
+    def test_preset_node_networks_route_without_search(self, preset, monkeypatch):
+        # NUMA distances at bring-up and every worker-pair route must
+        # come from the tree index, never from a networkx search
+        monkeypatch.setattr(networkx, "shortest_path", _no_graph_search)
+        monkeypatch.setattr(networkx, "single_source_dijkstra", _no_graph_search)
+        node = build_preset_node(Simulator(), preset)
+        assert node.network._tree_index is not None
+        for a in node.endpoints:
+            for b in node.endpoints:
+                assert node.network.route(a, b).nodes[-1] == b
 
     def test_leaf_links_faster_than_root_links(self):
         net, workers = build_tree(Simulator(), [2, 2])

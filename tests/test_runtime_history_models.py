@@ -1,7 +1,10 @@
 """Unit tests for execution history and prediction models."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.runtime import (
     DeviceSelector,
@@ -76,6 +79,59 @@ class TestHistory:
             rec(items=0)
         with pytest.raises(ValueError):
             ExecutionHistory(capacity=0)
+
+
+_FUNCTIONS = ("f", "g", "h")
+_SINCES = (None, 0.0, 2.5, 5.0, 9.0)
+
+_records = st.builds(
+    ExecutionRecord,
+    function=st.sampled_from(_FUNCTIONS),
+    device=st.sampled_from(("sw", "hw")),
+    worker=st.integers(0, 3),
+    items=st.integers(1, 64),
+    latency_ns=st.floats(0.0, 1e6, allow_nan=False),
+    energy_pj=st.floats(0.0, 1e4, allow_nan=False),
+    timestamp=st.floats(0.0, 10.0, allow_nan=False),
+    job=st.integers(0, 2),
+)
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 8), appended=st.lists(_records, max_size=30))
+def test_indexed_queries_match_brute_force(capacity, appended):
+    """Every indexed query equals a filter over the retained window."""
+    h = ExecutionHistory(capacity=capacity)
+    for r in appended:
+        h.append(r)
+    window = appended[-capacity:] if appended else []
+    assert h.records() == window
+    assert isinstance(h.records(), list)
+    for function, device, since, job in itertools.product(
+        (None,) + _FUNCTIONS, (None, "sw", "hw"), _SINCES, (None, 0, 1, 2)
+    ):
+        want = [
+            r for r in window
+            if (function is None or r.function == function)
+            and (device is None or r.device == device)
+            and (since is None or r.timestamp >= since)
+            and (job is None or r.job == job)
+        ]
+        assert h.records(function, device, since, job) == want
+    for function, device in itertools.product(_FUNCTIONS, (None, "sw", "hw")):
+        match = [
+            r for r in window
+            if r.function == function and (device is None or r.device == device)
+        ]
+        lat = [r.latency_ns for r in match]
+        en = [r.energy_pj for r in match]
+        assert h.mean_latency(function, device) == (
+            sum(lat) / len(lat) if match else None
+        )
+        assert h.mean_energy(function, device) == (
+            sum(en) / len(en) if match else None
+        )
 
 
 class TestModels:
