@@ -98,6 +98,40 @@ def bench_sim_cancellation(quick: bool) -> int:
     return sim.events_processed
 
 
+def bench_sim_wakeups(quick: bool) -> int:
+    """Zero-delay wake-up traffic: processes ping-pong through a
+    :class:`Signal`, ``Store.get``/``put`` and an uncontended
+    ``Resource`` -- the resumes every scheduler, layer model and grant in
+    the runtime produces, which ``sim.engine`` never exercises."""
+    from repro.sim import Resource, Signal, Simulator, Store, Timeout, spawn
+
+    rounds = 2_000 if quick else 20_000
+    pairs = 8
+    sim = Simulator()
+
+    def client(inbox, bus):
+        for _ in range(rounds // pairs):
+            reply = Signal(sim)
+            yield inbox.put(reply)
+            req = bus.request()
+            yield req
+            bus.release(req)
+            yield reply
+            yield Timeout(1.0)
+
+    def server(inbox):
+        while True:
+            reply = yield inbox.get()
+            reply.succeed()
+
+    for _ in range(pairs):
+        inbox = Store(sim)
+        spawn(sim, server(inbox))
+        spawn(sim, client(inbox, Resource(sim)))
+    sim.run()
+    return sim.events_processed
+
+
 def bench_ndrange_workgroups(quick: bool) -> int:
     """Batched CPU work-group dispatch through the OpenCL layer."""
     import numpy as np
@@ -297,6 +331,7 @@ def make_bench_sharded_serving(partitions: int) -> Callable[[bool], int]:
 BENCHMARKS: Dict[str, Callable[[bool], int]] = {
     "sim.engine": bench_sim_engine,
     "sim.cancellation": bench_sim_cancellation,
+    "sim.wakeups": bench_sim_wakeups,
     "opencl.ndrange_workgroups": bench_ndrange_workgroups,
     "memory.smmu_translate": bench_smmu_translate,
     "serving.steady": bench_serving_steady,

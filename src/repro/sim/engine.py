@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-#: Compact the heap when at least this many cancelled entries are queued
-#: *and* they outnumber the live entries.  Cancelled events otherwise sit
-#: in the heap until they surface, costing log-time on every push.
+#: Compact the queues when at least this many cancelled entries are
+#: queued *and* they outnumber the live entries.  Cancelled events
+#: otherwise sit in the heap until they surface, costing log-time on
+#: every push.
 _COMPACT_MIN_CANCELLED = 64
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -24,8 +28,7 @@ class Event:
     makes every simulation exactly reproducible.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
-                 "_key", "_sim")
+    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -42,9 +45,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        # precomputed sort key: heap sift compares are the hottest
-        # comparisons in the kernel, a tuple compare beats attribute walks
-        self._key = (time, priority, seq)
         # owning simulator, so cancel() can keep the live-event counter
         # exact; None for detached events (tests constructing raw Events)
         self._sim = sim
@@ -58,7 +58,9 @@ class Event:
                 sim._note_cancelled(self)
 
     def __lt__(self, other: "Event") -> bool:
-        return self._key < other._key
+        return (self.time, self.priority, self.seq) < (
+            other.time, other.priority, other.seq
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -67,6 +69,18 @@ class Event:
 
 class Simulator:
     """A deterministic discrete-event simulator.
+
+    Pending events live in two queues.  ``_queue`` is a heap of
+    ``(time, priority, seq, event)`` tuples, so its sift compares run in
+    C (``seq`` is unique, so the event itself is never compared).
+    ``_lane`` is a FIFO of priority-0 events due at the instant they were
+    scheduled: the wake-ups that resume processes, which are most of the
+    traffic.  The next event is the heap head when its ``(time,
+    priority)`` is at most ``(lane[0].time, 0)``, else the lane head.
+    That merge is exact: a heap entry at ``(T, 0)`` was scheduled before
+    the clock reached ``T`` (later ones went to the lane), so its ``seq``
+    is below every lane entry's at ``T``.  It relies on the clock never
+    passing a pending event, which :meth:`run` guarantees.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -81,12 +95,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._lane: Deque[Event] = deque()
         self._seq: int = 0
         self._running: bool = False
         self._processed: int = 0
-        # number of cancelled events still sitting in the heap; keeping it
-        # exact makes ``pending`` O(1) and tells us when to compact
+        # number of cancelled events still sitting in either queue; keeping
+        # it exact makes ``pending`` O(1) and tells us when to compact
         self._cancelled_in_queue: int = 0
         # Optional telemetry hub (repro.telemetry).  Left as a plain
         # attribute so the kernel stays dependency-free; when None the
@@ -106,7 +121,16 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
+        now = self.now
+        time = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, priority, seq, callback, args, self)
+        if time == now and priority == 0:
+            self._lane.append(event)
+        else:
+            heapq.heappush(self._queue, (time, priority, seq, event))
+        return event
 
     def schedule_at(
         self,
@@ -120,56 +144,96 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self.now}"
             )
-        event = Event(time, priority, self._seq, callback, args, self)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, priority, seq, callback, args, self)
+        if time == self.now and priority == 0:
+            self._lane.append(event)
+        else:
+            heapq.heappush(self._queue, (time, priority, seq, event))
         return event
+
+    def _soon(self, callback: Callable[[Any], None], arg: Any) -> None:
+        """``schedule(0.0, callback, arg)`` without the argument checks or
+        the returned handle: the process wake-up path (signals, joins,
+        interrupts), which goes straight to the lane."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._lane.append(Event(self.now, 0, seq, callback, (arg,), self))
 
     # ------------------------------------------------------------------
     # cancellation bookkeeping (called by Event.cancel)
     # ------------------------------------------------------------------
     def _note_cancelled(self, event: Event) -> None:
-        # An event detached from the heap (already fired/popped) marks
+        # An event detached from the queues (already fired/popped) marks
         # itself by clearing ``_sim``, so everything reaching here is
         # still queued.
         self._cancelled_in_queue += 1
         if (
             self._cancelled_in_queue >= _COMPACT_MIN_CANCELLED
-            and self._cancelled_in_queue * 2 >= len(self._queue)
+            and self._cancelled_in_queue * 2 >= len(self._queue) + len(self._lane)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (event order is total)."""
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        """Drop cancelled entries from both queues, in place, so the run
+        loops' local bindings stay valid (event order is total, so the
+        re-heapified queue pops in the same order)."""
+        heap = self._queue
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
+        lane = self._lane
+        live = [event for event in lane if not event.cancelled]
+        lane.clear()
+        lane.extend(live)
         self._cancelled_in_queue = 0
+
+    def _head(self) -> Tuple[Optional[Event], bool]:
+        """The next live event and whether it heads the heap (rather than
+        the lane), discarding cancelled heads; ``(None, False)`` if idle."""
+        heap = self._queue
+        lane = self._lane
+        while True:
+            if lane:
+                event = lane[0]
+                from_heap = False
+                if heap:
+                    head = heap[0]
+                    if (head[0], head[1]) <= (event.time, 0):
+                        event = head[3]
+                        from_heap = True
+            elif heap:
+                event = heap[0][3]
+                from_heap = True
+            else:
+                return None, False
+            if not event.cancelled:
+                return event, from_heap
+            if from_heap:
+                heapq.heappop(heap)
+            else:
+                lane.popleft()
+            self._cancelled_in_queue -= 1
 
     def _pop_next(self) -> Optional[Event]:
         """Pop the next live event (discarding cancelled ones), or None."""
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            event = pop(queue)
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            event._sim = None  # detached: a late cancel() must not count
-            return event
-        return None
+        event, from_heap = self._head()
+        if event is None:
+            return None
+        if from_heap:
+            heapq.heappop(self._queue)
+        else:
+            self._lane.popleft()
+        event._sim = None  # detached: a late cancel() must not count
+        return event
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Return the timestamp of the next pending event, or ``None``."""
-        queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-            self._cancelled_in_queue -= 1
-        if not queue:
-            return None
-        return queue[0].time
+        event, _ = self._head()
+        return None if event is None else event.time
 
     def step(self) -> bool:
         """Fire the next event.  Returns ``False`` when the queue is empty."""
@@ -188,35 +252,56 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, matching the usual
-        "simulate this horizon" semantics.
+        "simulate this horizon" semantics -- but never past a pending
+        event: a run cut short by ``max_events`` leaves the clock at most
+        at the next event's time, so time never runs backwards.
 
-        The loop looks at the heap head exactly once per event: the old
-        ``peek()``-then-``step()`` shape popped cancelled entries in
-        ``peek`` and re-scanned in ``step``, doubling heap traffic.
+        The loop looks at each queue head exactly once per event, and
+        merges the heap and the lane inline (see the class docstring).
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         fired = 0
+        horizon = _INF if until is None else until
+        limit = _INF if max_events is None else max_events
         # hot loop: bind everything reached per event to locals
-        queue = self._queue
+        # (_compact edits both queues in place, so the bindings hold)
+        heap = self._queue
+        lane = self._lane
         pop = heapq.heappop
+        popleft = lane.popleft
         try:
             while True:
-                if queue is not self._queue:  # compaction swapped the list
-                    queue = self._queue
-                if not queue:
+                if lane:
+                    event = lane[0]
+                    from_heap = False
+                    if heap:
+                        head = heap[0]
+                        if (head[0], head[1]) <= (event.time, 0):
+                            event = head[3]
+                            from_heap = True
+                elif heap:
+                    event = heap[0][3]
+                    from_heap = True
+                else:
                     break
-                event = queue[0]
                 if event.cancelled:
-                    pop(queue)
+                    if from_heap:
+                        pop(heap)
+                    else:
+                        popleft()
                     self._cancelled_in_queue -= 1
                     continue
-                if until is not None and event.time > until:
+                if event.time > horizon:
                     break
-                if max_events is not None and fired >= max_events:
+                if fired >= limit:
+                    horizon = event.time
                     break
-                pop(queue)
+                if from_heap:
+                    pop(heap)
+                else:
+                    popleft()
                 event._sim = None
                 self.now = event.time
                 self._processed += 1
@@ -227,8 +312,8 @@ class Simulator:
                 fired += 1
         finally:
             self._running = False
-        if until is not None and until > self.now:
-            self.now = until
+        if until is not None and horizon > self.now:
+            self.now = horizon
 
     def run_window(self, horizon: float) -> int:
         """Fire every event with ``time < horizon``; return how many fired.
@@ -248,22 +333,38 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         fired = 0
-        queue = self._queue
+        heap = self._queue
+        lane = self._lane
         pop = heapq.heappop
+        popleft = lane.popleft
         try:
             while True:
-                if queue is not self._queue:  # compaction swapped the list
-                    queue = self._queue
-                if not queue:
+                if lane:
+                    event = lane[0]
+                    from_heap = False
+                    if heap:
+                        head = heap[0]
+                        if (head[0], head[1]) <= (event.time, 0):
+                            event = head[3]
+                            from_heap = True
+                elif heap:
+                    event = heap[0][3]
+                    from_heap = True
+                else:
                     break
-                event = queue[0]
                 if event.cancelled:
-                    pop(queue)
+                    if from_heap:
+                        pop(heap)
+                    else:
+                        popleft()
                     self._cancelled_in_queue -= 1
                     continue
                 if event.time >= horizon:
                     break
-                pop(queue)
+                if from_heap:
+                    pop(heap)
+                else:
+                    popleft()
                 event._sim = None
                 self.now = event.time
                 self._processed += 1
@@ -302,8 +403,8 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events.  O(1): the
-        kernel keeps a live count instead of scanning the whole heap."""
-        return len(self._queue) - self._cancelled_in_queue
+        kernel keeps a live count instead of scanning both queues."""
+        return len(self._queue) + len(self._lane) - self._cancelled_in_queue
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now} pending={self.pending}>"

@@ -93,8 +93,9 @@ class Signal(Waitable):
         self._fired = True
         self._value = value
         waiters, self._waiters = self._waiters, []
+        soon = self.sim._soon
         for waiter in waiters:
-            self.sim.schedule(0.0, waiter, value)
+            soon(waiter, value)
         return self
 
     def fail(self, exc: BaseException) -> "Signal":
@@ -104,14 +105,15 @@ class Signal(Waitable):
         self._fired = True
         self._failure = exc
         waiters, self._waiters = self._waiters, []
+        soon = self.sim._soon
         for waiter in waiters:
-            self.sim.schedule(0.0, waiter, exc)
+            soon(waiter, exc)
         return self
 
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
         if self._fired:
             payload = self._failure if self._failure is not None else self._value
-            sim.schedule(0.0, callback, payload)
+            sim._soon(callback, payload)
         else:
             self._waiters.append(callback)
 
@@ -126,7 +128,7 @@ class AllOf(Waitable):
         results: List[Any] = [None] * len(self.children)
         remaining = [len(self.children)]
         if not self.children:
-            sim.schedule(0.0, callback, [])
+            sim._soon(callback, [])
             return
 
         def make_child_cb(index: int) -> Callable[[Any], None]:
@@ -178,10 +180,14 @@ class Process(Waitable):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done = Signal(sim)
-        self._alive = True
+        # generation of the wait in progress: bumped by every delivered
+        # Interrupt, -1 once finished.  A wake-up carries the generation
+        # it was subscribed under, so one left queued by a wait the
+        # process has since abandoned fires as a no-op.
+        self._wait_gen = 0
         if sim.telemetry is not None:
             sim.telemetry.process_spawned(self)
-        sim.schedule(0.0, self._resume, None)
+        sim._soon(self._resume, None)
 
     # -- Waitable protocol -------------------------------------------------
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
@@ -190,7 +196,7 @@ class Process(Waitable):
     # -- lifecycle ---------------------------------------------------------
     @property
     def alive(self) -> bool:
-        return self._alive
+        return self._wait_gen >= 0
 
     @property
     def value(self) -> Any:
@@ -198,14 +204,20 @@ class Process(Waitable):
         return self.done.value
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self._alive:
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        The wait the process was in is abandoned: a process that catches
+        the interrupt and yields again is resumed only by its new wait.
+        """
+        if self._wait_gen < 0:
             return
-        self.sim.schedule(0.0, self._throw, Interrupt(cause))
+        self.sim._soon(self._throw, Interrupt(cause))
 
     def _throw(self, exc: BaseException) -> None:
-        if not self._alive:
+        if self._wait_gen < 0:
             return
+        # the wait in progress is abandoned; its wake-up is now stale
+        self._wait_gen += 1
         try:
             item = self.gen.throw(exc)
         except StopIteration as stop:
@@ -217,9 +229,9 @@ class Process(Waitable):
             return
         self._wait_on(item)
 
-    def _resume(self, value: Any) -> None:
-        if not self._alive:
-            return
+    def _resume(self, value: Any, gen: int = 0) -> None:
+        if gen != self._wait_gen:
+            return  # finished, or woken by a wait an Interrupt ended
         try:
             if isinstance(value, BaseException):
                 item = self.gen.throw(value)
@@ -235,14 +247,23 @@ class Process(Waitable):
             raise SimulationError(
                 f"process {self.name!r} yielded {item!r}, which is not a Waitable"
             )
-        item._subscribe(self.sim, self._resume)
+        gen = self._wait_gen
+        if not gen:
+            item._subscribe(self.sim, self._resume)
+            return
+
+        # slow path, only after a caught Interrupt: tag the wake-up
+        def wake(value: Any) -> None:
+            self._resume(value, gen)
+
+        item._subscribe(self.sim, wake)
 
     def _finish(self, value: Any) -> None:
-        self._alive = False
+        self._wait_gen = -1
         self.done.succeed(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self._alive else "done"
+        state = "alive" if self.alive else "done"
         return f"<Process {self.name} {state}>"
 
 

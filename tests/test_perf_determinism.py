@@ -17,6 +17,7 @@ seed-deterministic reports byte-identical.  These tests pin that down:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,15 @@ class TestBenchHarness:
         assert entry["wall_seconds"] > 0
         assert entry["events_processed"] == 20_000
         json.loads(perf.to_json(payload))
+
+    def test_wakeups_entry_is_informational(self):
+        payload = perf.run_benchmarks(quick=True, only=["sim.wakeups"])
+        assert payload["benchmarks"]["sim.wakeups"]["events_processed"] == 10_016
+        baseline_path = Path(__file__).resolve().parents[1] / "benchmarks/perf/baseline.json"
+        baseline = json.loads(baseline_path.read_text())
+        # absent from the committed baseline: reported as new, never failed
+        assert "sim.wakeups" in perf.new_benchmarks(payload, baseline)
+        assert perf.compare(payload, baseline) == []
 
     def test_unknown_benchmark_is_an_error(self):
         with pytest.raises(KeyError):

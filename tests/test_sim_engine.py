@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Event, SimulationError, Simulator
+from repro.telemetry import Telemetry, attach_simulator
 
 
 def test_initial_state():
@@ -139,3 +140,75 @@ def test_event_repr_and_ordering():
     a = Event(1.0, 0, 0, lambda: None, ())
     b = Event(1.0, 0, 1, lambda: None, ())
     assert a < b
+
+
+def test_run_until_with_max_events_never_passes_a_pending_event():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    sim.run(until=5.0, max_events=1)
+    # "b" is still due at 2.0, so the clock stops there, not at 5.0
+    assert fired == ["a"]
+    assert sim.now == 2.0
+    sim.schedule(0.0, fired.append, "c")
+    sim.run(until=5.0)
+    assert fired == ["a", "b", "c"]
+    assert sim.now == 5.0
+
+
+def test_same_instant_wakeups_interleave_with_heap_by_priority_and_seq():
+    sim = Simulator()
+    fired = []
+
+    def at_one():
+        sim.schedule(0.0, fired.append, "lane")  # priority 0, due now
+        sim.schedule(0.0, fired.append, "late", priority=1)
+        sim.schedule(0.0, fired.append, "urgent", priority=-1)
+
+    sim.schedule(1.0, at_one)
+    sim.schedule(1.0, fired.append, "older")  # queued before the clock hit 1.0
+    sim.run()
+    assert fired == ["urgent", "older", "lane", "late"]
+
+
+class TestLaneCompaction:
+    def test_cancelled_lane_events_are_pruned(self):
+        sim = Simulator()
+        fired = []
+        for i in range(4):
+            sim.schedule(0.0, fired.append, i)
+        for _ in range(500):
+            sim.schedule(0.0, fired.append, "x").cancel()
+        assert sim.pending == 4
+        assert len(sim._lane) < 500
+        sim.run()
+        assert fired == [0, 1, 2, 3]
+        assert sim.events_processed == 4
+
+    def test_compaction_spans_both_queues(self):
+        sim = Simulator()
+        for _ in range(100):
+            sim.schedule(0.0, lambda: None).cancel()
+            sim.schedule(1.0, lambda: None).cancel()
+        live = [sim.schedule(0.0, lambda: None), sim.schedule(1.0, lambda: None)]
+        assert sim.pending == len(live)
+        assert len(sim._lane) + len(sim._queue) < 100
+        sim.run()
+        assert sim.events_processed == len(live)
+
+    def test_pending_and_gauge_count_both_queues(self):
+        sim = Simulator()
+        hub = Telemetry(sim)
+        attach_simulator(hub, sim)
+        sim.schedule(0.0, lambda: None)  # lane
+        sim.schedule_at(0.0, lambda: None)  # lane
+        sim.schedule(0.0, lambda: None, priority=1)  # heap
+        sim.schedule(3.0, lambda: None)  # heap
+        sim.schedule(0.0, lambda: None).cancel()  # lane, cancelled
+        assert len(sim._lane) == 3 and len(sim._queue) == 2
+        assert sim.pending == 4
+        assert hub.snapshot()["gauge.sim.pending_events.last"] == 4.0
+        sim.run(until=1.0)
+        assert sim.pending == 1
+        assert hub.snapshot()["gauge.sim.pending_events.last"] == 1.0

@@ -1,0 +1,253 @@
+"""Differential test of the kernel's firing order.
+
+The kernel keeps two queues -- a tuple heap and a FIFO lane for
+priority-0 events due at the current instant -- and merges them on every
+pop.  This test runs seeded random programs against the kernel and
+against a reference that keeps one flat list and always fires the live
+entry with the smallest ``(time, priority, seq)``.  Both must fire the
+same events in the same order and agree on ``now``, ``pending`` and
+``events_processed`` after every operation.
+"""
+
+from hypothesis import given, seed, settings, strategies as st
+
+from repro.sim import SimulationError, Simulator
+
+#: few distinct delays, so same-instant collisions are the common case
+DELAYS = (0.0, 0.0, 0.5, 1.0, 2.0)
+PRIORITIES = (-1, 0, 1)
+#: cap on events scheduled from inside callbacks, per program
+REACTION_BUDGET = 400
+
+
+class _RefEvent:
+    __slots__ = ("key", "callback", "args", "cancelled")
+
+    def __init__(self, key, callback, args):
+        self.key = key
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceKernel:
+    """One unsorted list; every pop scans for the smallest live key."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._entries = []
+        self._seq = 0
+
+    def schedule(self, delay, callback, *args, priority=0):
+        if delay < 0:
+            raise SimulationError("past")
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
+
+    def schedule_at(self, time, callback, *args, priority=0):
+        if time < self.now:
+            raise SimulationError("past")
+        event = _RefEvent((time, priority, self._seq), callback, args)
+        self._seq += 1
+        self._entries.append(event)
+        return event
+
+    def _soon(self, callback, arg):
+        self.schedule(0.0, callback, arg)
+
+    def _next(self):
+        self._entries = [e for e in self._entries if not e.cancelled]
+        return min(self._entries, key=lambda e: e.key, default=None)
+
+    def _fire(self, event):
+        self._entries.remove(event)
+        self.now = event.key[0]
+        self.events_processed += 1
+        event.callback(*event.args)
+
+    @property
+    def pending(self):
+        return sum(not e.cancelled for e in self._entries)
+
+    def peek(self):
+        event = self._next()
+        return None if event is None else event.key[0]
+
+    def step(self):
+        event = self._next()
+        if event is None:
+            return False
+        self._fire(event)
+        return True
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        horizon = until
+        while True:
+            event = self._next()
+            if event is None or (until is not None and event.key[0] > until):
+                break
+            if max_events is not None and fired >= max_events:
+                # the clock may not pass a pending event
+                horizon = event.key[0]
+                break
+            self._fire(event)
+            fired += 1
+        if until is not None and horizon > self.now:
+            self.now = horizon
+
+    def run_window(self, horizon):
+        fired = 0
+        while True:
+            event = self._next()
+            if event is None or event.key[0] >= horizon:
+                return fired
+            self._fire(event)
+            fired += 1
+
+    def warp_to(self, time):
+        if time < self.now or self._next() is not None:
+            raise SimulationError("warp")
+        self.now = time
+
+
+class ProgramRunner:
+    """Runs one program on a kernel and logs everything observable."""
+
+    def __init__(self, kernel, reactions):
+        self.kernel = kernel
+        self.reactions = reactions
+        self.handles = []
+        self.log = []
+        self.budget = REACTION_BUDGET
+
+    def _schedule(self, op, *args):
+        eid = len(self.handles)
+        k = self.kernel
+        if op == "sched":
+            delay, prio = args
+            handle = k.schedule(delay, self._fired, eid, priority=prio)
+        elif op == "at":
+            offset, prio = args
+            handle = k.schedule_at(k.now + offset, self._fired, eid, priority=prio)
+        else:  # "soon": the process wake-up path
+            k._soon(self._fired, eid)
+            handle = None
+        self.handles.append(handle)
+
+    def _cancel(self, back):
+        if self.handles:
+            handle = self.handles[-1 - back % len(self.handles)]
+            if handle is not None:
+                handle.cancel()
+
+    def _fired(self, eid):
+        self.log.append(("fire", eid, self.kernel.now))
+        for op, *args in self.reactions[eid % len(self.reactions)]:
+            if self.budget <= 0:
+                return
+            if op == "cancel":
+                self._cancel(*args)
+            else:
+                self.budget -= 1
+                self._schedule(op, *args)
+
+    def apply(self, op, *args):
+        k = self.kernel
+        try:
+            if op in ("sched", "at", "soon"):
+                self._schedule(op, *args)
+            elif op == "cancel":
+                self._cancel(*args)
+            elif op == "burst":
+                n, delay, prio, keep = args
+                first = len(self.handles)
+                for _ in range(n):
+                    self._schedule("sched", delay, prio)
+                for i, handle in enumerate(self.handles[first:]):
+                    if i % keep:
+                        handle.cancel()
+            elif op == "run":
+                until, max_events = args
+                k.run(
+                    until=None if until is None else k.now + until,
+                    max_events=max_events,
+                )
+            elif op == "step":
+                self.log.append(("step", k.step()))
+            elif op == "peek":
+                self.log.append(("peek", k.peek()))
+            elif op == "window":
+                self.log.append(("window", k.run_window(k.now + args[0])))
+            elif op == "warp":
+                k.warp_to(k.now + args[0])
+        except SimulationError:
+            self.log.append(("error", op))
+        self.log.append((op, k.now, k.pending, k.events_processed))
+
+
+delays = st.sampled_from(DELAYS)
+priorities = st.sampled_from(PRIORITIES)
+schedule_ops = st.one_of(
+    st.tuples(st.just("sched"), delays, priorities),
+    st.tuples(st.just("at"), st.sampled_from((0.0, 0.0, 1.0)), priorities),
+    st.tuples(st.just("soon")),
+)
+reaction = st.lists(
+    st.one_of(schedule_ops, st.tuples(st.just("cancel"), st.integers(0, 8))),
+    max_size=3,
+)
+offsets = st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0))
+top_ops = st.one_of(
+    schedule_ops,
+    st.tuples(st.just("cancel"), st.integers(0, 20)),
+    st.tuples(
+        st.just("burst"),
+        st.integers(40, 120),
+        delays,
+        priorities,
+        st.integers(1, 6),
+    ),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), offsets),
+        st.one_of(st.none(), st.integers(0, 12)),
+    ),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+    st.tuples(st.just("window"), offsets),
+    st.tuples(st.just("warp"), offsets),
+)
+
+
+def _execute(kernel, reactions, program):
+    runner = ProgramRunner(kernel, reactions)
+    for op in program:
+        runner.apply(*op)
+    runner.apply("run", None, None)
+    return runner.log
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None)
+@given(
+    reactions=st.lists(reaction, min_size=1, max_size=8),
+    program=st.lists(top_ops, min_size=10, max_size=60),
+)
+def test_kernel_matches_sorted_reference(reactions, program):
+    got = _execute(Simulator(), reactions, program)
+    want = _execute(ReferenceKernel(), reactions, program)
+    assert got == want
+
+
+def test_burst_triggers_compaction_of_both_queues():
+    # the program shape the property test relies on to reach _compact
+    sim = Simulator()
+    runner = ProgramRunner(sim, [[]])
+    runner.apply("burst", 100, 0.0, 0, 4)  # lane
+    runner.apply("burst", 100, 1.0, 0, 4)  # heap
+    assert len(sim._lane) + len(sim._queue) < 200
+    assert sim.pending == 50

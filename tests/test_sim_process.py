@@ -171,6 +171,68 @@ def test_interrupt_is_raised_inside_process():
     assert got == [(4.0, "preempted")]
 
 
+def test_caught_interrupt_ignores_stale_wakeup():
+    # The Timeout(10) the victim was waiting on stays queued after the
+    # interrupt; it must not cut the victim's next wait short.
+    sim = Simulator()
+    woke = []
+
+    def victim():
+        try:
+            yield Timeout(10.0)
+        except Interrupt:
+            pass
+        yield Timeout(20.0)
+        woke.append(sim.now)
+
+    def attacker(proc):
+        yield Timeout(4.0)
+        proc.interrupt()
+
+    p = spawn(sim, victim())
+    spawn(sim, attacker(p))
+    sim.run()
+    assert woke == [24.0]
+    # the stale wake-up still fires, as a no-op: both starts, the
+    # attacker's timeout, the interrupt, the stale and the live timeout
+    assert sim.events_processed == 6
+    assert sim.now == 24.0
+
+
+def test_caught_interrupt_ignores_stale_signal():
+    # the first, abandoned signal fires while the victim waits on the
+    # second: only the wait in progress may resume the process
+    sim = Simulator()
+    first, second = Signal(sim), Signal(sim)
+    got = []
+
+    def victim():
+        for sig in (first, second):
+            try:
+                yield sig
+            except Interrupt as itr:
+                got.append(("interrupt", itr.cause, sim.now))
+        value = yield Timeout(5.0, "timeout")
+        got.append((value, sim.now))
+
+    def attacker(proc):
+        yield Timeout(1.0)
+        proc.interrupt("a")
+        yield Timeout(1.0)
+        first.succeed("stale")
+        proc.interrupt("b")
+
+    p = spawn(sim, victim())
+    spawn(sim, attacker(p))
+    sim.run()
+    assert got == [
+        ("interrupt", "a", 1.0),
+        ("interrupt", "b", 2.0),
+        ("timeout", 7.0),
+    ]
+    assert not p.alive
+
+
 def test_uncaught_interrupt_terminates_quietly():
     sim = Simulator()
 
