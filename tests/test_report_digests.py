@@ -9,6 +9,8 @@ documented behaviour change.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +22,27 @@ from repro.chaos import (
 from repro.experiments import run_jobs_experiment
 from repro.serving import BurnRatePolicy, TraceConfig, run_serving_experiment
 from repro.shard import (
+    capture_sharded_jobs,
+    manifest_json,
     report_json,
+    restore_sharded_jobs,
     run_sharded_chaos,
     run_sharded_jobs,
     run_sharded_serving,
 )
+
+
+def _shard_manifest():
+    # the pause point tests/test_shard_checkpoint.py captures at
+    return capture_sharded_jobs(400_000.0, "mini", seed=0, num_nodes=4)
+
+
+def _checkpoint_files():
+    """Every ``ckpt-*.json`` the kill-and-restore experiment persists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_checkpoint_restore_experiment("mini", seed=0, store_dir=tmp)
+        return "".join(p.read_text() for p in sorted(Path(tmp).glob("ckpt-*.json")))
+
 
 GOLDEN = {
     "jobs": (
@@ -63,6 +81,18 @@ GOLDEN = {
     "sharded-serving": (
         lambda: report_json(run_sharded_serving("steady", seed=0, num_nodes=2)),
         "a2a16bc5fea414a55121a83da7bf47e61f6174f11ec3c12b4fef9f1a8b9c0be0",
+    ),
+    "shard-manifest": (
+        lambda: manifest_json(_shard_manifest()),
+        "2f3d07c00fee07d38dfa9e4ade13ba15eb72435eb08f75f77fc8b3751c8ac89c",
+    ),
+    "shard-restore": (
+        lambda: report_json(restore_sharded_jobs(_shard_manifest())),
+        "e9458726e4b6b5e7c3eba6e24f36e85bf143189473fbb95821557243266ad7d2",
+    ),
+    "checkpoint-files": (
+        _checkpoint_files,
+        "888ed2e2d535fb72980a43624495b769b82546d1da578b9aa9f5ef924bb3ff34",
     ),
     "sharded-chaos": (
         lambda: report_json(run_sharded_chaos("mini", seed=0, num_nodes=2)),
