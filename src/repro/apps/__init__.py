@@ -37,7 +37,7 @@ from repro.apps.stencil import (
     jacobi_reference,
     jacobi_step,
 )
-from repro.apps.taskgraph import Task, TaskGraph, make_layered_dag
+from repro.apps.taskgraph import Task, TaskGraph, graph_signature, make_layered_dag
 
 __all__ = [
     "CartTree",
@@ -55,6 +55,7 @@ __all__ = [
     "european_call_mc",
     "frontier_exchange_plan",
     "gbm_paths",
+    "graph_signature",
     "halo_pairs",
     "jacobi_reference",
     "jacobi_step",

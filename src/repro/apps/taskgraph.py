@@ -78,6 +78,22 @@ class TaskGraph:
         return sorted({t.function for t in self.tasks})
 
 
+def graph_signature(graph: TaskGraph) -> List[List[object]]:
+    """A workload signature independent of global task-id allocation.
+
+    ``make_layered_dag`` draws task ids from a process-global counter,
+    so two identical graphs built in one process carry different ids;
+    compare what the tasks *are* -- ``[function, items, layer depth]``
+    rows in layer order -- not how they were numbered.  The rows are
+    JSON-able: a checkpoint snapshot stores them as they are.
+    """
+    return [
+        [task.function, task.items, depth]
+        for depth, layer in enumerate(graph.layers())
+        for task in layer
+    ]
+
+
 def make_layered_dag(
     layers: int,
     width: int,

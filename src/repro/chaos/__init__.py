@@ -46,7 +46,7 @@ from repro.chaos.experiment import (
     ChaosReport,
     JobChaosVerdict,
     MultiJobChaosReport,
-    graph_signature,
+    chaos_preset,
     run_chaos_experiment,
     run_multi_job_chaos_experiment,
 )
@@ -68,7 +68,7 @@ __all__ = [
     "PlannedFault",
     "TIERS",
     "build_domain_tree",
-    "graph_signature",
+    "chaos_preset",
     "restore_from_snapshot",
     "run_chaos_experiment",
     "run_checkpoint_interval_sweep",

@@ -33,19 +33,21 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.apps.taskgraph import graph_signature
 from repro.chaos.controller import ChaosController
 from repro.chaos.domains import DomainTree, build_domain_tree
-from repro.chaos.experiment import CHAOS_PRESETS, graph_signature
+from repro.chaos.experiment import chaos_preset
 from repro.core.runtime import FaultTolerancePolicy, JobManager
 from repro.core.runtime.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
+    JobProgress,
     Snapshot,
     SnapshotStore,
     daly_interval_ns,
 )
-from repro.experiments import GRAPH_FUNCTIONS, build_engine, layered_graph
-from repro.presets import compiled_suite
+from repro.experiments import GRAPH_FUNCTIONS, build_engine, submit_job_mix
+from repro.presets import JobMix, JobSpec, compiled_suite
 
 
 # ----------------------------------------------------------------------
@@ -63,12 +65,7 @@ def workload_spec(
     self-contained form (restore rebuilds the machine from this alone;
     the task functions are recorded so restore rebuilds identical
     graphs)."""
-    if preset_name not in CHAOS_PRESETS:
-        known = ", ".join(sorted(CHAOS_PRESETS))
-        raise KeyError(
-            f"unknown chaos preset {preset_name!r}; choose from: {known}"
-        )
-    preset = CHAOS_PRESETS[preset_name]
+    preset = chaos_preset(preset_name)
     return {
         "kind": "chaos-jobs",
         "preset": preset_name,
@@ -84,29 +81,75 @@ def workload_spec(
     }
 
 
-def _signature_rows(graph) -> List[List[Any]]:
-    return [list(row) for row in graph_signature(graph)]
+def workload_mix(
+    workload: Dict[str, Any], progress: Optional[List[JobProgress]] = None
+) -> JobMix:
+    """The :class:`~repro.presets.JobMix` a ``workload`` block describes.
 
-
-def submit_workload(manager: JobManager, workload: Dict[str, Any]):
-    """Submit the workload's job mix fresh (no prior progress).  Job
-    ``i``'s graph is seeded ``graph_seed + i``."""
-    handles = []
-    num_workers = len(manager.engine.node)
-    for i, policy in enumerate(workload["policies"]):
-        graph = layered_graph(
-            workload["layers"],
-            workload["width"],
-            num_workers,
-            workload["graph_seed"] + i,
-            functions=workload["functions"],
-        )
-        handles.append(
-            manager.submit_job(
-                graph, policy=policy, priority=workload["priorities"][i]
+    Job ``i`` runs a ``layers x width`` graph seeded ``graph_seed + i``
+    under the block's ``i``-th policy and priority.  On restore,
+    ``progress`` (a snapshot's jobs in job-id order) supplies each job's
+    policy, priority and dataflow instead.
+    """
+    if progress is None:
+        rows = [
+            (policy, priority, False)
+            for policy, priority in zip(
+                workload["policies"], workload["priorities"]
             )
+        ]
+    else:
+        rows = [(p.policy, p.priority, p.dataflow) for p in progress]
+    return JobMix(
+        node=workload["node"],
+        jobs=tuple(
+            JobSpec(
+                policy,
+                priority=priority,
+                layers=workload["layers"],
+                width=workload["width"],
+                graph_seed=workload["graph_seed"] + i,
+                dataflow=dataflow,
+            )
+            for i, (policy, priority, dataflow) in enumerate(rows)
+        ),
+    )
+
+
+def build_workload(
+    workload: Dict[str, Any],
+    mix: Optional[JobMix] = None,
+    *,
+    compiled=None,
+    fault_tolerance: Optional[FaultTolerancePolicy] = None,
+    telemetry=None,
+    start_ns: float = 0.0,
+    completed=(),
+) -> Tuple[JobManager, list]:
+    """Build the machine a ``workload`` block runs on and submit its jobs.
+
+    Returns ``(manager, handles)``; ``manager.run()`` runs the mix.  The
+    mix defaults to :func:`workload_mix` of the block.  A restored
+    incarnation passes its snapshot's ``start_ns`` clock, its mix and
+    each job's ``completed`` graph indices.
+    """
+    manager = JobManager(
+        build_engine(
+            workload["node"],
+            fault_tolerance=fault_tolerance,
+            telemetry=telemetry,
+            compiled=compiled,
+            max_variants=workload["max_variants"],
+            start_ns=start_ns,
         )
-    return handles
+    )
+    handles = submit_job_mix(
+        manager,
+        mix if mix is not None else workload_mix(workload),
+        completed=completed,
+        functions=workload["functions"],
+    )
+    return manager, handles
 
 
 # ----------------------------------------------------------------------
@@ -135,42 +178,24 @@ def restore_from_snapshot(
         raise ValueError(
             f"cannot restore workload kind {workload.get('kind')!r}"
         )
+    progress = sorted(snapshot.jobs, key=lambda j: j.job_id)
     # the new incarnation's clock resumes at the snapshot time instead
     # of replaying history from zero
-    manager = JobManager(
-        build_engine(
-            workload["node"],
-            fault_tolerance=fault_tolerance,
-            telemetry=telemetry,
-            compiled=compiled,
-            max_variants=workload["max_variants"],
-            start_ns=snapshot.taken_at_ns,
-        )
+    manager, handles = build_workload(
+        workload,
+        workload_mix(workload, progress),
+        compiled=compiled,
+        fault_tolerance=fault_tolerance,
+        telemetry=telemetry,
+        start_ns=snapshot.taken_at_ns,
+        completed=[p.completed for p in progress],
     )
-    num_workers = len(manager.engine.node)
-    handles = []
-    for i, progress in enumerate(sorted(snapshot.jobs, key=lambda j: j.job_id)):
-        graph = layered_graph(
-            workload["layers"],
-            workload["width"],
-            num_workers,
-            workload["graph_seed"] + i,
-            functions=workload["functions"],
-        )
-        if progress.signature and _signature_rows(graph) != progress.signature:
+    for job, handle in zip(progress, handles):
+        if job.signature and graph_signature(handle.graph) != job.signature:
             raise ValueError(
-                f"job {progress.job_id}: rebuilt graph does not match the "
+                f"job {job.job_id}: rebuilt graph does not match the "
                 "snapshot's workload signature (wrong preset or seed?)"
             )
-        handles.append(
-            manager.submit_job(
-                graph,
-                policy=progress.policy,
-                priority=progress.priority,
-                dataflow=progress.dataflow,
-                completed=frozenset(progress.completed),
-            )
-        )
     return manager, handles
 
 
@@ -310,25 +335,23 @@ def run_checkpoint_restore_experiment(
     if not 0.0 < kill_fraction < abandon_fraction:
         raise ValueError("need 0 < kill_fraction < abandon_fraction")
     workload = workload_spec(preset_name, seed=seed)
-    preset = CHAOS_PRESETS[preset_name]
+    preset = chaos_preset(preset_name)
     if compiled is None:
         compiled = compiled_suite(max_variants=workload["max_variants"])
 
     # --- phase 1: uninterrupted baseline -------------------------------
-    manager0 = JobManager(build_engine(workload["node"], compiled=compiled))
-    handles0 = submit_workload(manager0, workload)
+    manager0, handles0 = build_workload(workload, compiled=compiled)
     baseline = manager0.run()
 
     # --- phase 2: checkpointed run, domain kill, abandonment -----------
     ft = preset.fault_tolerance()
     if interval_ns is None:
         interval_ns = baseline.makespan_ns / 8.0
-    engine = build_engine(
-        workload["node"], fault_tolerance=ft, telemetry=telemetry, compiled=compiled
+    manager, _ = build_workload(
+        workload, compiled=compiled, fault_tolerance=ft, telemetry=telemetry
     )
+    engine = manager.engine
     node, sim = engine.node, engine.node.sim
-    manager = JobManager(engine)
-    handles = submit_workload(manager, workload)
     ckpt = CheckpointManager(
         manager,
         CheckpointPolicy(interval_ns=interval_ns),
@@ -520,8 +543,7 @@ def run_checkpoint_interval_sweep(
         workload = workload_spec("mini", seed=seed)
         if compiled is None:
             compiled = compiled_suite(max_variants=workload["max_variants"])
-        manager = JobManager(build_engine(workload["node"], compiled=compiled))
-        submit_workload(manager, workload)
+        manager, _ = build_workload(workload, compiled=compiled)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload
         )

@@ -18,11 +18,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.taskgraph import TaskGraph
+from repro.apps.taskgraph import graph_signature
 from repro.chaos.controller import ChaosConfig, ChaosController
 from repro.core.runtime import (
     FaultTolerancePolicy,
-    JobManager,
     MachineReport,
     RunReport,
 )
@@ -89,19 +88,12 @@ CHAOS_PRESETS: Dict[str, ChaosPreset] = {
 }
 
 
-def graph_signature(graph: TaskGraph) -> Tuple:
-    """A workload signature independent of global task-id allocation.
-
-    ``make_layered_dag`` draws task ids from a process-global counter,
-    so two identical graphs built in one process carry different ids;
-    compare what the tasks *are* -- (function, items, layer) in layer
-    order -- not how they were numbered.
-    """
-    return tuple(
-        (task.function, task.items, depth)
-        for depth, layer in enumerate(graph.layers())
-        for task in layer
-    )
+def chaos_preset(name: str) -> ChaosPreset:
+    """Resolve one :data:`CHAOS_PRESETS` entry by name."""
+    if name not in CHAOS_PRESETS:
+        known = ", ".join(sorted(CHAOS_PRESETS))
+        raise KeyError(f"unknown chaos preset {name!r}; choose from: {known}")
+    return CHAOS_PRESETS[name]
 
 
 @dataclass
@@ -182,10 +174,7 @@ def run_chaos_experiment(
     both machines through the template cache -- bit-identical reports,
     bring-up paid once.
     """
-    if preset_name not in CHAOS_PRESETS:
-        known = ", ".join(sorted(CHAOS_PRESETS))
-        raise KeyError(f"unknown chaos preset {preset_name!r}; choose from: {known}")
-    preset = CHAOS_PRESETS[preset_name]
+    preset = chaos_preset(preset_name)
     if compiled is None:
         compiled = compiled_suite(max_variants=1)
 
@@ -331,31 +320,30 @@ def run_multi_job_chaos_experiment(
     the seeded plan while the jobs stream concurrently.  The verdicts
     are *per job*: each tenant's workload signature and task integrity
     is checked independently.  The job mix is the checkpoint workload's
-    (:func:`~repro.chaos.checkpoint_experiment.workload_spec`): per-job
-    graphs seeded off the preset's graph seed and a 2:1 priority for job
-    1, so fair-share weighting is exercised.
+    (:func:`~repro.chaos.checkpoint_experiment.workload_spec`), built and
+    submitted by :func:`~repro.chaos.checkpoint_experiment.build_workload`:
+    per-job graphs seeded off the preset's graph seed and a 2:1 priority
+    for job 1, so fair-share weighting is exercised.
     """
-    from repro.chaos.checkpoint_experiment import submit_workload, workload_spec
+    from repro.chaos.checkpoint_experiment import build_workload, workload_spec
 
     workload = workload_spec(preset_name, seed=seed, policies=policies)
-    preset = CHAOS_PRESETS[preset_name]
+    preset = chaos_preset(preset_name)
     if compiled is None:
         compiled = compiled_suite(max_variants=1)
 
     # --- baseline: concurrent jobs, fault tolerance off, no faults -----
-    manager0 = JobManager(build_engine(preset.node, compiled=compiled))
-    handles0 = submit_workload(manager0, workload)
+    manager0, handles0 = build_workload(workload, compiled=compiled)
     baseline = manager0.run()
 
     # --- chaos: self-healing runtime + seeded fault plan ---------------
-    engine = build_engine(
-        preset.node,
+    manager, handles = build_workload(
+        workload,
         compiled=compiled,
         fault_tolerance=preset.fault_tolerance(),
         telemetry=telemetry,
     )
-    manager = JobManager(engine)
-    handles = submit_workload(manager, workload)
+    engine = manager.engine
     controller = ChaosController(engine.node.sim, seed=seed, telemetry=telemetry)
     controller.schedule_random(
         engine,

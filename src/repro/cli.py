@@ -340,19 +340,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.chaos.checkpoint_experiment import (
+        build_workload,
         restore_from_snapshot,
         run_checkpoint_interval_sweep,
         run_checkpoint_restore_experiment,
-        submit_workload,
         workload_spec,
     )
-    from repro.core.runtime import FaultTolerancePolicy, JobManager
+    from repro.core.runtime import FaultTolerancePolicy
     from repro.core.runtime.checkpoint import (
         CheckpointManager,
         CheckpointPolicy,
         SnapshotStore,
     )
-    from repro.experiments import build_engine
 
     # save/restore/ls always use a directory; the experiment persists
     # snapshots only when --dir is given
@@ -376,14 +375,9 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
               f"{args.preset!r} every {args.interval / 1e3:.0f} us...",
               file=sys.stderr)
         workload = workload_spec(args.preset, seed=args.seed)
-        manager = JobManager(
-            build_engine(
-                workload["node"],
-                fault_tolerance=FaultTolerancePolicy(),
-                max_variants=workload["max_variants"],
-            )
+        manager, _ = build_workload(
+            workload, fault_tolerance=FaultTolerancePolicy()
         )
-        submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager,
             CheckpointPolicy(interval_ns=args.interval),

@@ -7,11 +7,10 @@ interconnection" matching the application topology of Fig. 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.compute_node import ComputeNode, ComputeNodeParams
 from repro.energy.accounting import EnergyLedger
-from repro.interconnect.message import Message, TransactionType
 from repro.interconnect.network import Network
 from repro.interconnect.topology import build_tree, level_params
 from repro.memory.translation import ProgressiveTranslator, build_hierarchy_translator
@@ -126,42 +125,3 @@ class Machine:
         fanouts = self.params.inter_node_fanouts or [self.params.num_nodes]
         # one level per inter-node tier plus one for the node boundary
         return build_hierarchy_translator(levels=len(fanouts) + 1)
-
-    def cross_node_access_cost(
-        self,
-        src_node: int,
-        src_worker: int,
-        dst_node: int,
-        dst_worker: int,
-        size: int,
-    ) -> Tuple[float, float]:
-        """(latency_ns, energy_pj) of one worker-to-worker load/store
-        across Compute Nodes: progressive translation at each level, the
-        inter-node tree, and the intra-node fabrics at both ends."""
-        if src_node == dst_node:
-            return self.nodes[src_node].transfer_cost(
-                src_worker, dst_worker, size, TransactionType.LOAD
-            )
-        translator = self.cluster_translator()
-        window = 1 << 30
-        # an address aliased at the top of the hierarchy: full-depth rewrite
-        _, translate_ns, _ = translator.translate(len(translator.steps) * window)
-        msg = Message(
-            self.node_endpoints[src_node],
-            self.node_endpoints[dst_node],
-            size,
-            TransactionType.LOAD,
-        )
-        inter_lat, inter_energy = self.inter_network.send_cost(msg)
-        # source worker -> node router, node router -> destination worker
-        src_lat, src_energy = self.nodes[src_node].transfer_cost(
-            src_worker, 0, size, TransactionType.LOAD
-        )
-        dst_lat, dst_energy = self.nodes[dst_node].transfer_cost(
-            0, dst_worker, size, TransactionType.LOAD
-        )
-        self.ledger.add("cluster.unimem", inter_energy)
-        return (
-            translate_ns + inter_lat + src_lat + dst_lat,
-            inter_energy + src_energy + dst_energy,
-        )

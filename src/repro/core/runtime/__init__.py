@@ -27,7 +27,6 @@ from repro.core.runtime.checkpoint import (
     restore_rngs,
     young_interval_ns,
 )
-from repro.core.runtime.cluster_engine import ClusterEngine, ClusterRunReport
 from repro.core.runtime.daemon import DaemonStats, ReconfigurationDaemon
 from repro.core.runtime.distribution import DistributionPolicy, WorkDistributor
 from repro.core.runtime.engine import ExecutionEngine, RunReport
@@ -76,8 +75,6 @@ __all__ = [
     "CallProfile",
     "CheckpointManager",
     "CheckpointPolicy",
-    "ClusterEngine",
-    "ClusterRunReport",
     "CounterSnapshot",
     "DaemonStats",
     "FunctionInstrumentation",

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.apps.taskgraph import graph_signature
 from repro.fabric.region import RegionState
 from repro.sim import Timeout, spawn
 
@@ -139,17 +140,6 @@ class CheckpointPolicy:
 # ----------------------------------------------------------------------
 # the snapshot format
 # ----------------------------------------------------------------------
-
-
-def _graph_signature(graph) -> List[List[Any]]:
-    """(function, items, layer-depth) rows, independent of task ids --
-    the same signature :func:`repro.chaos.graph_signature` uses, in
-    JSON-able form (kept local: core must not import the chaos layer)."""
-    return [
-        [task.function, task.items, depth]
-        for depth, layer in enumerate(graph.layers())
-        for task in layer
-    ]
 
 
 @dataclass
@@ -370,28 +360,18 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def capture(self) -> Snapshot:
         """Build a snapshot of *right now* (no simulated cost charged)."""
-        jobs: List[JobProgress] = []
-        for handle in self.manager.handles:
-            index_of = {
-                t.task_id: i for i, t in enumerate(handle.graph.tasks)
-            }
-            done = set(handle.completed)
-            for item in handle.items:
-                if item.done.triggered and not item.failed:
-                    idx = index_of.get(item.task.task_id)
-                    if idx is not None:
-                        done.add(idx)
-            jobs.append(
-                JobProgress(
-                    job_id=handle.job_id,
-                    policy=handle.policy.name,
-                    priority=handle.priority,
-                    dataflow=handle.dataflow,
-                    total_tasks=len(handle.graph.tasks),
-                    completed=sorted(done),
-                    signature=_graph_signature(handle.graph),
-                )
+        jobs = [
+            JobProgress(
+                job_id=handle.job_id,
+                policy=handle.policy.name,
+                priority=handle.priority,
+                dataflow=handle.dataflow,
+                total_tasks=len(handle.graph.tasks),
+                completed=handle.completed_indices(),
+                signature=graph_signature(handle.graph),
             )
+            for handle in self.manager.handles
+        ]
         fabric: List[Dict[str, Any]] = []
         for worker in self.engine.node.workers:
             for region in worker.fabric.regions:

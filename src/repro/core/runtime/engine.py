@@ -155,7 +155,7 @@ class ExecutionEngine:
         self._started = False
 
     # ------------------------------------------------------------------
-    # composable lifecycle (used directly by the cluster engine)
+    # composable lifecycle (driven by JobManager)
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn the scheduler loops (and daemon).  Idempotent."""

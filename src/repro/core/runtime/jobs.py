@@ -194,6 +194,22 @@ class JobHandle:
             return 0.0
         return self.finished_at - self.submitted_at
 
+    def completed_indices(self) -> List[int]:
+        """Sorted graph indices of every task this job has finished.
+
+        The progress a checkpoint records: the ``completed`` set a
+        restored job started with, plus every work item whose done
+        signal fired without a failure.
+        """
+        index_of = {t.task_id: i for i, t in enumerate(self.graph.tasks)}
+        done = set(self.completed)
+        for item in self.items:
+            if item.done.triggered and not item.failed:
+                idx = index_of.get(item.task.task_id)
+                if idx is not None:
+                    done.add(idx)
+        return sorted(done)
+
 
 # ----------------------------------------------------------------------
 # the job manager

@@ -23,9 +23,15 @@ the daemon's serving epochs, ``inspect`` and the serving bench
 entries), the chaos and multi-job chaos experiments, the checkpoint
 experiments, restore and ``checkpoint save``, the three sharded
 partition builders in :mod:`repro.shard.experiments`, and the
-``trace``/``metrics`` commands.  Only ``ClusterEngine`` (one simulator
-for many nodes) and the ``demo`` command (a Tracer and a custom Worker
-count) build their own engines.
+``trace``/``metrics`` commands.  Multi-node jobs run through
+:mod:`repro.shard`, one engine per Compute Node built here; only the
+``demo`` command (a Tracer and a custom Worker count) builds its own
+engine.
+
+:func:`submit_job_mix` is the one loop that submits a
+:class:`~repro.presets.JobMix`: the ``jobs`` harness, the daemon, the
+sharded jobs nodes and the chaos/checkpoint workloads all go through
+it, restore included.
 
 :func:`resolve_warm_start` turns a ``warm_start`` argument (bool or
 path to a saved machine snapshot) into a primed template cache, so
@@ -202,23 +208,47 @@ def build_jobs_machine(
     return manager, mix
 
 
-def submit_job_mix(manager, mix, seed: int) -> list:
-    """Submit every job of ``mix`` onto ``manager`` (CLI-identical)."""
-    handles = []
-    num_workers = len(manager.engine.node)
-    for spec in mix.jobs:
-        graph = layered_graph(
-            spec.layers, spec.width, num_workers, spec.graph_seed + seed
+def job_mix_graphs(
+    mix, num_workers: int, seed: int = 0, functions: Sequence[str] = GRAPH_FUNCTIONS
+) -> list:
+    """The graph of every job of ``mix``, in job order: job ``j``'s
+    layered DAG is seeded ``mix.jobs[j].graph_seed + seed``."""
+    return [
+        layered_graph(
+            spec.layers, spec.width, num_workers, spec.graph_seed + seed, functions
         )
-        handles.append(
-            manager.submit_job(
-                graph,
-                policy=spec.policy,
-                priority=spec.priority,
-                dataflow=spec.dataflow,
-            )
+        for spec in mix.jobs
+    ]
+
+
+def submit_job_mix(
+    manager,
+    mix,
+    seed: int = 0,
+    *,
+    completed: Sequence = (),
+    functions: Sequence[str] = GRAPH_FUNCTIONS,
+    graphs: Optional[list] = None,
+) -> list:
+    """Submit every job of ``mix`` onto ``manager``; returns the handles.
+
+    The graphs are :func:`job_mix_graphs` of ``seed`` and ``functions``
+    unless ``graphs`` passes them prebuilt.  ``completed[j]`` holds the
+    graph indices job ``j`` finished in a checkpointed earlier
+    incarnation (jobs past the end of ``completed`` start fresh).
+    """
+    if graphs is None:
+        graphs = job_mix_graphs(mix, len(manager.engine.node), seed, functions)
+    return [
+        manager.submit_job(
+            graph,
+            policy=spec.policy,
+            priority=spec.priority,
+            dataflow=spec.dataflow,
+            completed=frozenset(completed[j]) if j < len(completed) else None,
         )
-    return handles
+        for j, (spec, graph) in enumerate(zip(mix.jobs, graphs))
+    ]
 
 
 def run_jobs_experiment(

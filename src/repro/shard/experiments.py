@@ -72,26 +72,6 @@ def _machine_fragment(manager) -> Dict[str, Any]:
     return json.loads(manager.collect().json())
 
 
-def _job_capture(manager, staged: bool, now: float) -> Dict[str, Any]:
-    """Checkpoint state of one node's jobs (mirrors CheckpointManager).
-
-    A task counts as completed when its work item's done signal fired
-    without a failure -- plus anything a previous incarnation already
-    carried in ``handle.completed``.
-    """
-    jobs = []
-    for handle in manager.handles:
-        done = set(handle.completed)
-        index_of = {t.task_id: i for i, t in enumerate(handle.graph.tasks)}
-        for item in handle.items:
-            if item.done.triggered and not item.failed:
-                idx = index_of.get(item.task.task_id)
-                if idx is not None:
-                    done.add(idx)
-        jobs.append({"completed": sorted(done), "tasks": len(handle.graph)})
-    return {"time_ns": now, "staged": bool(staged), "jobs": jobs}
-
-
 # ======================================================================
 # jobs: per-node multi-tenant mixes with cross-node stage-in
 # ======================================================================
@@ -107,7 +87,7 @@ def build_jobs_partition(
     deterministic cross-partition traffic on every run.
     """
     from repro.core.runtime import JobManager
-    from repro.experiments import build_engine, layered_graph
+    from repro.experiments import build_engine, job_mix_graphs, submit_job_mix
     from repro.presets import compiled_suite, job_preset
 
     mix = job_preset(config["preset"])
@@ -122,40 +102,20 @@ def build_jobs_partition(
         manager = JobManager(engine)
         seed = config["seed"] + node_id * _GRAPH_SEED_STRIDE
         with _task_id_base(node_id * _TASK_ID_STRIDE):
-            graphs = [
-                layered_graph(
-                    spec.layers, spec.width, len(engine.node), spec.graph_seed + seed
-                )
-                for spec in mix.jobs
-            ]
+            graphs = job_mix_graphs(mix, len(engine.node), seed)
 
         cell = NodeCell(node_id, sim)
         state = {"staged_at": None}
-
-        def submit(
-            manager=manager, mix=mix, graphs=graphs, node_restore=None
-        ) -> None:
-            per_job = (node_restore or {}).get("jobs") or []
-            for j, (spec, graph) in enumerate(zip(mix.jobs, graphs)):
-                done = (
-                    frozenset(per_job[j]["completed"])
-                    if j < len(per_job)
-                    else frozenset()
-                )
-                manager.submit_job(
-                    graph,
-                    policy=spec.policy,
-                    priority=spec.priority,
-                    dataflow=spec.dataflow,
-                    completed=done,
-                )
-
         node_restore = restore.get(str(node_id))
+        completed = [
+            job["completed"] for job in (node_restore or {}).get("jobs") or []
+        ]
+
         if node_restore is not None and node_restore.get("staged"):
             # restored past the stage-in barrier: no fetch round, the
             # jobs resume at t=0 with their completed sets
             state["staged_at"] = 0.0
-            submit(node_restore=node_restore)
+            submit_job_mix(manager, mix, completed=completed, graphs=graphs)
         else:
             peer = (node_id + 1) % plan.num_nodes
             gate = cell.gate(0.0)
@@ -179,11 +139,11 @@ def build_jobs_partition(
                 )
 
             def on_data(
-                msg, sim=sim, state=state, submit=submit,
-                node_restore=node_restore,
+                msg, sim=sim, state=state, manager=manager,
+                graphs=graphs, completed=completed,
             ) -> None:
                 state["staged_at"] = sim.now
-                submit(node_restore=node_restore)
+                submit_job_mix(manager, mix, completed=completed, graphs=graphs)
 
             cell.on("job-fetch", on_fetch)
             cell.on("job-data", on_data)
@@ -195,7 +155,14 @@ def build_jobs_partition(
             }
 
         def capturer(manager=manager, state=state, sim=sim) -> Dict[str, Any]:
-            return _job_capture(manager, state["staged_at"] is not None, sim.now)
+            return {
+                "time_ns": sim.now,
+                "staged": state["staged_at"] is not None,
+                "jobs": [
+                    {"completed": h.completed_indices(), "tasks": len(h.graph)}
+                    for h in manager.handles
+                ],
+            }
 
         cell.fragment = fragment
         cell.capturer = capturer
@@ -487,12 +454,13 @@ def build_chaos_partition(
     sends each KILL so it is *delivered* exactly at its planned time.
     """
     from repro.chaos.controller import seeded_node_plan
-    from repro.chaos.experiment import CHAOS_PRESETS, graph_signature
+    from repro.apps.taskgraph import graph_signature
+    from repro.chaos.experiment import chaos_preset
     from repro.core.runtime import JobManager
     from repro.experiments import build_engine, layered_graph
     from repro.presets import compiled_suite
 
-    preset = CHAOS_PRESETS[config["preset"]]
+    preset = chaos_preset(config["preset"])
     compiled = compiled_suite(max_variants=1)
     runtime = PartitionRuntime(partition, plan)
     for node_id in plan.nodes_in(partition):
@@ -640,15 +608,11 @@ def run_sharded_chaos(
     lookahead_ns: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Chaos-test every node of a sharded machine; merged verdict report."""
-    from repro.chaos.experiment import CHAOS_PRESETS
+    from repro.chaos.experiment import chaos_preset
     from repro.presets import compiled_suite
     from repro.shard.backends import ShardSet
 
-    if preset not in CHAOS_PRESETS:
-        known = ", ".join(sorted(CHAOS_PRESETS))
-        raise KeyError(
-            f"unknown chaos preset {preset!r}; choose from: {known}"
-        )
+    chaos_preset(preset)  # validate the name before any fork
     compiled_suite(max_variants=1)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
     config = {"preset": preset, "seed": seed}

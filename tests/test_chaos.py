@@ -11,18 +11,16 @@ import random
 
 import pytest
 
-from repro.apps import make_layered_dag
+from repro.apps import graph_signature, make_layered_dag
 from repro.chaos import (
     CHAOS_PRESETS,
     ChaosConfig,
     ChaosController,
-    graph_signature,
     run_chaos_experiment,
     run_multi_job_chaos_experiment,
 )
 from repro.core import ComputeNode, ComputeNodeParams, Machine, MachineParams
 from repro.core.runtime import (
-    ClusterEngine,
     ExecutionEngine,
     FaultTolerancePolicy,
     JobManager,
@@ -435,31 +433,9 @@ class TestChaosExperiment:
 
 
 # ----------------------------------------------------------------------
-# machine-level (cluster) fault hooks
+# machine-level (cluster) communicator faults
 # ----------------------------------------------------------------------
 class TestClusterChaos:
-    def test_global_crash_survives_cluster_run(self, compiled):
-        registry, library = compiled
-        machine = Machine(
-            Simulator(),
-            MachineParams(num_nodes=2, node=ComputeNodeParams(num_workers=2)),
-        )
-        engine = ClusterEngine(
-            machine, registry, library,
-            fault_tolerance=FaultTolerancePolicy(heartbeat_period_ns=10_000.0),
-        )
-        # global worker 3 = node 1, local worker 1
-        machine.sim.schedule_at(30_000.0, lambda: engine.crash_worker(3))
-        graph = make_layered_dag(
-            layers=4, width=10, num_workers=4, functions=FUNCTIONS, seed=5
-        )
-        report = engine.run_graph(graph)
-        assert report.worker_failures == 1
-        assert report.node_reports[1].worker_failures == 1
-        assert report.node_reports[0].worker_failures == 0
-        assert report.tasks_unrecovered == 0
-        assert report.availability_ok
-
     def test_lossy_world_communicator(self, compiled):
         registry, library = compiled
         machine = Machine(

@@ -15,7 +15,7 @@ from repro.chaos import (
     run_checkpoint_restore_experiment,
     workload_spec,
 )
-from repro.chaos.checkpoint_experiment import submit_workload
+from repro.chaos.checkpoint_experiment import build_workload
 from repro.core.runtime import (
     CheckpointManager,
     JobManager,
@@ -261,8 +261,7 @@ class TestCompletedFilter:
 class TestCheckpointManager:
     def test_periodic_capture_and_self_stop(self, compiled):
         workload = workload_spec("mini")
-        manager = JobManager(build_engine("mini", compiled=compiled))
-        submit_workload(manager, workload)
+        manager, _ = build_workload(workload, compiled=compiled)
         ckpt = CheckpointManager(
             manager,
             CheckpointPolicy(interval_ns=100_000.0),
@@ -283,8 +282,7 @@ class TestCheckpointManager:
 
     def test_latest_before_picks_the_survivor(self, compiled):
         workload = workload_spec("mini")
-        manager = JobManager(build_engine("mini", compiled=compiled))
-        submit_workload(manager, workload)
+        manager, _ = build_workload(workload, compiled=compiled)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload
         )
@@ -297,8 +295,7 @@ class TestCheckpointManager:
 
     def test_registered_rng_state_is_captured(self, compiled):
         workload = workload_spec("mini")
-        manager = JobManager(build_engine("mini", compiled=compiled))
-        submit_workload(manager, workload)
+        manager, _ = build_workload(workload, compiled=compiled)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload
         )
@@ -314,8 +311,7 @@ class TestCheckpointManager:
 
     def test_snapshot_retention_cap(self, compiled):
         workload = workload_spec("mini")
-        manager = JobManager(build_engine("mini", compiled=compiled))
-        submit_workload(manager, workload)
+        manager, _ = build_workload(workload, compiled=compiled)
         ckpt = CheckpointManager(
             manager,
             CheckpointPolicy(interval_ns=60_000.0, max_snapshots=2),
@@ -353,8 +349,7 @@ class TestRestoreExperiment:
 
     def test_restore_refuses_a_mismatched_workload(self, compiled):
         workload = workload_spec("mini")
-        manager = JobManager(build_engine("mini", compiled=compiled))
-        submit_workload(manager, workload)
+        manager, _ = build_workload(workload, compiled=compiled)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload
         )
@@ -389,6 +384,23 @@ class TestRestoreExperiment:
         # the default directory's name, given explicitly, still persists
         assert main(["checkpoint", "experiment", "--dir", "checkpoints"]) == 0
         assert sorted((tmp_path / "checkpoints").glob("ckpt-*.json"))
+
+    def test_cli_save_then_restore_finishes_losslessly(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "ckpts"
+        out = tmp_path / "restored.json"
+        assert main([
+            "checkpoint", "save", "--preset", "mini", "--seed", "42",
+            "--until", "400000", "--dir", str(store),
+        ]) == 0
+        assert sorted(store.glob("ckpt-*.json"))
+        assert main([
+            "checkpoint", "restore", "--dir", str(store), "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["tasks_unrecovered"] == 0
+        assert len(report["jobs"]) == 2
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,7 @@ per-job accounting.
 
 import pytest
 
-from repro.apps import make_layered_dag
-from repro.chaos import graph_signature
+from repro.apps import graph_signature, make_layered_dag
 from repro.core import ComputeNode, ComputeNodeParams
 from repro.core.runtime import (
     POLICIES,
@@ -100,8 +99,9 @@ class TestPolicyLayer:
             graph = graph_for(4, seed=13)
             report = engine.run_graph(graph)
             outcomes[name] = (graph_signature(graph), report)
-        signatures = {sig for sig, _ in outcomes.values()}
-        assert len(signatures) == 1          # identical workload ran
+        signatures = [sig for sig, _ in outcomes.values()]
+        # identical workload ran
+        assert all(sig == signatures[0] for sig in signatures)
         for name, (_, report) in outcomes.items():
             assert report.tasks == 32, name
             assert report.sw_calls + report.hw_calls >= report.tasks, name

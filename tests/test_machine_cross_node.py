@@ -1,6 +1,4 @@
-"""Unit tests for cross-node UNIMEM access with progressive translation."""
-
-import pytest
+"""Unit tests for the cross-node progressive address translator."""
 
 from repro.core import ComputeNodeParams, Machine, MachineParams
 from repro.sim import Simulator
@@ -39,34 +37,3 @@ class TestClusterTranslator:
         assert len(applied) == len(tr.steps)
         assert lat > 0
 
-
-class TestCrossNodeAccess:
-    def test_same_node_delegates_to_intra_fabric(self):
-        from repro.interconnect import TransactionType
-
-        machine = make_machine()
-        lat, energy = machine.cross_node_access_cost(0, 0, 0, 1, 4096)
-        intra, _ = machine.node(0).transfer_cost(
-            0, 1, 4096, TransactionType.LOAD
-        )
-        # second call re-accounts, but the cost formula matches
-        assert lat == pytest.approx(intra)
-
-    def test_cross_node_costlier_than_intra(self):
-        machine = make_machine()
-        intra, _ = machine.cross_node_access_cost(0, 0, 0, 1, 4096)
-        inter, _ = machine.cross_node_access_cost(0, 0, 3, 1, 4096)
-        assert inter > intra
-
-    def test_translation_overhead_grows_with_depth(self):
-        shallow = make_machine(4, fanouts=[4])
-        deep = make_machine(8, fanouts=[2, 2, 2])
-        lat_s, _ = shallow.cross_node_access_cost(0, 0, 3, 0, 64)
-        lat_d, _ = deep.cross_node_access_cost(0, 0, 7, 0, 64)
-        # deeper machine: more translation steps and more tree hops
-        assert lat_d > lat_s
-
-    def test_energy_ledger_charged(self):
-        machine = make_machine()
-        machine.cross_node_access_cost(0, 0, 2, 1, 4096)
-        assert machine.ledger.total_pj("cluster.unimem") > 0
