@@ -15,6 +15,7 @@ from typing import Dict, Generator, Hashable, List, Optional
 
 from repro.core.worker import Worker, WorkerParams
 from repro.energy.accounting import EnergyLedger
+from repro.fabric.region import RegionWatch
 from repro.interconnect.link import LinkParams
 from repro.interconnect.message import Message, TransactionType
 from repro.interconnect.network import Network
@@ -95,6 +96,19 @@ class ComputeNode:
             self.numa = NumaMap(domains, self.network)
         self.allocator = GlobalAllocator(self.numa)
 
+        # worker x worker hop counts: the topology is fixed after
+        # bring-up, so the per-task placement queries index a table
+        # instead of resolving a route per call
+        self._hops: List[List[int]] = [
+            [self.numa.distance(a, b) for b in range(n)] for a in range(n)
+        ]
+        # bumped by every region state/module write on this node; the
+        # UNILOGIC hosting-region memo is keyed on it
+        self.region_watch = RegionWatch()
+        for w in self.workers:
+            for region in w.fabric.regions:
+                region.watch = self.region_watch
+
     def __len__(self) -> int:
         return len(self.workers)
 
@@ -115,7 +129,7 @@ class ComputeNode:
     # UNIMEM transactions
     # ------------------------------------------------------------------
     def hop_distance(self, a: int, b: int) -> int:
-        return self.network.hop_distance(self.endpoints[a], self.endpoints[b])
+        return self._hops[a][b]
 
     def transfer_cost(
         self,

@@ -45,6 +45,13 @@ class ExecutionHistory:
     and per ``(function, device)``, in append order, so the per-task
     queries (``mean_latency``, ``mean_energy``, ``records(function)``)
     read only the matching records instead of rescanning the log.
+
+    While every append has arrived in timestamp order (the simulator
+    appends at completion time, so it always does), the records with
+    ``timestamp >= since`` are a suffix of each list: ``since=`` queries
+    walk back from the newest record and stop at the first older one.
+    One out-of-order append turns that off for good, and ``since=``
+    filters the whole retained window instead.
     """
 
     def __init__(self, capacity: Optional[int] = 100_000) -> None:
@@ -53,6 +60,8 @@ class ExecutionHistory:
         self.capacity = capacity
         self._records: Deque[ExecutionRecord] = deque(maxlen=capacity)
         self._index: Dict[Tuple[str, Optional[str]], Deque[ExecutionRecord]] = {}
+        self._in_order = True
+        self._last_timestamp = float("-inf")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -64,6 +73,11 @@ class ExecutionHistory:
             self._index[(oldest.function, None)].popleft()
             self._index[(oldest.function, oldest.device)].popleft()
         self._records.append(record)
+        if self._in_order:
+            # ``not >=`` so a NaN timestamp also ends the ordered regime
+            if not record.timestamp >= self._last_timestamp:
+                self._in_order = False
+            self._last_timestamp = record.timestamp
         for key in ((record.function, None), (record.function, record.device)):
             bucket = self._index.get(key)
             if bucket is None:
@@ -92,7 +106,16 @@ class ExecutionHistory:
             if device is not None:
                 out = [r for r in out if r.device == device]
         if since is not None:
-            out = [r for r in out if r.timestamp >= since]
+            if self._in_order:
+                tail = []
+                for r in reversed(out):
+                    if not r.timestamp >= since:
+                        break
+                    tail.append(r)
+                tail.reverse()
+                out = tail
+            else:
+                out = [r for r in out if r.timestamp >= since]
         if job is not None:
             out = [r for r in out if r.job == job]
         return list(out)

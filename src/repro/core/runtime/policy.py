@@ -106,12 +106,12 @@ class SchedulingPolicy:
            penalty priced by :class:`PolicyConfig`.
         """
         function = task.function
-        hw_hosted = (
-            scheduler.allow_hardware
-            and scheduler.unilogic.nearest_region(function, task.data_worker)
-            is not None
+        found = (
+            scheduler.unilogic.nearest_region(function, task.data_worker)
+            if scheduler.allow_hardware
+            else None
         )
-        if not hw_hosted:
+        if found is None:
             return "sw"
         if scheduler.selector is not None:
             choice = scheduler.selector.choose_device(
@@ -122,9 +122,7 @@ class SchedulingPolicy:
         # analytic fallback
         kernel = scheduler.registry.kernel(function)
         sw_ns = scheduler.worker.software_latency_ns(kernel, task.items)
-        host_worker, region = scheduler.unilogic.nearest_region(
-            function, task.data_worker
-        )
+        host_worker, region = found
         hw_ns = region.module.latency_ns(task.items)
         if host_worker != task.data_worker:
             # remote ACE-lite penalty: data crosses the NoC uncached

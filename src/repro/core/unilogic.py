@@ -23,7 +23,7 @@ models the data path with the ACE/ACE-lite asymmetry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.compute_node import ComputeNode
 from repro.fabric.region import Region, RegionState
@@ -67,6 +67,10 @@ class UnilogicDomain:
         self.node = node
         self.invocations: List[AcceleratorAccess] = []
         self.remote_invocations = 0
+        # (function, near_worker) -> nearest_region answer, valid while
+        # the node's region watch stays at ``_nearest_generation``
+        self._nearest: Dict[Tuple[str, int], Optional[Tuple[int, Region]]] = {}
+        self._nearest_generation = node.region_watch.generation
 
     # ------------------------------------------------------------------
     # region discovery
@@ -83,14 +87,29 @@ class UnilogicDomain:
     def nearest_region(
         self, function: str, near_worker: int
     ) -> Optional[Tuple[int, Region]]:
-        """The hosting region closest (hop-wise) to ``near_worker``."""
+        """The hosting region closest (hop-wise) to ``near_worker``.
+
+        Ties go to the lowest Worker id, then the lowest region id.
+        Answers are memoized until any region of the node changes its
+        ``state`` or ``module`` (see :class:`~repro.fabric.region.RegionWatch`).
+        """
+        generation = self.node.region_watch.generation
+        memo = self._nearest
+        if generation != self._nearest_generation:
+            memo.clear()
+            self._nearest_generation = generation
+        key = (function, near_worker)
+        if key in memo:
+            return memo[key]
         candidates = self.hosting_regions(function)
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda pair: (self.node.hop_distance(near_worker, pair[0]), pair[0]),
-        )
+        found = None
+        if candidates:
+            hops = self.node.hop_distance
+            found = min(
+                candidates, key=lambda pair: (hops(near_worker, pair[0]), pair[0])
+            )
+        memo[key] = found
+        return found
 
     def total_regions(self) -> int:
         return sum(len(w.fabric) for w in self.node.workers)

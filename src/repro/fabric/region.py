@@ -25,6 +25,22 @@ class RegionState(Enum):
     READY = "ready"
 
 
+class RegionWatch:
+    """A generation counter over a set of regions.
+
+    Every write to a watched region's ``state`` or ``module`` bumps
+    :attr:`generation`, so a cache of "which regions host what" stays
+    valid exactly while the generation it was filled at is current --
+    whoever made the write (reconfiguration, a fault, a test poking a
+    region directly).
+    """
+
+    __slots__ = ("generation",)
+
+    def __init__(self) -> None:
+        self.generation = 0
+
+
 @dataclass
 class Region:
     """One partially-reconfigurable slot."""
@@ -35,6 +51,17 @@ class Region:
     module: Optional[AcceleratorModule] = None
     loads: int = 0
     last_used_at: float = 0.0
+    #: bumped on every ``state``/``module`` write (see :class:`RegionWatch`)
+    watch: Optional[RegionWatch] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "state" or name == "module":
+            watch = self.watch
+            if watch is not None:
+                watch.generation += 1
 
     @property
     def capacity(self) -> ResourceVector:

@@ -3,7 +3,7 @@
 The tracker is fed by the gateway at offer/shed/complete time and keeps
 two views of the same stream:
 
-- **streaming** p50/p95/p99 estimates
+- a **streaming** p99 estimate
   (:class:`~repro.telemetry.quantiles.StreamingQuantile`, O(1) memory,
   deterministic) -- what the autoscaler reads every control period, and
 - the **exact** sample for the final report
@@ -38,8 +38,6 @@ class TenantSLO:
     completed: int = 0
     completed_within_slo: int = 0
     latencies_ns: List[float] = field(default_factory=list)
-    p50: StreamingQuantile = field(default_factory=lambda: StreamingQuantile(0.50))
-    p95: StreamingQuantile = field(default_factory=lambda: StreamingQuantile(0.95))
     p99: StreamingQuantile = field(default_factory=lambda: StreamingQuantile(0.99))
 
     @property
@@ -53,6 +51,13 @@ class TenantSLO:
     @property
     def outstanding(self) -> int:
         return self.admitted - self.completed
+
+    def note_completed(self, latency_ns: float) -> None:
+        self.completed += 1
+        self.latencies_ns.append(latency_ns)
+        self.p99.record(latency_ns)
+        if latency_ns <= self.slo_ns:
+            self.completed_within_slo += 1
 
     def summary(self, horizon_ns: float) -> Dict[str, Any]:
         horizon_s = horizon_ns / 1e9 if horizon_ns > 0 else 0.0
@@ -108,15 +113,7 @@ class SLOTracker:
         self.tenant(request.tenant).admitted += 1
 
     def note_completed(self, request: Request) -> None:
-        t = self.tenant(request.tenant)
-        t.completed += 1
-        latency = request.latency_ns
-        t.latencies_ns.append(latency)
-        t.p50.record(latency)
-        t.p95.record(latency)
-        t.p99.record(latency)
-        if latency <= t.slo_ns:
-            t.completed_within_slo += 1
+        self.tenant(request.tenant).note_completed(request.latency_ns)
 
     # ------------------------------------------------------------------
     # telemetry-event adapter
@@ -137,15 +134,7 @@ class SLOTracker:
         elif kind == "serve.admit":
             self.tenant(attrs["tenant"]).admitted += 1
         elif kind == "serve.complete":
-            t = self.tenant(attrs["tenant"])
-            t.completed += 1
-            latency = attrs["latency_ns"]
-            t.latencies_ns.append(latency)
-            t.p50.record(latency)
-            t.p95.record(latency)
-            t.p99.record(latency)
-            if latency <= t.slo_ns:
-                t.completed_within_slo += 1
+            self.tenant(attrs["tenant"]).note_completed(attrs["latency_ns"])
 
     # ------------------------------------------------------------------
     def summary(self, horizon_ns: float) -> Dict[str, Any]:

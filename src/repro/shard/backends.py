@@ -17,6 +17,7 @@ one partition, a ``fork`` start method, and more than one CPU.
 
 from __future__ import annotations
 
+import gc
 import os
 import traceback
 from typing import Any, Callable, Dict, List, Optional
@@ -70,6 +71,9 @@ def resolve_builder(ref: str) -> Builder:
 # ----------------------------------------------------------------------
 def _shard_main(conn, builder_ref: str, partition: int, plan, config) -> None:
     """Worker-process entry: build the runtime, serve protocol calls."""
+    # move the inherited heap to the permanent generation: the child's
+    # collector then never walks (and copies-on-write) the parent's pages
+    gc.freeze()
     try:
         runtime = resolve_builder(builder_ref)(partition, plan, config)
         conn.send(("ok", None))
@@ -102,7 +106,12 @@ def _shard_main(conn, builder_ref: str, partition: int, plan, config) -> None:
 
 
 class ProcessShard:
-    """Coordinator-side proxy for one forked partition runtime."""
+    """Coordinator-side proxy for one forked partition runtime.
+
+    Construction only forks: the child builds its runtime while the
+    coordinator forks the next partition, and :meth:`wait_ready`
+    collects the bring-up reply.
+    """
 
     def __init__(self, builder_ref: str, partition: int, plan, config) -> None:
         import multiprocessing
@@ -117,6 +126,9 @@ class ProcessShard:
         )
         self._proc.start()
         child.close()
+
+    def wait_ready(self) -> None:
+        """Block until the child has built its runtime (raises on failure)."""
         self._check()
 
     def _check(self) -> None:
@@ -155,14 +167,19 @@ class ProcessShard:
     def capture(self):
         return self._rpc("capture")
 
-    def close(self) -> None:
+    # split-phase close, like advance: post ``exit`` to every child
+    # first, then join them, so the children wind down in parallel
+    def close_post(self) -> None:
         try:
             self._conn.send(("exit", ()))
         except (BrokenPipeError, OSError):
             pass
+
+    def close_wait(self) -> None:
         self._proc.join(timeout=10)
         if self._proc.is_alive():  # pragma: no cover - hung worker
             self._proc.terminate()
+            self._proc.join()
         self._conn.close()
 
 
@@ -187,8 +204,16 @@ class ShardSet:
             for p in range(plan.partitions):
                 self.shards.append(builder(p, plan, config))
         else:
-            for p in range(plan.partitions):
-                self.shards.append(ProcessShard(builder_ref, p, plan, config))
+            # fork every partition before collecting any bring-up reply,
+            # so the children build their nodes concurrently
+            try:
+                for p in range(plan.partitions):
+                    self.shards.append(ProcessShard(builder_ref, p, plan, config))
+                for shard in self.shards:
+                    shard.wait_ready()
+            except BaseException:
+                self.close()
+                raise
 
     def run(self, pause_at_ns: Optional[float] = None) -> SyncStats:
         return run_conservative(self.plan, self.shards, pause_at_ns=pause_at_ns)
@@ -206,9 +231,11 @@ class ShardSet:
         return merged
 
     def close(self) -> None:
-        for shard in self.shards:
-            if hasattr(shard, "close"):
-                shard.close()
+        forked = [s for s in self.shards if isinstance(s, ProcessShard)]
+        for shard in forked:
+            shard.close_post()
+        for shard in forked:
+            shard.close_wait()
 
     def __enter__(self) -> "ShardSet":
         return self

@@ -134,6 +134,41 @@ def test_indexed_queries_match_brute_force(capacity, appended):
         )
 
 
+@seed(17)
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    appended=st.lists(_records, max_size=30),
+    sinces=st.lists(st.floats(-1.0, 11.0, allow_nan=False), max_size=4),
+)
+def test_since_queries_on_ordered_appends(capacity, appended, sinces):
+    """Timestamp-ordered appends (the simulator's case) take the
+    newest-first ``since=`` walk; it must equal a filter over the
+    retained window, across capacity eviction."""
+    appended = sorted(appended, key=lambda r: r.timestamp)
+    h = ExecutionHistory(capacity=capacity)
+    for r in appended:
+        h.append(r)
+    window = appended[-capacity:] if appended else []
+    stamps = [r.timestamp for r in window]
+    for since in list(_SINCES[1:]) + sinces + stamps:
+        for function, device in itertools.product(
+            (None,) + _FUNCTIONS, (None, "sw", "hw")
+        ):
+            want = [
+                r for r in window
+                if (function is None or r.function == function)
+                and (device is None or r.device == device)
+                and r.timestamp >= since
+            ]
+            assert h.records(function, device, since) == want
+        counts = {}
+        for r in window:
+            if r.timestamp >= since:
+                counts[r.function] = counts.get(r.function, 0) + 1
+        assert h.call_counts(since=since) == counts
+
+
 class TestModels:
     def make_linear_data(self, slope=3.0, intercept=50.0, n=30):
         rng = np.random.default_rng(0)

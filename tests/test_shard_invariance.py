@@ -76,6 +76,28 @@ def test_process_backend_matches_inline():
     assert report_json(inline) == report_json(forked)
 
 
+def _fail_in_partition_1(partition, plan, config):
+    """Shard builder whose second partition cannot be built."""
+    if partition == 1:
+        raise RuntimeError("partition 1 bring-up failed")
+    return object()
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
+def test_process_bringup_failure_reaps_every_child():
+    import multiprocessing
+
+    from repro.shard import PartitionPlan, ShardError
+    from repro.shard.backends import ShardSet
+
+    plan = PartitionPlan.build(3, 3)
+    with pytest.raises(ShardError, match="partition 1 failed"):
+        ShardSet(
+            plan, f"{__name__}:_fail_in_partition_1", {}, backend="process"
+        )
+    assert multiprocessing.active_children() == []
+
+
 # ----------------------------------------------------------------------
 # template bring-up equivalence
 # ----------------------------------------------------------------------
