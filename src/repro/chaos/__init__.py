@@ -32,6 +32,8 @@ from repro.chaos.controller import (
     ChaosConfig,
     ChaosController,
     PlannedFault,
+    chaos_block,
+    plan_faults,
 )
 from repro.chaos.domains import (
     TIERS,
@@ -68,7 +70,9 @@ __all__ = [
     "PlannedFault",
     "TIERS",
     "build_domain_tree",
+    "chaos_block",
     "chaos_preset",
+    "plan_faults",
     "restore_from_snapshot",
     "run_chaos_experiment",
     "run_checkpoint_interval_sweep",

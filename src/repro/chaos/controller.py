@@ -20,7 +20,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.chaos.domains import DomainChaosConfig, DomainTree, FailureDomain, TIERS
+from repro.chaos.domains import (
+    TIERS,
+    DomainChaosConfig,
+    DomainTree,
+    FailureDomain,
+    build_domain_tree,
+)
 from repro.interconnect.link import Link, LinkFault
 from repro.mpi.comm import Communicator, MessageFaults
 from repro.sim import Simulator
@@ -114,6 +120,61 @@ def seeded_node_plan(
         )
     faults.sort(key=lambda f: (f["at_ns"], f["worker"]))
     return faults
+
+
+def plan_faults(
+    controller: "ChaosController", engine, faults: List[Dict[str, Any]]
+) -> List[Dict[str, Any]]:
+    """Add an explicit fault list to ``controller``; one dict per fault.
+
+    The list is the service daemon's ``chaos`` command format, shared
+    by :func:`repro.serving.gateway.run_serving_experiment`: each fault
+    has a ``kind`` -- ``"crash"`` (the default) of one ``worker``, or
+    ``"domain"``, every Worker under a ``domain`` of the default
+    failure-domain tree -- an ``at_ns`` (default: now) and a
+    ``downtime_ns`` (``None`` or absent: permanent).  The returned dicts
+    are what :func:`chaos_block` reports.
+    """
+    planned: List[Dict[str, Any]] = []
+    for fault in faults:
+        kind = fault.get("kind", "crash")
+        at_ns = float(fault.get("at_ns", controller.sim.now))
+        downtime = fault.get("downtime_ns")
+        downtime_ns = float(downtime) if downtime is not None else None
+        if kind == "crash":
+            worker = int(fault["worker"])
+            controller.crash_worker(engine, worker, at_ns, downtime_ns=downtime_ns)
+            planned.append(
+                {"worker": worker, "at_ns": at_ns, "downtime_ns": downtime_ns}
+            )
+        elif kind == "domain":
+            name = str(fault["domain"])
+            tree = build_domain_tree(len(engine.node.workers))
+            controller.fail_domain(
+                engine, tree.domain(name), at_ns, downtime_ns=downtime_ns
+            )
+            planned.append(
+                {
+                    "domain": name,
+                    "workers": list(tree.members(name)),
+                    "at_ns": at_ns,
+                    "downtime_ns": downtime_ns,
+                }
+            )
+        else:
+            raise ValueError(f"unknown fault kind {kind!r}")
+    return planned
+
+
+def chaos_block(planned: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """A serving report's ``chaos`` block for the faults of one run.
+
+    No faults give ``{}``, a single fault its own dict, several faults
+    ``{"faults": [...]}`` in planning order.
+    """
+    if len(planned) == 1:
+        return dict(planned[0])
+    return {"faults": [dict(p) for p in planned]} if planned else {}
 
 
 class ChaosController:

@@ -37,6 +37,7 @@ import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.core.runtime import FaultTolerancePolicy
 from repro.core.runtime.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
@@ -86,6 +87,7 @@ class _ServingEpoch:
     kind = "serving"
 
     def __init__(self, session: "ServiceSession", args: Dict[str, Any]) -> None:
+        from repro.serving import BrownoutPolicy, BurnRatePolicy
         from repro.serving.gateway import build_serving_gateway
         from repro.telemetry import Telemetry
 
@@ -94,10 +96,10 @@ class _ServingEpoch:
         self.max_variants = int(args.get("max_variants", 2))
         self.arrivals = bool(args.get("arrivals", True))
         hold = bool(args.get("hold_open", False)) or not self.arrivals
-        ft = _fault_tolerance(args.get("fault_tolerance"))
+        ft = _policy(args, "fault_tolerance", FaultTolerancePolicy)
         self.fault_tolerance = ft is not None
-        brownout = _brownout(args.get("brownout"))
-        alerts = _alerts(args.get("alerts"))
+        brownout = _policy(args, "brownout", BrownoutPolicy)
+        alerts = _policy(args, "alerts", BurnRatePolicy)
         # the hub rides the epoch's simulator (built inside the builder,
         # hence the factory); reports stay byte-identical with telemetry
         # on or off (the PR 5 contract), so metrics never cost determinism
@@ -118,7 +120,7 @@ class _ServingEpoch:
         self.manager = self.gateway.manager
         self.node_preset = self.gateway.scenario.node
         self.chaos_controller = None
-        self.chaos_block: Dict[str, Any] = {}
+        self.chaos_faults: List[Dict[str, Any]] = []
         self.gateway.start()
         if hold:
             self.gateway.hold_open()
@@ -144,8 +146,10 @@ class _ServingEpoch:
             self.gateway.release_hold()
 
     def finalize_report(self):
+        from repro.chaos import chaos_block
+
         report = self.gateway.report()
-        report.chaos = self.chaos_block
+        report.chaos = chaos_block(self.chaos_faults)
         return report
 
     def report_json(self) -> str:
@@ -250,7 +254,7 @@ class _JobsEpoch:
         self.preset = str(args.get("preset", "mini"))
         self.seed = int(args.get("seed", session.default_seed))
         self.max_variants = int(args.get("max_variants", 1))
-        ft = _fault_tolerance(args.get("fault_tolerance"))
+        ft = _policy(args, "fault_tolerance", FaultTolerancePolicy)
         self.fault_tolerance = ft is not None
         submit_mix = args.get("kind", "jobs") == "jobs"
         factory = (lambda sim: Telemetry(sim)) if session.telemetry else None
@@ -267,7 +271,7 @@ class _JobsEpoch:
         self.hub = self.manager.engine.telemetry
         self.node_preset = self.mix.node
         self.chaos_controller = None
-        self.chaos_block: Dict[str, Any] = {}
+        self.chaos_faults: List[Dict[str, Any]] = []
 
     @property
     def now(self) -> float:
@@ -365,44 +369,21 @@ class _JobsEpoch:
         return _apply_chaos(self, args, gateway=None)
 
 
-def _fault_tolerance(spec):
-    """``None``/``False`` -> off; ``True`` -> defaults; dict -> kwargs."""
+def _policy(args: Dict[str, Any], key: str, cls):
+    """``args[key]`` as a policy: falsy -> off; ``True`` -> defaults;
+    an object -> ``cls(**object)``."""
+    spec = args.get(key)
     if not spec:
         return None
-    from repro.core.runtime import FaultTolerancePolicy
-
     if spec is True:
-        return FaultTolerancePolicy()
-    _require(isinstance(spec, dict), "bad-args", "fault_tolerance must be bool or object")
-    return FaultTolerancePolicy(**{k: spec[k] for k in spec})
-
-
-def _brownout(spec):
-    if not spec:
-        return None
-    from repro.serving import BrownoutPolicy
-
-    if spec is True:
-        return BrownoutPolicy()
-    _require(isinstance(spec, dict), "bad-args", "brownout must be bool or object")
-    return BrownoutPolicy(**{k: spec[k] for k in spec})
-
-
-def _alerts(spec):
-    """Burn-rate alerting for a serving epoch (PR 6): bool or kwargs."""
-    if not spec:
-        return None
-    from repro.serving import BurnRatePolicy
-
-    if spec is True:
-        return BurnRatePolicy()
-    _require(isinstance(spec, dict), "bad-args", "alerts must be bool or object")
-    return BurnRatePolicy(**{k: spec[k] for k in spec})
+        return cls()
+    _require(isinstance(spec, dict), "bad-args", f"{key} must be bool or object")
+    return cls(**spec)
 
 
 def _apply_chaos(epoch, args: Dict[str, Any], gateway=None) -> Dict[str, Any]:
     """Shared online chaos injection for both epoch kinds."""
-    from repro.chaos import ChaosController
+    from repro.chaos import ChaosController, plan_faults
 
     _require(
         epoch.fault_tolerance or bool(args.get("force")),
@@ -410,7 +391,6 @@ def _apply_chaos(epoch, args: Dict[str, Any], gateway=None) -> Dict[str, Any]:
         "epoch was submitted without fault_tolerance; injected faults "
         'would lose work (pass "force": true to inject anyway)',
     )
-    engine = epoch.manager.engine
     if epoch.chaos_controller is None:
         controller = ChaosController(
             epoch.sim, seed=int(args.get("seed", epoch.seed)), live=True
@@ -426,46 +406,11 @@ def _apply_chaos(epoch, args: Dict[str, Any], gateway=None) -> Dict[str, Any]:
         "bad-args",
         'chaos needs a non-empty "faults" list',
     )
-    planned = []
-    for fault in faults:
-        kind = fault.get("kind", "crash")
-        at_ns = float(fault.get("at_ns", epoch.now))
-        downtime = fault.get("downtime_ns")
-        downtime_ns = float(downtime) if downtime is not None else None
-        if kind == "crash":
-            worker = int(fault["worker"])
-            controller.crash_worker(engine, worker, at_ns, downtime_ns=downtime_ns)
-            planned.append({"worker": worker, "at_ns": at_ns, "downtime_ns": downtime_ns})
-        elif kind == "domain":
-            from repro.chaos.domains import build_domain_tree
-
-            name = str(fault["domain"])
-            tree = build_domain_tree(len(engine.node.workers))
-            controller.fail_domain(
-                engine, tree.domain(name), at_ns, downtime_ns=downtime_ns
-            )
-            planned.append(
-                {
-                    "domain": name,
-                    "workers": list(tree.members(name)),
-                    "at_ns": at_ns,
-                    "downtime_ns": downtime_ns,
-                }
-            )
-        else:
-            raise ServiceError("bad-args", f"unknown fault kind {kind!r}")
-    # mirror the batch harness's report chaos block for single faults so
-    # scripted sessions stay byte-comparable to run_serving_experiment
-    if not epoch.chaos_block and len(planned) == 1:
-        epoch.chaos_block = dict(planned[0])
-    elif planned:
-        existing = epoch.chaos_block.get("faults")
-        if existing is None:
-            existing = (
-                [dict(epoch.chaos_block)] if epoch.chaos_block else []
-            )
-        existing.extend(dict(p) for p in planned)
-        epoch.chaos_block = {"faults": existing}
+    planned = plan_faults(controller, epoch.manager.engine, faults)
+    # the report's chaos block covers every fault of the epoch, by the
+    # rule run_serving_experiment uses, so scripted sessions stay
+    # byte-comparable to the batch harness
+    epoch.chaos_faults.extend(planned)
     return {
         "planned": len(planned),
         "faults": planned,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from repro.apps.taskgraph import Task, TaskGraph
 from repro.core.runtime.jobs import JobManager
@@ -682,21 +682,22 @@ def run_serving_experiment(
     seed: int = 0,
     telemetry=None,
     fault_tolerance=None,
-    crash: Optional[Tuple[int, float, Optional[float]]] = None,
+    faults: Optional[List[Dict[str, Any]]] = None,
     max_variants: int = 2,
     tracing: Optional[TraceConfig] = None,
     alerts: Optional[BurnRatePolicy] = None,
     brownout: Optional[BrownoutPolicy] = None,
-    domain_kill: Optional[Tuple[str, float, Optional[float]]] = None,
     warm_start=False,
 ) -> ServingReport:
     """Build a machine for ``preset`` and serve it end to end.
 
-    ``crash`` is an optional ``(worker_id, at_ns, downtime_ns)`` chaos
-    overlay (``downtime_ns=None`` makes the crash permanent); arm
+    ``faults`` is an optional chaos overlay in the service daemon's
+    ``chaos`` command format (see :func:`repro.chaos.plan_faults`):
+    ``{"kind": "crash", "worker": w, "at_ns": t, "downtime_ns": d}``
+    crashes one Worker (``downtime_ns=None`` makes it permanent); arm
     ``fault_tolerance`` alongside it or admitted requests will be lost.
-    ``domain_kill`` is the correlated variant: ``(domain_name, at_ns,
-    downtime_ns)`` takes down every Worker in one failure domain of the
+    ``{"kind": "domain", "domain": name, ...}`` is the correlated
+    variant: it takes down every Worker in one failure domain of the
     default tree at once, and (when ``brownout`` is set) drives the
     gateway into degraded mode for the outage window.  ``tracing`` /
     ``alerts`` / ``brownout`` opt the run into request-scoped causal
@@ -716,40 +717,14 @@ def run_serving_experiment(
         brownout=brownout,
         warm_start=warm_start,
     )
-    sim = gateway.sim
-    engine = gateway.engine
-    node = engine.node
-    chaos_block: Dict[str, Any] = {}
-    if crash is not None:
-        from repro.chaos import ChaosController
+    chaos: Dict[str, Any] = {}
+    if faults:
+        from repro.chaos import ChaosController, chaos_block, plan_faults
 
-        worker_id, at_ns, downtime_ns = crash
-        controller = ChaosController(sim, seed=seed, telemetry=telemetry)
-        controller.crash_worker(engine, worker_id, at_ns, downtime_ns=downtime_ns)
-        controller.arm()
-        chaos_block = {
-            "worker": worker_id,
-            "at_ns": at_ns,
-            "downtime_ns": downtime_ns,
-        }
-    if domain_kill is not None:
-        from repro.chaos import ChaosController
-        from repro.chaos.domains import build_domain_tree
-
-        domain_name, at_ns, downtime_ns = domain_kill
-        tree = build_domain_tree(len(node.workers))
-        controller = ChaosController(sim, seed=seed, telemetry=telemetry)
+        controller = ChaosController(gateway.sim, seed=seed, telemetry=telemetry)
         controller.attach_gateway(gateway)
-        controller.fail_domain(
-            engine, tree.domain(domain_name), at_ns, downtime_ns=downtime_ns
-        )
+        chaos = chaos_block(plan_faults(controller, gateway.engine, faults))
         controller.arm()
-        chaos_block = {
-            "domain": domain_name,
-            "workers": list(tree.members(domain_name)),
-            "at_ns": at_ns,
-            "downtime_ns": downtime_ns,
-        }
     report = gateway.run()
-    report.chaos = chaos_block
+    report.chaos = chaos
     return report

@@ -23,10 +23,10 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.shard.plan import PartitionPlan, ShardError
-from repro.shard.sync import PartitionRuntime, SyncStats, run_conservative
+from repro.shard.sync import NodeCell, PartitionRuntime, SyncStats, run_conservative
 
-#: a builder constructs one partition's runtime: (partition, plan, config)
-Builder = Callable[[int, PartitionPlan, dict], PartitionRuntime]
+#: a builder constructs one Compute Node's cell: (node_id, plan, config)
+Builder = Callable[[int, PartitionPlan, dict], NodeCell]
 
 BACKENDS = ("auto", "inline", "process")
 
@@ -55,27 +55,26 @@ def resolve_backend(backend: str, partitions: int) -> str:
     return "process"
 
 
-def resolve_builder(ref: str) -> Builder:
-    """Resolve a ``"module:function"`` builder reference."""
-    import importlib
-
-    module_name, _, func_name = ref.partition(":")
-    if not func_name:
-        raise ShardError(f"builder ref {ref!r} is not 'module:function'")
-    module = importlib.import_module(module_name)
-    return getattr(module, func_name)
+def build_partition(
+    builder: Builder, partition: int, plan: PartitionPlan, config: dict
+) -> PartitionRuntime:
+    """One partition's runtime: ``builder`` called once per node it owns."""
+    runtime = PartitionRuntime(partition, plan)
+    for node_id in plan.nodes_in(partition):
+        runtime.add_cell(builder(node_id, plan, config))
+    return runtime
 
 
 # ----------------------------------------------------------------------
 # process backend: pickle-RPC worker
 # ----------------------------------------------------------------------
-def _shard_main(conn, builder_ref: str, partition: int, plan, config) -> None:
+def _shard_main(conn, builder: Builder, partition: int, plan, config) -> None:
     """Worker-process entry: build the runtime, serve protocol calls."""
     # move the inherited heap to the permanent generation: the child's
     # collector then never walks (and copies-on-write) the parent's pages
     gc.freeze()
     try:
-        runtime = resolve_builder(builder_ref)(partition, plan, config)
+        runtime = build_partition(builder, partition, plan, config)
         conn.send(("ok", None))
     except BaseException:
         conn.send(("err", traceback.format_exc()))
@@ -110,10 +109,11 @@ class ProcessShard:
 
     Construction only forks: the child builds its runtime while the
     coordinator forks the next partition, and :meth:`wait_ready`
-    collects the bring-up reply.
+    collects the bring-up reply.  A forked child inherits ``builder``
+    and ``config`` instead of unpickling them, so any function will do.
     """
 
-    def __init__(self, builder_ref: str, partition: int, plan, config) -> None:
+    def __init__(self, builder: Builder, partition: int, plan, config) -> None:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -121,7 +121,7 @@ class ProcessShard:
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_shard_main,
-            args=(child, builder_ref, partition, plan, config),
+            args=(child, builder, partition, plan, config),
             name=f"shard{partition}",
         )
         self._proc.start()
@@ -192,7 +192,7 @@ class ShardSet:
     def __init__(
         self,
         plan: PartitionPlan,
-        builder_ref: str,
+        builder: Builder,
         config: dict,
         backend: str = "auto",
     ) -> None:
@@ -200,15 +200,14 @@ class ShardSet:
         self.backend = resolve_backend(backend, plan.partitions)
         self.shards: List[Any] = []
         if self.backend == "inline":
-            builder = resolve_builder(builder_ref)
             for p in range(plan.partitions):
-                self.shards.append(builder(p, plan, config))
+                self.shards.append(build_partition(builder, p, plan, config))
         else:
             # fork every partition before collecting any bring-up reply,
             # so the children build their nodes concurrently
             try:
                 for p in range(plan.partitions):
-                    self.shards.append(ProcessShard(builder_ref, p, plan, config))
+                    self.shards.append(ProcessShard(builder, p, plan, config))
                 for shard in self.shards:
                     shard.wait_ready()
             except BaseException:

@@ -35,6 +35,7 @@ def capture_sharded_jobs(
     """Run sharded jobs up to ``pause_at_ns`` and snapshot every node."""
     from repro.presets import compiled_suite, job_preset
     from repro.shard.backends import ShardSet
+    from repro.shard.experiments import build_jobs_node
 
     if pause_at_ns <= 0:
         raise ShardError(f"pause_at_ns must be positive, got {pause_at_ns}")
@@ -42,9 +43,7 @@ def capture_sharded_jobs(
     compiled_suite(max_variants=1)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
     config = {"preset": preset, "seed": seed}
-    with ShardSet(
-        plan, "repro.shard.experiments:build_jobs_partition", config, backend
-    ) as shards:
+    with ShardSet(plan, build_jobs_node, config, backend) as shards:
         shards.run(pause_at_ns=pause_at_ns)
         captured = shards.capture()
     return {

@@ -2,16 +2,19 @@
 
 Each experiment decomposes the machine by Compute Node: every node gets
 its *own* :class:`~repro.sim.Simulator` plus the full mechanism stack
-(engine, workers, fabric, memory, intra-node interconnect), and nodes
-are grouped into partitions driven by the conservative window protocol
-(:mod:`repro.shard.sync`).  All *policy* decisions that need a global
-view -- serving brownout, the chaos fault plan, partition/plan shapes --
-happen on the coordinator or on node 0 through bridge traffic, never by
-reaching into another node's state.
+(engine, workers, fabric, memory, intra-node interconnect).  All
+*policy* decisions that need a global view -- serving brownout, the
+chaos fault plan, partition/plan shapes -- happen on the coordinator or
+on node 0 through bridge traffic, never by reaching into another node's
+state.
 
-The builders here are addressed as ``"repro.shard.experiments:<name>"``
-by the process backend, so everything they receive (``config``) must be
-plain picklable primitives.
+A builder here (``build_*_node``) constructs exactly one node:
+``(node_id, plan, config) -> NodeCell``.  It never sees partitions;
+:func:`repro.shard.backends.build_partition` groups its cells into the
+partitions the conservative window protocol (:mod:`repro.shard.sync`)
+drives.  :class:`~repro.shard.backends.ShardSet` takes the builder
+function itself: the process backend forks, so a child inherits the
+builder and its ``config`` rather than unpickling them.
 
 Determinism notes:
 
@@ -29,12 +32,12 @@ from __future__ import annotations
 import itertools
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.shard.bringup import build_node, shared_template_cache
 from repro.shard.merge import max_field, merged_report, sum_field
 from repro.shard.plan import PartitionPlan, ShardError
-from repro.shard.sync import NodeCell, PartitionRuntime
+from repro.shard.sync import NodeCell
 
 #: serving control-plane cadence: every node reports its load to node 0
 #: once per epoch, and node 0's decision rides back on the bridge
@@ -75,99 +78,80 @@ def _machine_fragment(manager) -> Dict[str, Any]:
 # ======================================================================
 # jobs: per-node multi-tenant mixes with cross-node stage-in
 # ======================================================================
-def build_jobs_partition(
-    partition: int, plan: PartitionPlan, config: dict
-) -> PartitionRuntime:
-    """One partition of the sharded multi-tenant jobs experiment.
+def build_jobs_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell:
+    """One Compute Node of the sharded multi-tenant jobs experiment.
 
-    Every node runs the full job mix of the preset (graph seeds offset
-    per node).  Before a node may submit its jobs it stages its inputs
-    in from its neighbour ``(node_id + 1) % num_nodes``: a FETCH at
-    t=0, a DATA reply on delivery, submission when the DATA lands --
-    deterministic cross-partition traffic on every run.
+    The node runs the full job mix of the preset (graph seeds offset per
+    node).  Before it may submit its jobs it stages its inputs in from
+    its neighbour ``(node_id + 1) % num_nodes``: a FETCH at t=0, a DATA
+    reply on delivery, submission when the DATA lands -- deterministic
+    cross-partition traffic on every run.
     """
     from repro.core.runtime import JobManager
     from repro.experiments import build_engine, job_mix_graphs, submit_job_mix
     from repro.presets import compiled_suite, job_preset
 
     mix = job_preset(config["preset"])
-    compiled = compiled_suite(max_variants=1)
-    restore = config.get("restore") or {}
-    runtime = PartitionRuntime(partition, plan)
-    for node_id in plan.nodes_in(partition):
-        engine = build_engine(
-            mix.node, node_id=node_id, warm_start=True, compiled=compiled
-        )
-        sim = engine.node.sim
-        manager = JobManager(engine)
-        seed = config["seed"] + node_id * _GRAPH_SEED_STRIDE
-        with _task_id_base(node_id * _TASK_ID_STRIDE):
-            graphs = job_mix_graphs(mix, len(engine.node), seed)
+    engine = build_engine(
+        mix.node,
+        node_id=node_id,
+        warm_start=True,
+        compiled=compiled_suite(max_variants=1),
+    )
+    sim = engine.node.sim
+    manager = JobManager(engine)
+    seed = config["seed"] + node_id * _GRAPH_SEED_STRIDE
+    with _task_id_base(node_id * _TASK_ID_STRIDE):
+        graphs = job_mix_graphs(mix, len(engine.node), seed)
+    cell = NodeCell(node_id, sim)
+    node_restore = (config.get("restore") or {}).get(str(node_id)) or {}
+    completed = [job["completed"] for job in node_restore.get("jobs") or []]
+    staged_at: Optional[float] = None
 
-        cell = NodeCell(node_id, sim)
-        state = {"staged_at": None}
-        node_restore = restore.get(str(node_id))
-        completed = [
-            job["completed"] for job in (node_restore or {}).get("jobs") or []
-        ]
+    def submit() -> None:
+        nonlocal staged_at
+        staged_at = sim.now
+        submit_job_mix(manager, mix, completed=completed, graphs=graphs)
 
-        if node_restore is not None and node_restore.get("staged"):
-            # restored past the stage-in barrier: no fetch round, the
-            # jobs resume at t=0 with their completed sets
-            state["staged_at"] = 0.0
-            submit_job_mix(manager, mix, completed=completed, graphs=graphs)
-        else:
+    if node_restore.get("staged"):
+        # restored past the stage-in barrier: no fetch round, the jobs
+        # resume at t=0 with their completed sets
+        submit()
+    else:
+        gate = cell.gate(0.0)
+
+        def request_stage() -> None:
             peer = (node_id + 1) % plan.num_nodes
-            gate = cell.gate(0.0)
+            cell.bridge.send(peer, "job-fetch", {"src": node_id}, plan.lookahead_ns)
+            gate.next_send_ns = None
 
-            def request_stage(
-                cell=cell, gate=gate, peer=peer, node_id=node_id
-            ) -> None:
-                cell.bridge.send(
-                    peer, "job-fetch", {"src": node_id}, plan.lookahead_ns
-                )
-                gate.next_send_ns = None
+        def on_fetch(msg) -> None:
+            src = msg.payload["src"]
+            cell.bridge.send(src, "job-data", {"src": node_id}, plan.lookahead_ns)
 
-            sim.schedule_at(0.0, request_stage)
+        sim.schedule_at(0.0, request_stage)
+        cell.on("job-fetch", on_fetch)
+        cell.on("job-data", lambda msg: submit())
 
-            def on_fetch(msg, cell=cell, node_id=node_id) -> None:
-                cell.bridge.send(
-                    msg.payload["src"],
-                    "job-data",
-                    {"src": node_id},
-                    plan.lookahead_ns,
-                )
+    def fragment() -> Dict[str, Any]:
+        return {
+            "machine": _machine_fragment(manager),
+            "stage": {"staged_at_ns": staged_at},
+        }
 
-            def on_data(
-                msg, sim=sim, state=state, manager=manager,
-                graphs=graphs, completed=completed,
-            ) -> None:
-                state["staged_at"] = sim.now
-                submit_job_mix(manager, mix, completed=completed, graphs=graphs)
+    def capturer() -> Dict[str, Any]:
+        return {
+            "time_ns": sim.now,
+            "staged": staged_at is not None,
+            "jobs": [
+                {"completed": h.completed_indices(), "tasks": len(h.graph)}
+                for h in manager.handles
+            ],
+        }
 
-            cell.on("job-fetch", on_fetch)
-            cell.on("job-data", on_data)
-
-        def fragment(manager=manager, state=state) -> Dict[str, Any]:
-            return {
-                "machine": _machine_fragment(manager),
-                "stage": {"staged_at_ns": state["staged_at"]},
-            }
-
-        def capturer(manager=manager, state=state, sim=sim) -> Dict[str, Any]:
-            return {
-                "time_ns": sim.now,
-                "staged": state["staged_at"] is not None,
-                "jobs": [
-                    {"completed": h.completed_indices(), "tasks": len(h.graph)}
-                    for h in manager.handles
-                ],
-            }
-
-        cell.fragment = fragment
-        cell.capturer = capturer
-        runtime.add_cell(cell)
-    return runtime
+    cell.fragment = fragment
+    cell.capturer = capturer
+    return cell
 
 
 def run_sharded_jobs(
@@ -189,9 +173,7 @@ def run_sharded_jobs(
     config: Dict[str, Any] = {"preset": preset, "seed": seed}
     if restore is not None:
         config["restore"] = restore
-    with ShardSet(
-        plan, "repro.shard.experiments:build_jobs_partition", config, backend
-    ) as shards:
+    with ShardSet(plan, build_jobs_node, config, backend) as shards:
         stats = shards.run()
         fragments = shards.fragments()
     header = {
@@ -215,12 +197,23 @@ def run_sharded_jobs(
 # ======================================================================
 # serving: per-node gateways under a node-0 brownout control plane
 # ======================================================================
+def _check_split(scenario, num_nodes: int) -> None:
+    """Refuse a scenario whose request counts cannot cover every node."""
+    for t in scenario.tenants:
+        if t.arrival != "trace" and t.requests < num_nodes:
+            raise ShardError(
+                f"tenant {t.name!r} has {t.requests} requests, fewer than "
+                f"{num_nodes} nodes -- nothing to shard"
+            )
+
+
 def _node_scenario(scenario, node_id: int, num_nodes: int):
     """Split one serving scenario across ``num_nodes`` gateway nodes.
 
     Request counts split evenly (remainder to the lowest node ids);
     trace tenants split their offset list round-robin.  The tenant mix,
-    rates and SLOs stay identical on every node.
+    rates and SLOs stay identical on every node.  The caller has
+    already run :func:`_check_split`.
     """
     from dataclasses import replace
 
@@ -236,11 +229,6 @@ def _node_scenario(scenario, node_id: int, num_nodes: int):
                 )
             )
             continue
-        if t.requests < num_nodes:
-            raise ShardError(
-                f"tenant {t.name!r} has {t.requests} requests, fewer than "
-                f"{num_nodes} nodes -- nothing to shard"
-            )
         share = t.requests // num_nodes + (
             1 if node_id < t.requests % num_nodes else 0
         )
@@ -248,142 +236,118 @@ def _node_scenario(scenario, node_id: int, num_nodes: int):
     return replace(scenario, tenants=tuple(tenants))
 
 
-def build_serving_partition(
-    partition: int, plan: PartitionPlan, config: dict
-) -> PartitionRuntime:
-    """One partition of the sharded serving experiment.
+def build_serving_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell:
+    """One gateway node of the sharded serving experiment.
 
-    Each node runs a full gateway over its slice of the request stream.
-    Once per epoch every node reports its instantaneous load to node 0;
-    when the epoch's last report lands, node 0 aggregates in node order
-    and broadcasts brownout enter/exit transitions (and the final stop)
-    back over the bridge.
+    The node runs a full gateway over its slice of the request stream.
+    Once per epoch it reports its instantaneous load to node 0; node 0
+    (see :func:`_serve_coordinator`) broadcasts brownout enter/exit
+    transitions and the final stop back over the bridge.
     """
     from repro.presets import serving_preset
     from repro.serving.brownout import BrownoutPolicy
     from repro.serving.gateway import build_serving_gateway
 
     scenario = serving_preset(config["preset"])
-    runtime = PartitionRuntime(partition, plan)
-    for node_id in plan.nodes_in(partition):
-        gateway = build_serving_gateway(
-            config["preset"],
-            seed=config["seed"] + node_id * _SERVE_SEED_STRIDE,
-            brownout=BrownoutPolicy(),
-            warm_start=True,
-            scenario=_node_scenario(scenario, node_id, plan.num_nodes),
-            node_id=node_id,
-        )
-        sim = gateway.sim
-        gateway.start()
+    gateway = build_serving_gateway(
+        config["preset"],
+        seed=config["seed"] + node_id * _SERVE_SEED_STRIDE,
+        brownout=BrownoutPolicy(),
+        warm_start=True,
+        scenario=_node_scenario(scenario, node_id, plan.num_nodes),
+        node_id=node_id,
+    )
+    sim = gateway.sim
+    gateway.start()
+    cell = NodeCell(node_id, sim)
+    gate = cell.gate(SERVE_EPOCH_NS)
+    stopped = False
+    epoch = 0
 
-        cell = NodeCell(node_id, sim)
-        gate = cell.gate(SERVE_EPOCH_NS)
-        state = {"stop": False, "epoch": 0}
+    def epoch_tick() -> None:
+        nonlocal epoch
+        if stopped:
+            gate.next_send_ns = None
+            return
+        snap = gateway.load_snapshot()
+        load = {
+            "node": node_id,
+            "epoch": epoch,
+            "outstanding": snap["outstanding"],
+            "queued": snap["queued"],
+            "drained": bool(snap["drained"]),
+        }
+        cell.bridge.send(0, "serve-load", load, plan.lookahead_ns)
+        epoch += 1
+        gate.next_send_ns = sim.now + SERVE_EPOCH_NS
+        sim.schedule_at(gate.next_send_ns, epoch_tick)
 
-        def epoch_tick(
-            sim=sim, cell=cell, gate=gate, state=state,
-            gateway=gateway, node_id=node_id,
-        ) -> None:
-            if state["stop"]:
-                gate.next_send_ns = None
-                return
-            snap = gateway.load_snapshot()
-            cell.bridge.send(
-                0,
-                "serve-load",
-                {
-                    "node": node_id,
-                    "epoch": state["epoch"],
-                    "outstanding": snap["outstanding"],
-                    "queued": snap["queued"],
-                    "drained": bool(snap["drained"]),
-                },
-                plan.lookahead_ns,
-            )
-            state["epoch"] += 1
-            gate.next_send_ns = sim.now + SERVE_EPOCH_NS
-            # reschedule through state: the bare name `epoch_tick` is
-            # late-bound and would resolve to the *last* node's tick
-            sim.schedule_at(gate.next_send_ns, state["tick"])
-
-        state["tick"] = epoch_tick
-        sim.schedule_at(SERVE_EPOCH_NS, epoch_tick)
-
-        def on_brownout(msg, gateway=gateway) -> None:
-            if msg.payload["active"]:
-                gateway.enter_brownout("shard-coordinator")
-            else:
-                gateway.exit_brownout()
-
-        def on_stop(msg, state=state) -> None:
-            state["stop"] = True
-
-        cell.on("serve-brownout", on_brownout)
-        cell.on("serve-stop", on_stop)
-
-        if node_id == 0:
-            coord = {
-                "active": False, "stopped": False,
-                "decisions": 0, "entries": 0, "exits": 0,
-                "bucket": {},
-            }
-            enter_at = config["brownout_enter"]
-            exit_at = config["brownout_exit"]
-
-            def broadcast(kind: str, payload: dict, cell=cell) -> None:
-                for dst in range(plan.num_nodes):
-                    cell.bridge.send(dst, kind, payload, plan.lookahead_ns)
-
-            def on_load(msg, coord=coord, broadcast=broadcast) -> None:
-                epoch = msg.payload["epoch"]
-                bucket = coord["bucket"].setdefault(epoch, [])
-                bucket.append(msg.payload)
-                if len(bucket) < plan.num_nodes:
-                    return
-                loads = coord["bucket"].pop(epoch)
-                loads.sort(key=lambda e: e["node"])  # node-order fold
-                coord["decisions"] += 1
-                if all(e["drained"] for e in loads):
-                    if not coord["stopped"]:
-                        coord["stopped"] = True
-                        broadcast("serve-stop", {"epoch": epoch})
-                    return
-                total = sum(e["outstanding"] + e["queued"] for e in loads)
-                if not coord["active"] and total > enter_at:
-                    coord["active"] = True
-                    coord["entries"] += 1
-                    broadcast(
-                        "serve-brownout", {"active": True, "epoch": epoch}
-                    )
-                elif coord["active"] and total < exit_at:
-                    coord["active"] = False
-                    coord["exits"] += 1
-                    broadcast(
-                        "serve-brownout", {"active": False, "epoch": epoch}
-                    )
-
-            cell.on("serve-load", on_load)
-            coordinator = coord
+    def on_brownout(msg) -> None:
+        if msg.payload["active"]:
+            gateway.enter_brownout("shard-coordinator")
         else:
-            coordinator = None
+            gateway.exit_brownout()
 
-        def fragment(
-            gateway=gateway, state=state, coordinator=coordinator
-        ) -> Dict[str, Any]:
-            out = {
-                "serving": gateway.report().to_dict(),
-                "control": {"epochs_sent": state["epoch"]},
-            }
-            if coordinator is not None:
-                out["control"]["decisions"] = coordinator["decisions"]
-                out["control"]["brownout_entries"] = coordinator["entries"]
-                out["control"]["brownout_exits"] = coordinator["exits"]
-            return out
+    def on_stop(msg) -> None:
+        nonlocal stopped
+        stopped = True
 
-        cell.fragment = fragment
-        runtime.add_cell(cell)
-    return runtime
+    sim.schedule_at(SERVE_EPOCH_NS, epoch_tick)
+    cell.on("serve-brownout", on_brownout)
+    cell.on("serve-stop", on_stop)
+    coord = _serve_coordinator(cell, plan, config) if node_id == 0 else None
+
+    def fragment() -> Dict[str, Any]:
+        control = {"epochs_sent": epoch}
+        if coord is not None:
+            control["decisions"] = coord["decisions"]
+            control["brownout_entries"] = coord["entries"]
+            control["brownout_exits"] = coord["exits"]
+        return {"serving": gateway.report().to_dict(), "control": control}
+
+    cell.fragment = fragment
+    return cell
+
+
+def _serve_coordinator(cell: NodeCell, plan: PartitionPlan, config: dict) -> dict:
+    """Node 0's brownout control plane; returns its live decision counters.
+
+    When an epoch's last load report lands, node 0 folds the reports in
+    node order and broadcasts the brownout transition (or the final
+    stop once every node has drained).
+    """
+    coord = dict(active=False, stopped=False, decisions=0, entries=0, exits=0)
+    buckets: Dict[int, List[dict]] = {}
+
+    def broadcast(kind: str, payload: dict) -> None:
+        for dst in range(plan.num_nodes):
+            cell.bridge.send(dst, kind, payload, plan.lookahead_ns)
+
+    def on_load(msg) -> None:
+        epoch = msg.payload["epoch"]
+        bucket = buckets.setdefault(epoch, [])
+        bucket.append(msg.payload)
+        if len(bucket) < plan.num_nodes:
+            return
+        loads = sorted(buckets.pop(epoch), key=lambda e: e["node"])
+        coord["decisions"] += 1
+        if all(e["drained"] for e in loads):
+            if not coord["stopped"]:
+                coord["stopped"] = True
+                broadcast("serve-stop", {"epoch": epoch})
+            return
+        total = sum(e["outstanding"] + e["queued"] for e in loads)
+        if not coord["active"] and total > config["brownout_enter"]:
+            coord["active"] = True
+            coord["entries"] += 1
+            broadcast("serve-brownout", {"active": True, "epoch": epoch})
+        elif coord["active"] and total < config["brownout_exit"]:
+            coord["active"] = False
+            coord["exits"] += 1
+            broadcast("serve-brownout", {"active": False, "epoch": epoch})
+
+    cell.on("serve-load", on_load)
+    return coord
 
 
 def run_sharded_serving(
@@ -400,7 +364,7 @@ def run_sharded_serving(
     from repro.presets import compiled_suite, serving_preset
     from repro.shard.backends import ShardSet
 
-    serving_preset(preset)
+    _check_split(serving_preset(preset), num_nodes)  # before any fork
     compiled_suite(max_variants=2)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
     config = {
@@ -415,9 +379,7 @@ def run_sharded_serving(
             brownout_exit if brownout_exit is not None else 8 * num_nodes
         ),
     }
-    with ShardSet(
-        plan, "repro.shard.experiments:build_serving_partition", config, backend
-    ) as shards:
+    with ShardSet(plan, build_serving_node, config, backend) as shards:
         stats = shards.run()
         fragments = shards.fragments()
     header = {
@@ -441,20 +403,18 @@ def run_sharded_serving(
 # ======================================================================
 # chaos: per-node workloads under a node-0 fault commander
 # ======================================================================
-def build_chaos_partition(
-    partition: int, plan: PartitionPlan, config: dict
-) -> PartitionRuntime:
-    """One partition of the sharded chaos experiment.
+def build_chaos_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell:
+    """One Compute Node of the sharded chaos experiment.
 
-    Phase A (bring-up): each node runs its workload fault-free on a
+    Phase A (bring-up): the node runs its workload fault-free on a
     throwaway machine to pin down the baseline makespan and workload
     signature.  Phase B (the shard run): the same workload starts at
-    t=0 with the self-healing runtime armed; every node announces its
+    t=0 with the self-healing runtime armed; the node announces its
     baseline to node 0, which derives the seeded global fault plan and
     sends each KILL so it is *delivered* exactly at its planned time.
     """
-    from repro.chaos.controller import seeded_node_plan
     from repro.apps.taskgraph import graph_signature
+    from repro.chaos.controller import seeded_node_plan
     from repro.chaos.experiment import chaos_preset
     from repro.core.runtime import JobManager
     from repro.experiments import build_engine, layered_graph
@@ -462,141 +422,115 @@ def build_chaos_partition(
 
     preset = chaos_preset(config["preset"])
     compiled = compiled_suite(max_variants=1)
-    runtime = PartitionRuntime(partition, plan)
-    for node_id in plan.nodes_in(partition):
-        graph_seed = (
-            preset.graph_seed + config["seed"] + node_id * _GRAPH_SEED_STRIDE
+    graph_seed = preset.graph_seed + config["seed"] + node_id * _GRAPH_SEED_STRIDE
+
+    # ---- phase A: fault-free baseline on a throwaway machine ----------
+    base_engine = build_engine(
+        preset.node, node_id=node_id, warm_start=True, compiled=compiled
+    )
+    with _task_id_base(node_id * _TASK_ID_STRIDE):
+        base_graph = layered_graph(
+            preset.layers, preset.width, len(base_engine.node), graph_seed
         )
+    baseline = base_engine.run_graph(base_graph)
 
-        # ---- phase A: fault-free baseline on a throwaway machine ------
-        base_engine = build_engine(
-            preset.node, node_id=node_id, warm_start=True, compiled=compiled
-        )
-        with _task_id_base(node_id * _TASK_ID_STRIDE):
-            base_graph = layered_graph(
-                preset.layers, preset.width, len(base_engine.node), graph_seed
-            )
-        baseline = base_engine.run_graph(base_graph)
+    # ---- phase B: armed runtime, workload from t=0 --------------------
+    engine = build_engine(
+        preset.node,
+        node_id=node_id,
+        warm_start=True,
+        compiled=compiled,
+        fault_tolerance=preset.fault_tolerance(),
+    )
+    node, sim = engine.node, engine.node.sim
+    manager = JobManager(engine, fair_share=False)
+    with _task_id_base(node_id * _TASK_ID_STRIDE + _TASK_ID_STRIDE // 2):
+        graph = layered_graph(preset.layers, preset.width, len(node), graph_seed)
+    manager.submit_job(graph)
 
-        # ---- phase B: armed runtime, workload from t=0 ----------------
-        engine = build_engine(
-            preset.node,
-            node_id=node_id,
-            warm_start=True,
-            compiled=compiled,
-            fault_tolerance=preset.fault_tolerance(),
-        )
-        node, sim = engine.node, engine.node.sim
-        manager = JobManager(engine, fair_share=False)
-        with _task_id_base(node_id * _TASK_ID_STRIDE + _TASK_ID_STRIDE // 2):
-            graph = layered_graph(preset.layers, preset.width, len(node), graph_seed)
-        manager.submit_job(graph)
+    cell = NodeCell(node_id, sim)
+    gate = cell.gate(0.0)
+    injected: List[dict] = []
 
-        cell = NodeCell(node_id, sim)
-        gate = cell.gate(0.0)
-        state: Dict[str, Any] = {"injected": []}
+    def announce() -> None:
+        ready = {
+            "node": node_id,
+            "makespan_ns": baseline.makespan_ns,
+            "workers": len(node),
+        }
+        cell.bridge.send(0, "chaos-ready", ready, plan.lookahead_ns)
+        gate.next_send_ns = None
 
-        def announce(
-            cell=cell, gate=gate, node_id=node_id,
-            baseline=baseline, node=node,
-        ) -> None:
-            cell.bridge.send(
-                0,
-                "chaos-ready",
-                {
-                    "node": node_id,
-                    "makespan_ns": baseline.makespan_ns,
-                    "workers": len(node),
-                },
-                plan.lookahead_ns,
-            )
-            gate.next_send_ns = None
-
-        sim.schedule_at(0.0, announce)
-
-        def on_kill(msg, sim=sim, engine=engine, state=state) -> None:
-            p = msg.payload
-            transient = p["downtime_ns"] is not None
-            engine.crash_worker(p["worker"], permanent=not transient)
-            state["injected"].append(
-                {
-                    "worker": p["worker"],
-                    "at_ns": sim.now,
-                    "downtime_ns": p["downtime_ns"],
-                    "kind": "transient" if transient else "crash-stop",
-                }
-            )
-            if transient:
-                sim.schedule_at(
-                    sim.now + p["downtime_ns"],
-                    engine.recover_worker,
-                    p["worker"],
-                )
-
-        cell.on("chaos-kill", on_kill)
-
-        if node_id == 0:
-            ready: Dict[int, dict] = {}
-
-            def on_ready(
-                msg, ready=ready, cell=cell, sim=sim, preset=preset,
-                seed=config["seed"],
-            ) -> None:
-                ready[msg.payload["node"]] = msg.payload
-                if len(ready) < plan.num_nodes:
-                    return
-                now = sim.now
-                for nid in sorted(ready):
-                    info = ready[nid]
-                    faults = seeded_node_plan(
-                        seed,
-                        nid,
-                        info["workers"],
-                        info["makespan_ns"],
-                        window_fraction=preset.window_fraction,
-                        crashes=preset.worker_crashes,
-                        transient_fraction=preset.transient_fraction,
-                        downtime_ns=preset.worker_downtime_ns,
-                    )
-                    for f in faults:
-                        at = max(f["at_ns"], now + plan.lookahead_ns)
-                        cell.bridge.send(
-                            nid,
-                            "chaos-kill",
-                            {
-                                "worker": f["worker"],
-                                "at_ns": at,
-                                "downtime_ns": f["downtime_ns"],
-                            },
-                            at - now,
-                        )
-
-            cell.on("chaos-ready", on_ready)
-
-        def fragment(
-            manager=manager, baseline=baseline, state=state,
-            base_graph=base_graph, graph=graph,
-        ) -> Dict[str, Any]:
-            chaos = _machine_fragment(manager)
-            match = graph_signature(base_graph) == graph_signature(graph)
-            return {
-                "baseline": {
-                    "makespan_ns": baseline.makespan_ns,
-                    "tasks": baseline.tasks,
-                },
-                "chaos": chaos,
-                "faults": state["injected"],
-                "workload_match": match,
-                "integrity_ok": (
-                    match
-                    and chaos["tasks"] == baseline.tasks
-                    and chaos["tasks_unrecovered"] == 0
-                ),
+    def on_kill(msg) -> None:
+        p = msg.payload
+        transient = p["downtime_ns"] is not None
+        engine.crash_worker(p["worker"], permanent=not transient)
+        injected.append(
+            {
+                "worker": p["worker"],
+                "at_ns": sim.now,
+                "downtime_ns": p["downtime_ns"],
+                "kind": "transient" if transient else "crash-stop",
             }
+        )
+        if transient:
+            sim.schedule_at(
+                sim.now + p["downtime_ns"], engine.recover_worker, p["worker"]
+            )
 
-        cell.fragment = fragment
-        runtime.add_cell(cell)
-    return runtime
+    sim.schedule_at(0.0, announce)
+    cell.on("chaos-kill", on_kill)
+
+    if node_id == 0:
+        ready: Dict[int, dict] = {}
+
+        def on_ready(msg) -> None:
+            ready[msg.payload["node"]] = msg.payload
+            if len(ready) < plan.num_nodes:
+                return
+            now = sim.now
+            for nid in sorted(ready):
+                faults = seeded_node_plan(
+                    config["seed"],
+                    nid,
+                    ready[nid]["workers"],
+                    ready[nid]["makespan_ns"],
+                    window_fraction=preset.window_fraction,
+                    crashes=preset.worker_crashes,
+                    transient_fraction=preset.transient_fraction,
+                    downtime_ns=preset.worker_downtime_ns,
+                )
+                for f in faults:
+                    at = max(f["at_ns"], now + plan.lookahead_ns)
+                    kill = {
+                        "worker": f["worker"],
+                        "at_ns": at,
+                        "downtime_ns": f["downtime_ns"],
+                    }
+                    cell.bridge.send(nid, "chaos-kill", kill, at - now)
+
+        cell.on("chaos-ready", on_ready)
+
+    def fragment() -> Dict[str, Any]:
+        chaos = _machine_fragment(manager)
+        match = graph_signature(base_graph) == graph_signature(graph)
+        return {
+            "baseline": {
+                "makespan_ns": baseline.makespan_ns,
+                "tasks": baseline.tasks,
+            },
+            "chaos": chaos,
+            "faults": injected,
+            "workload_match": match,
+            "integrity_ok": (
+                match
+                and chaos["tasks"] == baseline.tasks
+                and chaos["tasks_unrecovered"] == 0
+            ),
+        }
+
+    cell.fragment = fragment
+    return cell
 
 
 def run_sharded_chaos(
@@ -616,9 +550,7 @@ def run_sharded_chaos(
     compiled_suite(max_variants=1)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
     config = {"preset": preset, "seed": seed}
-    with ShardSet(
-        plan, "repro.shard.experiments:build_chaos_partition", config, backend
-    ) as shards:
+    with ShardSet(plan, build_chaos_node, config, backend) as shards:
         stats = shards.run()
         fragments = shards.fragments()
     order = sorted(fragments)
@@ -648,10 +580,8 @@ def run_sharded_chaos(
 # ======================================================================
 # machine build: the bench's sharded exascale construction sweep
 # ======================================================================
-def build_build_partition(
-    partition: int, plan: PartitionPlan, config: dict
-) -> PartitionRuntime:
-    """One partition of the sharded machine build: node bring-up only."""
+def build_build_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell:
+    """One node of the sharded machine build: bring-up only."""
     from repro.core import ComputeNodeParams
     from repro.sim import Simulator
 
@@ -659,23 +589,12 @@ def build_build_partition(
         num_workers=config["workers_per_node"],
         intra_fanout=config["intra_fanout"],
     )
-    runtime = PartitionRuntime(partition, plan)
     cache = shared_template_cache()
-    for node_id in plan.nodes_in(partition):
-        sim = Simulator()
-        node = build_node(sim, params, node_id, cache)
-        template = cache.get(params)
-        cell = NodeCell(node_id, sim)
-
-        def fragment(node=node, template=template) -> Dict[str, Any]:
-            return {
-                "workers": len(node),
-                "intra_diameter": template.intra_diameter,
-            }
-
-        cell.fragment = fragment
-        runtime.add_cell(cell)
-    return runtime
+    node = build_node(Simulator(), params, node_id, cache)
+    cell = NodeCell(node_id, node.sim)
+    diameter = cache.get(params).intra_diameter
+    cell.fragment = lambda: {"workers": len(node), "intra_diameter": diameter}
+    return cell
 
 
 def run_sharded_build(
@@ -706,9 +625,7 @@ def run_sharded_build(
         "workers_per_node": workers_per_node,
         "intra_fanout": intra_fanout,
     }
-    with ShardSet(
-        plan, "repro.shard.experiments:build_build_partition", config, backend
-    ) as shards:
+    with ShardSet(plan, build_build_node, config, backend) as shards:
         fragments = shards.fragments()
 
     fanouts = list(inter_node_fanouts or [num_nodes])

@@ -114,13 +114,14 @@ class TestAlerterCoupling:
         assert events[0]["ts"] == 1_000.0
 
 
-KILL = ("rack0", 150_000.0, 120_000.0)
+KILL = [{"kind": "domain", "domain": "rack0", "at_ns": 150_000.0,
+         "downtime_ns": 120_000.0}]
 
 
 class TestDegradedServing:
     def test_brownout_sheds_batch_keeps_interactive(self):
         report = run_serving_experiment(
-            "steady", seed=0, brownout=BrownoutPolicy(), domain_kill=KILL
+            "steady", seed=0, brownout=BrownoutPolicy(), faults=KILL
         )
         block = report.degraded
         assert block["entries"] == 1
@@ -139,10 +140,10 @@ class TestDegradedServing:
 
     def test_degraded_runs_are_seed_deterministic(self):
         a = run_serving_experiment(
-            "steady", seed=3, brownout=BrownoutPolicy(), domain_kill=KILL
+            "steady", seed=3, brownout=BrownoutPolicy(), faults=KILL
         )
         b = run_serving_experiment(
-            "steady", seed=3, brownout=BrownoutPolicy(), domain_kill=KILL
+            "steady", seed=3, brownout=BrownoutPolicy(), faults=KILL
         )
         assert a.json() == b.json()
 
@@ -151,7 +152,7 @@ class TestDegradedServing:
             "steady",
             seed=0,
             brownout=BrownoutPolicy(priority_floor=1),
-            domain_kill=KILL,
+            faults=KILL,
         )
         # the latch engaged but no tenant sits below floor 1
         assert report.degraded["entries"] == 1
@@ -162,7 +163,7 @@ class TestDisabledParity:
     def test_no_policy_means_no_degraded_block(self):
         # even under a domain kill: without a BrownoutPolicy there is no
         # controller, no shedding, and no "degraded" key in the report
-        report = run_serving_experiment("steady", seed=0, domain_kill=KILL)
+        report = run_serving_experiment("steady", seed=0, faults=KILL)
         assert report.degraded == {}
         assert "degraded" not in report.to_dict()
         assert BROWNOUT not in report.tenants["batch"].get("shed", {})

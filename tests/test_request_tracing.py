@@ -42,7 +42,7 @@ def traced_run(
     alerts=None,
     hub=False,
     fault_tolerance=None,
-    crash=None,
+    faults=None,
 ):
     """Hand-wired serving run returning (gateway, report, telemetry)."""
     registry, library = compiled_suite(max_variants=2)
@@ -59,13 +59,11 @@ def traced_run(
         engine, scenario, seed=seed, scenario_name=scenario_name,
         telemetry=telemetry, tracing=tracing, alerts=alerts,
     )
-    if crash is not None:
-        from repro.chaos import ChaosController
+    if faults:
+        from repro.chaos import ChaosController, plan_faults
 
-        worker_id, at_ns, downtime_ns = crash
         controller = ChaosController(sim, seed=seed, telemetry=telemetry)
-        controller.crash_worker(engine, worker_id, at_ns,
-                                downtime_ns=downtime_ns)
+        plan_faults(controller, engine, faults)
         controller.arm()
     return gateway, gateway.run(), telemetry
 
@@ -397,7 +395,8 @@ class TestTagPropagation:
             seed=7, tracing=TraceConfig(sample_every=1), hub=True,
             fault_tolerance=FaultTolerancePolicy(
                 heartbeat_period_ns=10_000.0, miss_threshold=2),
-            crash=(1, 400_000.0, 600_000.0),
+            faults=[{"kind": "crash", "worker": 1, "at_ns": 400_000.0,
+                     "downtime_ns": 600_000.0}],
         )
         assert report.machine["tasks_retried"] >= 1
         retries = [e for e in hub.events if e.kind == "runtime.task_retry"]

@@ -423,6 +423,10 @@ class TestServingEndToEnd:
         assert set(d["tenants"]) == {"batch", "interactive"}
 
 
+CRASH = {"kind": "crash", "worker": 1, "at_ns": 400_000.0,
+         "downtime_ns": 600_000.0}
+
+
 class TestServingUnderChaos:
     def test_worker_crash_mid_flash_crowd_recovers(self):
         """The acceptance story: a Worker dies mid-crowd, the self-healing
@@ -435,7 +439,7 @@ class TestServingUnderChaos:
                                   miss_threshold=2)
         faulty = run_serving_experiment(
             preset="flash-crowd", seed=7, fault_tolerance=ft,
-            crash=(1, 400_000.0, 600_000.0),
+            faults=[CRASH],
         )
         assert faulty.machine["worker_failures"] >= 1
         assert faulty.machine["tasks_retried"] >= 1
@@ -447,6 +451,20 @@ class TestServingUnderChaos:
         assert p99_faulty >= p99_clean            # degraded...
         assert p99_faulty <= 10.0 * p99_clean     # ...but bounded
 
+    def test_every_fault_of_the_list_is_reported(self):
+        from repro.core.runtime import FaultTolerancePolicy
+
+        rack = {"kind": "domain", "domain": "rack0", "at_ns": 150_000.0,
+                "downtime_ns": 120_000.0}
+        report = run_serving_experiment(
+            "steady", seed=0, fault_tolerance=FaultTolerancePolicy(),
+            faults=[CRASH, rack],
+        )
+        crash, domain = report.chaos["faults"]
+        assert crash == {"worker": 1, "at_ns": 400_000.0,
+                         "downtime_ns": 600_000.0}
+        assert domain["domain"] == "rack0" and domain["workers"]
+
     def test_chaos_run_is_deterministic(self):
         from repro.core.runtime import FaultTolerancePolicy
 
@@ -455,7 +473,7 @@ class TestServingUnderChaos:
                 preset="flash-crowd", seed=7,
                 fault_tolerance=FaultTolerancePolicy(
                     heartbeat_period_ns=10_000.0, miss_threshold=2),
-                crash=(1, 400_000.0, 600_000.0),
+                faults=[CRASH],
             )
 
         assert go().json() == go().json()

@@ -65,22 +65,34 @@ def test_jobs_seed_changes_report():
     assert report_json(r0) != report_json(r1)
 
 
+_PROCESS_CASES = {
+    "jobs": lambda backend: run_sharded_jobs(
+        "mini", seed=0, num_nodes=4, partitions=4, backend=backend
+    ),
+    "serving": lambda backend: run_sharded_serving(
+        "steady", seed=0, num_nodes=2, partitions=2, backend=backend
+    ),
+    "chaos": lambda backend: run_sharded_chaos(
+        "mini", seed=0, num_nodes=2, partitions=2, backend=backend
+    ),
+}
+
+
 @pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
-def test_process_backend_matches_inline():
-    inline = run_sharded_jobs(
-        "mini", seed=0, num_nodes=2, partitions=2, backend="inline"
-    )
-    forked = run_sharded_jobs(
-        "mini", seed=0, num_nodes=2, partitions=2, backend="process"
-    )
-    assert report_json(inline) == report_json(forked)
+@pytest.mark.parametrize("experiment", sorted(_PROCESS_CASES))
+def test_process_backend_matches_inline(experiment):
+    run = _PROCESS_CASES[experiment]
+    assert report_json(run("inline")) == report_json(run("process"))
 
 
-def _fail_in_partition_1(partition, plan, config):
-    """Shard builder whose second partition cannot be built."""
-    if partition == 1:
-        raise RuntimeError("partition 1 bring-up failed")
-    return object()
+def _fail_on_node_1(node_id, plan, config):
+    """Per-node shard builder whose node 1 cannot be built."""
+    from repro.shard import NodeCell
+    from repro.sim import Simulator
+
+    if node_id == 1:
+        raise RuntimeError("node 1 bring-up failed")
+    return NodeCell(node_id, Simulator())
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
@@ -92,8 +104,33 @@ def test_process_bringup_failure_reaps_every_child():
 
     plan = PartitionPlan.build(3, 3)
     with pytest.raises(ShardError, match="partition 1 failed"):
-        ShardSet(
-            plan, f"{__name__}:_fail_in_partition_1", {}, backend="process"
+        ShardSet(plan, _fail_on_node_1, {}, backend="process")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["inline", pytest.param("process", marks=pytest.mark.skipif(
+        not _HAS_FORK, reason="process backend needs fork"))],
+)
+def test_serving_split_is_checked_before_any_fork(backend, monkeypatch):
+    import dataclasses
+    import multiprocessing
+
+    from repro.presets import SERVING_PRESETS
+    from repro.shard import ShardError
+
+    steady = SERVING_PRESETS["steady"]
+    one = dataclasses.replace(steady.tenants[0], name="t", requests=1)
+    monkeypatch.setitem(
+        SERVING_PRESETS, "one-request", dataclasses.replace(steady, tenants=(one,))
+    )
+    message = (
+        "^tenant 't' has 1 requests, fewer than 2 nodes -- nothing to shard$"
+    )
+    with pytest.raises(ShardError, match=message):
+        run_sharded_serving(
+            "one-request", seed=0, num_nodes=2, partitions=2, backend=backend
         )
     assert multiprocessing.active_children() == []
 
