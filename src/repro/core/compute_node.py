@@ -131,6 +131,11 @@ class ComputeNode:
     def hop_distance(self, a: int, b: int) -> int:
         return self._hops[a][b]
 
+    def hop_row(self, a: int) -> List[int]:
+        """Hop counts from Worker ``a`` to every Worker, indexed by id
+        (a shared table row: read it, do not modify it)."""
+        return self._hops[a]
+
     def transfer_cost(
         self,
         src_worker: int,

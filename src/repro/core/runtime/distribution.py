@@ -89,13 +89,6 @@ class WorkDistributor:
         alive = [w for w in range(len(self.queues)) if w not in self._down]
         return alive or list(range(len(self.queues)))
 
-    def score(self, task: Task, worker: int, observer: int) -> float:
-        """The default policy's placement score (kept as the historical
-        query API; per-job scoring goes through :meth:`choose_worker`)."""
-        return self.jobs.default_policy.placement_score(
-            self, task, worker, observer
-        )
-
     def choose_worker(self, task: Task, observer: int = 0, job: int = 0) -> int:
         """The Worker the job's policy picks among the Workers currently
         in the placement pool."""

@@ -137,31 +137,35 @@ class SchedulingPolicy:
     # ------------------------------------------------------------------
     # placement decision (context: the work distributor)
     # ------------------------------------------------------------------
-    def placement_score(
-        self,
-        distributor: "WorkDistributor",
-        task: "Task",
-        worker: int,
-        observer: int,
-    ) -> float:
-        """Lower wins: data-affinity transfer cost plus believed load."""
-        data_bytes = task.input_bytes + task.output_bytes
-        hops = distributor.node.hop_distance(task.data_worker, worker)
-        transfer = hops * data_bytes * self.config.transfer_penalty_ns_per_byte_hop
-        if self.config.data_affinity_only:
-            return transfer
-        load = distributor.tracker.estimated_load(observer, worker)
-        return transfer + load * self.config.load_penalty_ns
-
     def choose_worker(
         self, distributor: "WorkDistributor", task: "Task", observer: int = 0
     ) -> int:
-        """The alive Worker with the lowest placement score (ties to
-        lowest id)."""
-        return min(
-            distributor.alive_workers(),
-            key=lambda w: (self.placement_score(distributor, task, w, observer), w),
-        )
+        """The alive Worker with the lowest placement score, ties to the
+        lowest id.
+
+        The score (lower wins) is the data-affinity transfer cost
+        ``hops * bytes * transfer_penalty`` plus the believed load
+        ``load * load_penalty``.  Placement runs once per task, so every
+        alive Worker is scored in one pass over the node's hop row; the
+        tracker is queried once per candidate, in pool order, which is
+        what its status-message count and cache depend on.
+        """
+        config = self.config
+        hop_row = distributor.node.hop_row(task.data_worker)
+        data_bytes = task.input_bytes + task.output_bytes
+        penalty = config.transfer_penalty_ns_per_byte_hop
+        tracker = None if config.data_affinity_only else distributor.tracker
+        load_penalty = config.load_penalty_ns
+        best = -1
+        best_score = 0.0
+        for w in distributor.alive_workers():
+            score = hop_row[w] * data_bytes * penalty
+            if tracker is not None:
+                score = score + tracker.estimated_load(observer, w) * load_penalty
+            if best < 0 or score < best_score:
+                best = w
+                best_score = score
+        return best
 
     # ------------------------------------------------------------------
     # OpenCL routing decision (context: a Worker + kernel handle)

@@ -27,15 +27,7 @@ class TransactionType(Enum):
     @property
     def header_bytes(self) -> int:
         """Protocol overhead per transaction of this class."""
-        return {
-            TransactionType.LOAD: 16,
-            TransactionType.STORE: 16,
-            TransactionType.DMA: 32,
-            TransactionType.INTERRUPT: 8,
-            TransactionType.SYNC: 8,
-            TransactionType.CONFIG: 32,
-            TransactionType.MPI: 64,
-        }[self]
+        return _HEADER_BYTES[self._value_]
 
     @property
     def priority(self) -> int:
@@ -45,15 +37,29 @@ class TransactionType(Enum):
         paper insists DMA-only architectures "are not efficient for small
         data transfers such as messages to synchronize remote threads".
         """
-        return {
-            TransactionType.INTERRUPT: 0,
-            TransactionType.SYNC: 0,
-            TransactionType.LOAD: 1,
-            TransactionType.STORE: 1,
-            TransactionType.MPI: 2,
-            TransactionType.CONFIG: 3,
-            TransactionType.DMA: 4,
-        }[self]
+        return _PRIORITY[self._value_]
+
+
+# Per-class constants keyed by the member's value string: a property
+# reads one str-keyed dict instead of hashing the enum member.
+_HEADER_BYTES = {
+    "load": 16,
+    "store": 16,
+    "dma": 32,
+    "interrupt": 8,
+    "sync": 8,
+    "config": 32,
+    "mpi": 64,
+}
+_PRIORITY = {
+    "interrupt": 0,
+    "sync": 0,
+    "load": 1,
+    "store": 1,
+    "mpi": 2,
+    "config": 3,
+    "dma": 4,
+}
 
 
 @dataclass

@@ -67,20 +67,35 @@ class Event:
         return f"<Event t={self.time} prio={self.priority} {state}>"
 
 
+def _wakeup_event(now: float, pair: Tuple[Callable[[Any], None], Any]) -> Event:
+    """A detached :class:`Event` view of a lane wake-up pair, for the
+    callers that need one (``peek``/``step`` and the telemetry hook).
+    Pairs carry no sequence number, so the view's ``seq`` is -1."""
+    return Event(now, 0, -1, pair[0], (pair[1],))
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
     Pending events live in two queues.  ``_queue`` is a heap of
     ``(time, priority, seq, event)`` tuples, so its sift compares run in
     C (``seq`` is unique, so the event itself is never compared).
-    ``_lane`` is a FIFO of priority-0 events due at the instant they were
-    scheduled: the wake-ups that resume processes, which are most of the
-    traffic.  The next event is the heap head when its ``(time,
-    priority)`` is at most ``(lane[0].time, 0)``, else the lane head.
-    That merge is exact: a heap entry at ``(T, 0)`` was scheduled before
-    the clock reached ``T`` (later ones went to the lane), so its ``seq``
-    is below every lane entry's at ``T``.  It relies on the clock never
-    passing a pending event, which :meth:`run` guarantees.
+    ``_lane`` is a FIFO of priority-0 entries due at the current instant.
+    Most are process wake-ups queued by :meth:`_soon` as bare
+    ``(callback, arg)`` pairs -- they can never be cancelled, so they
+    need no :class:`Event` -- and the rest are zero-delay priority-0
+    :class:`Event` s from :meth:`schedule` / :meth:`schedule_at`.
+
+    **Invariant: every lane entry is due at ``now``.**  Entries join the
+    lane only when due at the current instant, and the clock only moves
+    forward when it fires a heap event later than ``now``, which the
+    merge below never picks while the lane holds an entry.  So the next
+    entry is the heap head when its ``(time, priority)`` is at most
+    ``(now, 0)``, else the lane head.  That merge is exact: a heap entry
+    at ``(now, 0)`` was scheduled before the clock reached ``now`` (later
+    ones went to the lane), so it precedes every lane entry.  Both rely
+    on the clock never passing a pending event, which :meth:`run`
+    guarantees.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -96,7 +111,8 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, int, Event]] = []
-        self._lane: Deque[Event] = deque()
+        # Events and (callback, arg) wake-up pairs, all due at ``now``
+        self._lane: Deque[Any] = deque()
         self._seq: int = 0
         self._running: bool = False
         self._processed: int = 0
@@ -119,7 +135,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         now = self.now
         time = now + delay
@@ -140,7 +156,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self.now}"
             )
@@ -156,10 +172,9 @@ class Simulator:
     def _soon(self, callback: Callable[[Any], None], arg: Any) -> None:
         """``schedule(0.0, callback, arg)`` without the argument checks or
         the returned handle: the process wake-up path (signals, joins,
-        interrupts), which goes straight to the lane."""
-        seq = self._seq
-        self._seq = seq + 1
-        self._lane.append(Event(self.now, 0, seq, callback, (arg,), self))
+        interrupts).  Queued as a bare ``(callback, arg)`` pair on the
+        lane; it takes no sequence number, since lane order is FIFO."""
+        self._lane.append((callback, arg))
 
     # ------------------------------------------------------------------
     # cancellation bookkeeping (called by Event.cancel)
@@ -167,7 +182,7 @@ class Simulator:
     def _note_cancelled(self, event: Event) -> None:
         # An event detached from the queues (already fired/popped) marks
         # itself by clearing ``_sim``, so everything reaching here is
-        # still queued.
+        # still queued.  Wake-up pairs are never cancelled.
         self._cancelled_in_queue += 1
         if (
             self._cancelled_in_queue >= _COMPACT_MIN_CANCELLED
@@ -183,36 +198,45 @@ class Simulator:
         heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapq.heapify(heap)
         lane = self._lane
-        live = [event for event in lane if not event.cancelled]
+        live = [
+            entry for entry in lane
+            if entry.__class__ is tuple or not entry.cancelled
+        ]
         lane.clear()
         lane.extend(live)
         self._cancelled_in_queue = 0
 
     def _head(self) -> Tuple[Optional[Event], bool]:
         """The next live event and whether it heads the heap (rather than
-        the lane), discarding cancelled heads; ``(None, False)`` if idle."""
+        the lane), discarding cancelled heads; ``(None, False)`` if idle.
+        A wake-up pair at the lane head comes back as a detached
+        :class:`Event` built for the caller."""
         heap = self._queue
         lane = self._lane
         while True:
             if lane:
-                event = lane[0]
-                from_heap = False
                 if heap:
                     head = heap[0]
-                    if (head[0], head[1]) <= (event.time, 0):
+                    if (head[0], head[1]) <= (self.now, 0):
                         event = head[3]
-                        from_heap = True
+                        if not event.cancelled:
+                            return event, True
+                        heapq.heappop(heap)
+                        self._cancelled_in_queue -= 1
+                        continue
+                entry = lane[0]
+                if entry.__class__ is tuple:
+                    return _wakeup_event(self.now, entry), False
+                if not entry.cancelled:
+                    return entry, False
+                lane.popleft()
             elif heap:
                 event = heap[0][3]
-                from_heap = True
-            else:
-                return None, False
-            if not event.cancelled:
-                return event, from_heap
-            if from_heap:
+                if not event.cancelled:
+                    return event, True
                 heapq.heappop(heap)
             else:
-                lane.popleft()
+                return None, False
             self._cancelled_in_queue -= 1
 
     def _pop_next(self) -> Optional[Event]:
@@ -273,14 +297,26 @@ class Simulator:
         popleft = lane.popleft
         try:
             while True:
-                if lane:
+                now = self.now
+                if lane and not (heap and (heap[0][0], heap[0][1]) <= (now, 0)):
                     event = lane[0]
+                    if event.__class__ is tuple:
+                        # a wake-up pair, due at ``now``
+                        if now > horizon:
+                            break
+                        if fired >= limit:
+                            horizon = now
+                            break
+                        popleft()
+                        callback, arg = event
+                        self._processed += 1
+                        telemetry = self.telemetry
+                        if telemetry is not None:
+                            telemetry.sim_event_fired(_wakeup_event(now, event))
+                        callback(arg)
+                        fired += 1
+                        continue
                     from_heap = False
-                    if heap:
-                        head = heap[0]
-                        if (head[0], head[1]) <= (event.time, 0):
-                            event = head[3]
-                            from_heap = True
                 elif heap:
                     event = heap[0][3]
                     from_heap = True
@@ -339,14 +375,23 @@ class Simulator:
         popleft = lane.popleft
         try:
             while True:
-                if lane:
+                now = self.now
+                if lane and not (heap and (heap[0][0], heap[0][1]) <= (now, 0)):
                     event = lane[0]
+                    if event.__class__ is tuple:
+                        # a wake-up pair, due at ``now``
+                        if now >= horizon:
+                            break
+                        popleft()
+                        callback, arg = event
+                        self._processed += 1
+                        telemetry = self.telemetry
+                        if telemetry is not None:
+                            telemetry.sim_event_fired(_wakeup_event(now, event))
+                        callback(arg)
+                        fired += 1
+                        continue
                     from_heap = False
-                    if heap:
-                        head = heap[0]
-                        if (head[0], head[1]) <= (event.time, 0):
-                            event = head[3]
-                            from_heap = True
                 elif heap:
                     event = heap[0][3]
                     from_heap = True
@@ -387,7 +432,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot warp a running simulator")
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot warp backwards (t={time} < now={self.now})"
             )

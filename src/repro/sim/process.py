@@ -51,7 +51,7 @@ class Timeout(Waitable):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = delay
         self.value = value
@@ -185,9 +185,11 @@ class Process(Waitable):
         # it was subscribed under, so one left queued by a wait the
         # process has since abandoned fires as a no-op.
         self._wait_gen = 0
+        # bound once: every wait subscribes the same callback
+        self._wake = self._resume
         if sim.telemetry is not None:
             sim.telemetry.process_spawned(self)
-        sim._soon(self._resume, None)
+        sim._soon(self._wake, None)
 
     # -- Waitable protocol -------------------------------------------------
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
@@ -249,7 +251,7 @@ class Process(Waitable):
             )
         gen = self._wait_gen
         if not gen:
-            item._subscribe(self.sim, self._resume)
+            item._subscribe(self.sim, self._wake)
             return
 
         # slow path, only after a caught Interrupt: tag the wake-up

@@ -23,9 +23,12 @@ class Request(Signal):
     process code).
     """
 
+    __slots__ = ("resource", "_t_request")
+
     def __init__(self, sim: Simulator, resource: "Resource") -> None:
         super().__init__(sim)
         self.resource = resource
+        self._t_request = sim.now
 
 
 class Resource:
@@ -78,7 +81,6 @@ class Resource:
     def request(self) -> Request:
         self.total_requests += 1
         req = Request(self.sim, self)
-        req._t_request = self.sim.now  # type: ignore[attr-defined]
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
@@ -93,7 +95,7 @@ class Resource:
         self._account()
         if self._waiting:
             nxt = self._waiting.popleft()
-            self.total_wait_time += self.sim.now - nxt._t_request  # type: ignore[attr-defined]
+            self.total_wait_time += self.sim.now - nxt._t_request
             nxt.succeed(self)
             # slot moves straight from req to nxt: _in_use unchanged
         else:
@@ -159,6 +161,8 @@ class Resource:
 
 
 class PriorityRequest(Request):
+    __slots__ = ("priority", "seq")
+
     def __init__(self, sim: Simulator, resource: "PriorityResource", priority: int, seq: int) -> None:
         super().__init__(sim, resource)
         self.priority = priority
@@ -185,7 +189,6 @@ class PriorityResource(Resource):
         self.total_requests += 1
         req = PriorityRequest(self.sim, self, priority, self._pseq)
         self._pseq += 1
-        req._t_request = self.sim.now  # type: ignore[attr-defined]
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
@@ -200,7 +203,7 @@ class PriorityResource(Resource):
         self._account()
         if self._pwaiting:
             nxt = heapq.heappop(self._pwaiting)
-            self.total_wait_time += self.sim.now - nxt._t_request  # type: ignore[attr-defined]
+            self.total_wait_time += self.sim.now - nxt._t_request
             nxt.succeed(self)
         else:
             self._in_use -= 1

@@ -212,3 +212,46 @@ class TestLaneCompaction:
         sim.run(until=1.0)
         assert sim.pending == 1
         assert hub.snapshot()["gauge.sim.pending_events.last"] == 1.0
+
+
+class TestNanTimesRejected:
+    """NaN compares false with everything, so a ``delay < 0`` guard lets
+    it through and the clock then reads ``nan``; every entry point that
+    takes a time rejects it (``inf`` stays legal)."""
+
+    NAN = float("nan")
+
+    def test_timeout(self):
+        from repro.sim import Timeout
+
+        with pytest.raises(SimulationError):
+            Timeout(self.NAN)
+        assert Timeout(float("inf")).delay == float("inf")
+
+    def test_schedule(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(self.NAN, lambda: None)
+        assert sim.pending == 0
+        sim.schedule(float("inf"), lambda: None)
+        assert sim.peek() == float("inf")
+
+    def test_schedule_at(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(self.NAN, lambda: None)
+        assert sim.pending == 0
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        # the clock cannot be dragged backwards through a NaN either
+        with pytest.raises(SimulationError):
+            sim.schedule_at(-1.0, lambda: None)
+        assert sim.now == 2.0
+
+    def test_warp_to(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.warp_to(self.NAN)
+        assert sim.now == 0.0
+        sim.warp_to(float("inf"))
+        assert sim.now == float("inf")

@@ -7,11 +7,18 @@ against a reference that keeps one flat list and always fires the live
 entry with the smallest ``(time, priority, seq)``.  Both must fire the
 same events in the same order and agree on ``now``, ``pending`` and
 ``events_processed`` after every operation.
+
+Process wake-ups (``_soon``) travel the lane as bare ``(callback, arg)``
+pairs rather than :class:`~repro.sim.Event` s, so a second program
+family concentrates on the lane: wake-ups mixed with zero-delay
+``schedule()`` events (some cancelled), short ``max_events`` cuts,
+``peek``/``step`` between runs, and ``run_window`` horizons.
 """
 
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import Signal, SimulationError, Simulator, spawn
+from repro.telemetry import Telemetry, attach_simulator
 
 #: few distinct delays, so same-instant collisions are the common case
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.0)
@@ -162,6 +169,18 @@ class ProgramRunner:
                 self._schedule(op, *args)
             elif op == "cancel":
                 self._cancel(*args)
+            elif op == "mixed":
+                # a same-instant run of wake-ups and zero-delay events;
+                # pattern bit 1 = wake-up, 0 = event (cancelled when
+                # its index is a multiple of ``cancel_every``)
+                pattern, prio, cancel_every = args
+                for i, wakeup in enumerate(pattern):
+                    if wakeup:
+                        self._schedule("soon")
+                    else:
+                        self._schedule("sched", 0.0, prio)
+                        if i % cancel_every == 0:
+                            self.handles[-1].cancel()
             elif op == "burst":
                 n, delay, prio, keep = args
                 first = len(self.handles)
@@ -223,6 +242,39 @@ top_ops = st.one_of(
 )
 
 
+#: lane-heavy programs: mostly wake-ups and zero-delay events, with
+#: short run cuts so ``max_events`` often stops on a wake-up
+lane_schedule_ops = st.one_of(
+    st.tuples(st.just("soon")),
+    st.tuples(st.just("soon")),
+    st.tuples(st.just("sched"), st.just(0.0), st.sampled_from((0, 0, -1, 1))),
+    st.tuples(st.just("sched"), delays, priorities),
+)
+lane_reaction = st.lists(
+    st.one_of(lane_schedule_ops, st.tuples(st.just("cancel"), st.integers(0, 4))),
+    max_size=3,
+)
+lane_ops = st.one_of(
+    lane_schedule_ops,
+    st.tuples(st.just("cancel"), st.integers(0, 6)),
+    st.tuples(
+        st.just("mixed"),
+        st.lists(st.booleans(), min_size=1, max_size=12),
+        st.sampled_from((0, 0, -1, 1)),
+        st.integers(1, 3),
+    ),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), st.sampled_from((0.0, 0.5, 1.0))),
+        st.integers(0, 4),
+    ),
+    st.tuples(st.just("run"), st.none(), st.none()),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+    st.tuples(st.just("window"), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+)
+
+
 def _execute(kernel, reactions, program):
     runner = ProgramRunner(kernel, reactions)
     for op in program:
@@ -241,6 +293,64 @@ def test_kernel_matches_sorted_reference(reactions, program):
     got = _execute(Simulator(), reactions, program)
     want = _execute(ReferenceKernel(), reactions, program)
     assert got == want
+
+
+@seed(18)
+@settings(max_examples=300, deadline=None)
+@given(
+    reactions=st.lists(lane_reaction, min_size=1, max_size=6),
+    program=st.lists(lane_ops, min_size=10, max_size=60),
+)
+def test_wakeup_pairs_match_sorted_reference(reactions, program):
+    got = _execute(Simulator(), reactions, program)
+    want = _execute(ReferenceKernel(), reactions, program)
+    assert got == want
+
+
+def test_max_events_cut_on_a_wakeup_leaves_the_rest_queued():
+    sim = Simulator()
+    runner = ProgramRunner(sim, [[]])
+    runner.apply("sched", 1.0, 0)
+    runner.apply("run", None, 1)  # clock now at 1.0
+    # wake-up, zero-delay event (kept: 1 % 5 != 0), wake-up, wake-up
+    runner.apply("mixed", (True, False, True, True), 0, 5)
+    runner.apply("run", 5.0, 2)
+    # the cut lands between two wake-ups: the clock stays at their instant
+    assert sim.now == 1.0
+    assert sim.pending == 2
+    runner.apply("run", None, None)
+    fired = [entry[1] for entry in runner.log if entry[0] == "fire"]
+    assert fired == [0, 1, 2, 3, 4]
+
+
+def test_telemetry_sees_wakeups_as_process_resume_at_priority_zero():
+    sim = Simulator()
+    hub = Telemetry(sim, event_capacity=None, trace_sim_events=True)
+    attach_simulator(hub, sim)
+    signal = Signal(sim)
+
+    def waiter():
+        yield signal
+
+    def firer():
+        signal.succeed()
+        yield signal
+
+    spawn(sim, waiter())
+    spawn(sim, firer())
+    sim.schedule(0.0, lambda: None)  # a zero-delay Event on the lane
+    sim.run()
+    fired = [
+        (ev.ts, ev.attrs["callback"], ev.attrs["priority"])
+        for ev in hub.events.select(kind="sim.event")
+    ]
+    resume = "Process._resume"
+    # two spawns, the lambda, then both processes woken by the signal
+    assert [cb for _, cb, _ in fired].count(resume) == 4
+    assert all(prio == 0 for _, _, prio in fired)
+    assert all(ts == 0.0 for ts, _, _ in fired)
+    assert fired[2][1].endswith("<lambda>")
+    assert sim.events_processed == len(fired)
 
 
 def test_burst_triggers_compaction_of_both_queues():
