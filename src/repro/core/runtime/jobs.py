@@ -37,11 +37,22 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.runtime.policy import PolicyConfig, SchedulingPolicy, make_policy
 from repro.core.runtime.report import JobOutcome, MachineReport, RunReport
 from repro.sim import AllOf, Process, Signal, spawn
+from repro.sim.process import Waitable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.apps.taskgraph import Task, TaskGraph
@@ -216,13 +227,34 @@ class JobHandle:
 # ----------------------------------------------------------------------
 
 
+class _AdmissionGate(Waitable):
+    """What a driver blocked on fair-share admission yields: it parks
+    the driver's ``(job, wake)`` on the manager's blocked list."""
+
+    __slots__ = ("manager", "job")
+
+    def __init__(self, manager: "JobManager", job: JobHandle) -> None:
+        self.manager = manager
+        self.job = job
+
+    def _subscribe(self, sim: Any, callback: Callable[[Any], None]) -> None:
+        self.manager._blocked.append((self.job, callback))
+
+
 class JobManager:
     """Admits a stream of jobs onto one engine's shared Workers.
 
-    ``fair_share=False`` disables admission throttling entirely (no
-    slot watcher processes are spawned), which is the legacy single-job
-    path ``ExecutionEngine.run_graph`` rides -- bit-identical to the
-    pre-multi-tenant runtime.
+    ``fair_share=False`` disables admission throttling entirely, which
+    is the legacy single-job path ``ExecutionEngine.run_graph`` rides --
+    bit-identical to the pre-multi-tenant runtime.
+
+    Admission runs without processes of its own.  Every slot release
+    queues one re-check per blocked driver, in blocking order -- the
+    lane positions a broadcast wake-up of every blocked driver would
+    take -- and each re-check resumes its driver only if that driver's
+    job is now under its share.  The fired event stream is therefore
+    that of a broadcast gate, while the drivers that stay blocked are
+    never resumed.
     """
 
     def __init__(
@@ -242,7 +274,8 @@ class JobManager:
         self.handles: List[JobHandle] = []
         self._ids = itertools.count(1)  # 0 is the legacy/default tenant
         self._active = 0
-        self._wakeup = Signal(self.sim)
+        # (job, wake) of every driver parked on admission, in blocking order
+        self._blocked: List[Tuple[JobHandle, Callable[[Any], None]]] = []
         self._draining = False
         self._drain_signal: Optional[Signal] = None
 
@@ -325,32 +358,56 @@ class JobManager:
         return max(1, (self.total_slots * job.priority) // total_priority)
 
     def _admit(self, job: JobHandle) -> Generator:
-        """Block the driver until the job is under its slot share."""
-        if job.share is None:
-            return
-        while job.in_flight >= job.share:
-            yield self._wakeup
+        """Block the driver until the job is under its slot share.
+
+        A blocked driver parks on an :class:`_AdmissionGate`; it is
+        resumed only by a :meth:`_recheck` that found the job under its
+        share, so no loop is needed here.
+        """
+        if job.share is not None and job.in_flight >= job.share:
+            yield _AdmissionGate(self, job)
 
     def _track(self, job: JobHandle, item: "WorkItem") -> None:
         """Account one admitted task against the job's slots; the slot
         frees when the item's completion signal fires -- retries of the
-        same item keep holding the same slot."""
+        same item keep holding the same slot.
+
+        The release callback subscribes to ``item.done`` one lane slot
+        later (:meth:`_arm`), not now, so it queues behind the waiters
+        the driver adds in the meantime.
+        """
         if job.share is None:
             return
         job.in_flight += 1
         job.peak_in_flight = max(job.peak_in_flight, job.in_flight)
+        self.sim._soon(self._arm, (job, item))
 
-        def release() -> Generator:
-            yield item.done
+    def _arm(self, entry: Tuple[JobHandle, "WorkItem"]) -> None:
+        job, item = entry
+
+        def release(_item: "WorkItem") -> None:
             job.in_flight -= 1
             self._kick()
 
-        spawn(self.sim, release(), name=f"slot.j{job.job_id}.{item.task.task_id}")
+        item.done._subscribe(self.sim, release)
 
     def _kick(self) -> None:
-        """Wake every driver blocked on admission to re-check its share."""
-        stale, self._wakeup = self._wakeup, Signal(self.sim)
-        stale.succeed(None)
+        """A slot freed: queue one re-check per driver blocked on
+        admission, in the order they blocked."""
+        blocked = self._blocked
+        if not blocked:
+            return
+        self._blocked = []
+        self.sim._soon_each(self._recheck, blocked)
+
+    def _recheck(self, entry: Tuple[JobHandle, Callable[[Any], None]]) -> None:
+        """Resume one blocked driver if its job is now under its share,
+        else park it again behind the drivers blocked since the kick."""
+        job, wake = entry
+        if job.in_flight >= job.share:
+            self._blocked.append(entry)
+        else:
+            wake(None)
 
     # ------------------------------------------------------------------
     # drivers (one simulation process per job)

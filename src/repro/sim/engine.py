@@ -176,6 +176,11 @@ class Simulator:
         lane; it takes no sequence number, since lane order is FIFO."""
         self._lane.append((callback, arg))
 
+    def _soon_each(self, callback: Callable[[Any], None], args: List[Any]) -> None:
+        """:meth:`_soon` ``(callback, arg)`` for each of ``args``, in order,
+        in one call."""
+        self._lane.extend([(callback, arg) for arg in args])
+
     # ------------------------------------------------------------------
     # cancellation bookkeeping (called by Event.cancel)
     # ------------------------------------------------------------------

@@ -111,11 +111,24 @@ class Resource:
             yield from bus.use(cycles)
         """
         req = self.request()
-        yield req
+        try:
+            yield req
+        except BaseException:
+            self._abandon(req)
+            raise
         try:
             yield Timeout(hold)
         finally:
             self.release(req)
+
+    def _abandon(self, req: Request) -> None:
+        """Give up ``req`` after its waiter was interrupted: release the
+        slot if it was granted (possibly in the same instant), else take
+        the request out of the wait queue."""
+        if req.triggered:
+            self.release(req)
+        else:
+            self._waiting.remove(req)
 
     def use_batch(self, holds):
         """Process helper: one acquire/hold/release cycle per entry of
@@ -216,11 +229,22 @@ class PriorityResource(Resource):
 
     def use(self, hold: float, priority: int = 0):
         req = self.request(priority)
-        yield req
+        try:
+            yield req
+        except BaseException:
+            self._abandon(req)
+            raise
         try:
             yield Timeout(hold)
         finally:
             self.release(req)
+
+    def _abandon(self, req: Request) -> None:
+        if req.triggered:
+            self.release(req)
+        else:
+            self._pwaiting.remove(req)
+            heapq.heapify(self._pwaiting)
 
 
 class Store:

@@ -179,6 +179,26 @@ class TestJobsCommand:
         text = capsys.readouterr().out
         assert "fairness" in text and "greedy-hw" in text
 
+    def test_jobs_out_is_the_pinned_multi_tenant_report(self, tmp_path):
+        """The mini mix's ``--out`` file holds the keys and values of
+        ``run_jobs_experiment("mini", seed=0).json()``, whose bytes
+        ``tests/test_report_digests.py`` pins, so two runs cannot
+        differ.  The report must be fully multi-tenant."""
+        import json
+
+        from repro.experiments import run_jobs_experiment
+
+        out = tmp_path / "jobs.json"
+        assert main(["jobs", "mini", "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report == json.loads(run_jobs_experiment("mini", seed=0).json())
+        jobs = report["jobs"]
+        assert len(jobs) >= 3, "mini mix should run >= 3 concurrent jobs"
+        assert len({j["policy"] for j in jobs}) >= 3, "policies not distinct"
+        assert report["tasks"] == sum(j["tasks"] for j in jobs)
+        assert report["tasks_unrecovered"] == 0, "a job lost tasks"
+        assert 0.0 < report["fairness_index"] <= 1.0
+
 
 class TestServeCommand:
     def test_cli_serve_preset_choices_match_registry(self):

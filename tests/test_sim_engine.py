@@ -172,6 +172,21 @@ def test_same_instant_wakeups_interleave_with_heap_by_priority_and_seq():
     assert fired == ["urgent", "older", "lane", "late"]
 
 
+def test_soon_each_queues_pairs_in_order_behind_the_lane():
+    sim = Simulator()
+    fired = []
+
+    def at_one():
+        sim._soon(fired.append, "first")
+        sim._soon_each(fired.append, ["a", "b", "c"])
+        sim._soon(fired.append, "last")
+
+    sim.schedule(1.0, at_one)
+    sim.run()
+    assert fired == ["first", "a", "b", "c", "last"]
+    assert sim.events_processed == 6
+
+
 class TestLaneCompaction:
     def test_cancelled_lane_events_are_pruned(self):
         sim = Simulator()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import (
+    Interrupt,
     PriorityResource,
     Resource,
     SimulationError,
@@ -210,3 +211,79 @@ def test_resource_wait_time_accounting():
     sim.run()
     assert res.total_requests == 2
     assert res.total_wait_time == pytest.approx(4.0)
+
+
+# ----------------------------------------------------------------------
+# use() gives its request back when the waiting process is interrupted
+# ----------------------------------------------------------------------
+
+def _interrupted_waiter_run(cls, interrupt_at):
+    """One holder for [0, 5), a waiter interrupted at ``interrupt_at``
+    while it waits, and a later user arriving at t=1."""
+    sim = Simulator()
+    res = cls(sim, capacity=1)
+    log = []
+    procs = {}
+    # scheduled before any process starts, so at t=5 it fires ahead of
+    # the holder's release: the grant and the interrupt share an instant
+    sim.schedule(interrupt_at, lambda: procs["waiter"].interrupt())
+
+    def holder():
+        yield from res.use(5.0)
+
+    def waiter():
+        try:
+            yield from res.use(10.0)
+            log.append(("waiter done", sim.now))
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    def later():
+        yield Timeout(1.0)
+        yield from res.use(2.0)
+        log.append(("later done", sim.now))
+
+    spawn(sim, holder())
+    procs["waiter"] = spawn(sim, waiter())
+    spawn(sim, later())
+    sim.run()
+    return res, log
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_use_withdraws_request_of_interrupted_waiter(cls):
+    res, log = _interrupted_waiter_run(cls, interrupt_at=3.0)
+    assert log == [("interrupted", 3.0), ("later done", 7.0)]
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_use_releases_slot_granted_in_the_interrupt_instant(cls):
+    # the holder hands the slot to the waiter at t=5, but the interrupt
+    # queued earlier in that instant reaches the waiter first: the
+    # granted slot goes on to the later user instead of leaking
+    res, log = _interrupted_waiter_run(cls, interrupt_at=5.0)
+    assert log == [("interrupted", 5.0), ("later done", 7.0)]
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_priority_use_withdrawal_keeps_queue_order():
+    sim = Simulator()
+    res = PriorityResource(sim, capacity=1)
+    order = []
+    procs = {}
+
+    def user(tag, priority, hold):
+        try:
+            yield from res.use(hold, priority=priority)
+            order.append(tag)
+        except Interrupt:
+            order.append(f"{tag}-interrupted")
+
+    spawn(sim, user("holder", 0, 5.0))
+    for tag, priority in (("a", 3), ("b", 1), ("c", 2)):
+        procs[tag] = spawn(sim, user(tag, priority, 1.0))
+    sim.schedule(2.0, lambda: procs["b"].interrupt())
+    sim.run()
+    assert order == ["b-interrupted", "holder", "c", "a"]
+    assert (res.in_use, res.queue_length) == (0, 0)
