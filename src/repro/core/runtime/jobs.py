@@ -18,11 +18,21 @@ Three pieces:
 - :class:`JobHandle` -- the *session-side* view of one submitted job:
   state, completion signal, fair-share admission bookkeeping, and the
   final per-job report.
-- :class:`JobManager` -- admission control plus one driver process per
-  job.  ``submit_job(graph, policy, priority)`` returns immediately
-  with a handle; drivers respect DAG dependences (layer-barrier or
-  dataflow dispatch) and a weighted fair share of the machine's task
-  slots, so a heavy tenant cannot starve a light one.
+- :class:`JobManager` -- admission control plus one callback-driven
+  driver per job.  ``submit_job(graph, policy, priority)`` returns
+  immediately with a handle; drivers respect DAG dependences
+  (layer-barrier or dataflow dispatch) and a weighted fair share of the
+  machine's task slots, so a heavy tenant cannot starve a light one.
+
+The drivers spawn no simulation processes.  Each is plain code that
+keeps its place between callbacks, and each callback is queued at the
+lane position where a driver process would have been resumed: the job
+starts one lane slot after submission, a layer barrier or a dataflow
+task's dependences resume it from the same :class:`~repro.sim.AllOf`,
+and a dataflow task's completion fires its signal one slot after the
+work item's.  The kernel therefore fires the same events, at the same
+times and priorities and in the same order, as one process per job and
+per dataflow task would.
 
 Fair-share admission: the machine offers ``slots_per_worker x workers``
 concurrent task slots.  Each job's share is fixed when its driver starts,
@@ -51,8 +61,7 @@ from typing import (
 
 from repro.core.runtime.policy import PolicyConfig, SchedulingPolicy, make_policy
 from repro.core.runtime.report import JobOutcome, MachineReport, RunReport
-from repro.sim import AllOf, Process, Signal, spawn
-from repro.sim.process import Waitable
+from repro.sim import AllOf, Signal, spawn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.apps.taskgraph import Task, TaskGraph
@@ -185,7 +194,6 @@ class JobHandle:
     in_flight: int = 0
     peak_in_flight: int = 0
     on_done: Optional[Callable[[], None]] = None
-    process: Optional[Process] = None
     # the WorkItems this job dispatched, in dispatch order -- the serving
     # layer reads execution timing/device off them at completion time
     items: List["WorkItem"] = field(default_factory=list)
@@ -227,20 +235,6 @@ class JobHandle:
 # ----------------------------------------------------------------------
 
 
-class _AdmissionGate(Waitable):
-    """What a driver blocked on fair-share admission yields: it parks
-    the driver's ``(job, wake)`` on the manager's blocked list."""
-
-    __slots__ = ("manager", "job")
-
-    def __init__(self, manager: "JobManager", job: JobHandle) -> None:
-        self.manager = manager
-        self.job = job
-
-    def _subscribe(self, sim: Any, callback: Callable[[Any], None]) -> None:
-        self.manager._blocked.append((self.job, callback))
-
-
 class JobManager:
     """Admits a stream of jobs onto one engine's shared Workers.
 
@@ -248,13 +242,17 @@ class JobManager:
     is the legacy single-job path ``ExecutionEngine.run_graph`` rides --
     bit-identical to the pre-multi-tenant runtime.
 
-    Admission runs without processes of its own.  Every slot release
-    queues one re-check per blocked driver, in blocking order -- the
-    lane positions a broadcast wake-up of every blocked driver would
-    take -- and each re-check resumes its driver only if that driver's
-    job is now under its share.  The fired event stream is therefore
-    that of a broadcast gate, while the drivers that stay blocked are
-    never resumed.
+    Jobs run without simulation processes.  ``submit_job`` queues the
+    job's start one lane slot later, and a driver (:class:`_LayerDriver`
+    or :class:`_DataflowDriver`) then dispatches its tasks as plain
+    callbacks on completion signals.  Admission has no processes either.
+    A driver at its job's share parks its continuation on a blocked list.
+    Every slot release queues one re-check per parked driver, in blocking
+    order -- the lane positions a broadcast wake-up of every blocked
+    driver would take -- and each re-check continues its driver only if
+    that driver's job is now under its share.  The fired event stream is
+    therefore that of one process per job behind a broadcast gate, while
+    no process is spawned and the drivers that stay blocked never run.
     """
 
     def __init__(
@@ -274,10 +272,16 @@ class JobManager:
         self.handles: List[JobHandle] = []
         self._ids = itertools.count(1)  # 0 is the legacy/default tenant
         self._active = 0
-        # (job, wake) of every driver parked on admission, in blocking order
+        # sum of the priorities of every submitted job not yet DONE
+        self._active_priority = 0
+        # (job, resume) of every driver parked on admission, in
+        # blocking order
         self._blocked: List[Tuple[JobHandle, Callable[[Any], None]]] = []
         self._draining = False
         self._drain_signal: Optional[Signal] = None
+        # built-in policies by name, built on first use (they hold only
+        # the engine's PolicyConfig)
+        self._policies: Dict[str, SchedulingPolicy] = {}
 
     # ------------------------------------------------------------------
     # submission
@@ -288,7 +292,11 @@ class JobManager:
         if policy is None:
             return self.engine.default_policy
         if isinstance(policy, str):
-            return make_policy(policy, self.engine.policy_config)
+            resolved = self._policies.get(policy)
+            if resolved is None:
+                resolved = make_policy(policy, self.engine.policy_config)
+                self._policies[policy] = resolved
+            return resolved
         return policy
 
     def submit_job(
@@ -334,10 +342,9 @@ class JobManager:
         )
         self.handles.append(handle)
         self._active += 1
+        self._active_priority += priority
         self.engine.start()
-        handle.process = spawn(
-            self.sim, self._drive(handle), name=f"job{job_id}"
-        )
+        self.sim._soon(self._start, handle)
         if self.engine.telemetry is not None:
             self.engine.telemetry.event(
                 "runtime.job_submitted",
@@ -353,19 +360,7 @@ class JobManager:
     # fair-share admission
     # ------------------------------------------------------------------
     def _fair_share_of(self, job: JobHandle) -> int:
-        active = [h for h in self.handles if not h.finished]
-        total_priority = sum(h.priority for h in active) or job.priority
-        return max(1, (self.total_slots * job.priority) // total_priority)
-
-    def _admit(self, job: JobHandle) -> Generator:
-        """Block the driver until the job is under its slot share.
-
-        A blocked driver parks on an :class:`_AdmissionGate`; it is
-        resumed only by a :meth:`_recheck` that found the job under its
-        share, so no loop is needed here.
-        """
-        if job.share is not None and job.in_flight >= job.share:
-            yield _AdmissionGate(self, job)
+        return max(1, (self.total_slots * job.priority) // self._active_priority)
 
     def _track(self, job: JobHandle, item: "WorkItem") -> None:
         """Account one admitted task against the job's slots; the slot
@@ -401,18 +396,26 @@ class JobManager:
         self.sim._soon_each(self._recheck, blocked)
 
     def _recheck(self, entry: Tuple[JobHandle, Callable[[Any], None]]) -> None:
-        """Resume one blocked driver if its job is now under its share,
+        """Continue one blocked driver if its job is now under its share,
         else park it again behind the drivers blocked since the kick."""
-        job, wake = entry
+        job, resume = entry
         if job.in_flight >= job.share:
             self._blocked.append(entry)
         else:
-            wake(None)
+            resume(None)
+
+    def _dispatch(self, job: JobHandle, task: "Task") -> "WorkItem":
+        """Submit one admitted task of ``job`` and hold its slot."""
+        item = self.engine.submit_task(task, job_id=job.job_id)
+        self._track(job, item)
+        job.items.append(item)
+        return item
 
     # ------------------------------------------------------------------
-    # drivers (one simulation process per job)
+    # job lifecycle
     # ------------------------------------------------------------------
-    def _drive(self, job: JobHandle) -> Generator:
+    def _start(self, job: JobHandle) -> None:
+        """The job's first lane slot: fix its share and start its driver."""
         engine = self.engine
         job.started_at = self.sim.now
         job.state = JobState.RUNNING
@@ -426,10 +429,17 @@ class JobManager:
                 policy=job.policy.name,
                 share=job.share,
             )
-        driver = self._dataflow_driver if job.dataflow else self._layer_driver
-        yield from driver(job)
+        if job.dataflow:
+            _DataflowDriver(self, job).start()
+        else:
+            _LayerDriver(self, job).advance()
+
+    def _finish(self, job: JobHandle) -> None:
+        """The driver dispatched and saw complete every task of ``job``."""
+        engine = self.engine
         job.finished_at = self.sim.now
         job.state = JobState.DONE
+        self._active_priority -= job.priority
         job.report = self._job_report(job)
         if engine.telemetry is not None:
             engine.telemetry.event(
@@ -451,6 +461,24 @@ class JobManager:
                 signal.succeed(self)
             if self.auto_stop:
                 engine.stop()
+
+    def _retrain(self, completed: int, finished: int) -> None:
+        """A layer of ``finished`` tasks completed, ``completed`` in all:
+        retrain the selector each time ``retrain_every`` more are done."""
+        engine = self.engine
+        if not (engine.retrain_every and engine.selector is not None):
+            return
+        if completed // engine.retrain_every != (
+            completed - finished
+        ) // engine.retrain_every:
+            engine.selector.train(engine.history)
+            if engine.telemetry is not None:
+                engine.telemetry.event(
+                    "runtime.retrain",
+                    f"{engine.node.name}.runtime",
+                    completed=completed,
+                    history=len(engine.history),
+                )
 
     # ------------------------------------------------------------------
     # drain barrier
@@ -493,95 +521,6 @@ class JobManager:
     def resume_admission(self) -> None:
         """Lift a drain barrier (a drained daemon accepting new epochs)."""
         self._draining = False
-
-    def _layer_driver(self, job: JobHandle) -> Generator:
-        """Dispatch layer by layer, honouring DAG dependences by barrier."""
-        engine = self.engine
-        # restore path: map task identity -> graph index once, so layers
-        # can skip checkpoint-completed tasks (barrier only waits on
-        # what was actually dispatched)
-        skip = (
-            {
-                t.task_id
-                for i, t in enumerate(job.graph.tasks)
-                if i in job.completed
-            }
-            if job.completed
-            else frozenset()
-        )
-        completed = 0
-        for layer in job.graph.layers():
-            items: List["WorkItem"] = []
-            for task in layer:
-                if task.task_id in skip:
-                    job.tasks_skipped += 1
-                    continue
-                yield from self._admit(job)
-                item = engine.submit_task(task, job_id=job.job_id)
-                self._track(job, item)
-                items.append(item)
-                job.items.append(item)
-            if items:
-                yield AllOf([item.done for item in items])
-            completed += len(items)
-            if engine.retrain_every and engine.selector is not None:
-                if completed // engine.retrain_every != (
-                    completed - len(items)
-                ) // engine.retrain_every:
-                    engine.selector.train(engine.history)
-                    if engine.telemetry is not None:
-                        engine.telemetry.event(
-                            "runtime.retrain",
-                            f"{engine.node.name}.runtime",
-                            completed=completed,
-                            history=len(engine.history),
-                        )
-        return completed
-
-    def _dataflow_driver(self, job: JobHandle) -> Generator:
-        """Dependence-triggered dispatch: every task is released the
-        moment its own predecessors complete -- no layer barrier, so
-        independent chains pipeline across layers."""
-        engine = self.engine
-        done_signals: Dict[int, Signal] = {}
-        items: List["WorkItem"] = []
-        skip = (
-            {
-                t.task_id
-                for i, t in enumerate(job.graph.tasks)
-                if i in job.completed
-            }
-            if job.completed
-            else frozenset()
-        )
-
-        def watcher(task: "Task") -> Generator:
-            deps = [done_signals[d] for d in task.deps]
-            if deps:
-                yield AllOf(deps)
-            yield from self._admit(job)
-            item = engine.submit_task(task, job_id=job.job_id)
-            self._track(job, item)
-            items.append(item)
-            job.items.append(item)
-            result = yield item.done
-            return result
-
-        def skipped(task: "Task") -> Generator:
-            # checkpoint-completed: no dispatch, dependences satisfied
-            # the moment the process starts (its done signal fires now)
-            job.tasks_skipped += 1
-            return
-            yield  # pragma: no cover - makes this a generator
-
-        for task in job.graph.tasks:
-            gen = skipped(task) if task.task_id in skip else watcher(task)
-            proc = spawn(
-                self.sim, gen, name=f"dep.j{job.job_id}.{task.task_id}"
-            )
-            done_signals[task.task_id] = proc.done
-        yield AllOf([done_signals[t.task_id] for t in job.graph.tasks])
-        return len(items)
 
     # ------------------------------------------------------------------
     # reporting
@@ -652,3 +591,135 @@ class JobManager:
         return the :class:`MachineReport` roll-up."""
         self.sim.run()
         return self.collect()
+
+
+# ----------------------------------------------------------------------
+# drivers: plain callbacks at a driver process's lane positions
+# ----------------------------------------------------------------------
+
+
+def _skipped_ids(job: JobHandle) -> frozenset:
+    """Task ids of the graph indices a restored job already completed."""
+    if not job.completed:
+        return frozenset()
+    return frozenset(
+        t.task_id for i, t in enumerate(job.graph.tasks) if i in job.completed
+    )
+
+
+class _LayerDriver:
+    """Dispatch layer by layer, honouring DAG dependences by barrier.
+
+    The driver keeps its place -- the current layer and the index of the
+    next task in it -- across callbacks.  :meth:`advance` dispatches from
+    there until the job reaches its share (it parks itself on the
+    manager's blocked list, and a passing re-check calls it again) or
+    the layer is dispatched (the last of the layer's done signals runs
+    :meth:`_barrier` through an :class:`AllOf`).  Checkpoint-completed
+    tasks are skipped; the barrier waits only on what was dispatched.
+    """
+
+    __slots__ = ("manager", "job", "skip", "layers", "layer", "index",
+                 "items", "completed")
+
+    def __init__(self, manager: JobManager, job: JobHandle) -> None:
+        self.manager = manager
+        self.job = job
+        self.skip = _skipped_ids(job)
+        self.layers = job.graph.layers()
+        self.layer = 0
+        self.index = 0
+        self.items: List["WorkItem"] = []  # dispatched in this layer
+        self.completed = 0
+
+    def advance(self, _value: Any = None) -> None:
+        manager, job, skip = self.manager, self.job, self.skip
+        while self.layer < len(self.layers):
+            layer = self.layers[self.layer]
+            while self.index < len(layer):
+                task = layer[self.index]
+                if task.task_id in skip:
+                    job.tasks_skipped += 1
+                elif job.share is not None and job.in_flight >= job.share:
+                    manager._blocked.append((job, self.advance))
+                    return
+                else:
+                    self.items.append(manager._dispatch(job, task))
+                self.index += 1
+            self.layer += 1
+            self.index = 0
+            if self.items:
+                AllOf([item.done for item in self.items])._subscribe(
+                    manager.sim, self._barrier
+                )
+                return
+        manager._finish(job)
+
+    def _barrier(self, _values: Any) -> None:
+        finished = len(self.items)
+        self.items = []
+        self.completed += finished
+        self.manager._retrain(self.completed, finished)
+        self.advance()
+
+
+class _DataflowDriver:
+    """Dependence-triggered dispatch: every task is released the moment
+    its own predecessors complete -- no layer barrier, so independent
+    chains pipeline across layers.
+
+    Each task has a done :class:`Signal` and a start callback queued in
+    graph order.  A task's start waits on its dependences' signals
+    through an :class:`AllOf`, then on admission, then dispatches; its
+    work item's completion fires the task's signal one lane slot later.
+    A checkpoint-completed task fires its signal at its start slot.  The
+    job finishes when the :class:`AllOf` over every task's signal does.
+    """
+
+    __slots__ = ("manager", "job", "signals", "skip")
+
+    def __init__(self, manager: JobManager, job: JobHandle) -> None:
+        self.manager = manager
+        self.job = job
+        self.skip = _skipped_ids(job)
+        sim = manager.sim
+        self.signals = {t.task_id: Signal(sim) for t in job.graph.tasks}
+
+    def start(self) -> None:
+        sim = self.manager.sim
+        tasks = self.job.graph.tasks
+        sim._soon_each(self._start_task, tasks)
+        AllOf([self.signals[t.task_id] for t in tasks])._subscribe(
+            sim, self._all_done
+        )
+
+    def _start_task(self, task: "Task") -> None:
+        if task.task_id in self.skip:
+            self.job.tasks_skipped += 1
+            self.signals[task.task_id].succeed(None)
+            return
+        if not task.deps:
+            self._admit(task)
+            return
+
+        def ready(_values: Any) -> None:
+            self._admit(task)
+
+        AllOf([self.signals[d] for d in task.deps])._subscribe(
+            self.manager.sim, ready
+        )
+
+    def _admit(self, task: "Task") -> None:
+        manager, job = self.manager, self.job
+        if job.share is not None and job.in_flight >= job.share:
+
+            def admitted(_value: Any) -> None:
+                self._admit(task)
+
+            manager._blocked.append((job, admitted))
+            return
+        item = manager._dispatch(job, task)
+        item.done._subscribe(manager.sim, self.signals[task.task_id].succeed)
+
+    def _all_done(self, _values: Any) -> None:
+        self.manager._finish(self.job)

@@ -265,7 +265,7 @@ class ServingScenario:
 
 
 #: Named serving scenarios ``python -m repro serve <preset>`` accepts.
-#: ``steady`` is the CI serve-smoke configuration; ``flash-crowd`` is the
+#: ``steady`` is the default configuration; ``flash-crowd`` is the
 #: acceptance scenario (bursty interactive tenant over a steady batch
 #: tenant); ``diurnal`` ramps demand across a compressed day and replays
 #: a fixed trace alongside.

@@ -17,19 +17,28 @@
     JobManager.submit_job -- one single-task NDRange job per batch
             |                (auto_stop off: the engine idles between
             v                 batches instead of tearing down)
+    completion callback on the job's done signal
+            |
+            v
     SLOTracker <- per-request completion latencies
             ^
     Autoscaler -- each period reads ExecutionHistory hotness + SLO state,
                   loads/evicts/replicates accelerator modules
+
+A batch spawns no process.  ``dispatch_batch`` queues one lane slot
+that subscribes the completion callback to the batch job's done signal,
+and the callback completes every request in the batch.  Those are the
+two lane positions at which a per-batch waiter process would start and
+be resumed, so the fired event stream is that of such a waiter.
 
 Shutdown is demand-driven: when every tenant's arrival stream has
 drained, the batcher force-flushes, and the moment the last admitted
 request completes the gateway stops the autoscaler and the engine so the
 event queue can drain and ``sim.run()`` returns.
 
-:func:`run_serving_experiment` is the one-call harness the CLI, the CI
-smoke job and the tests share; its :class:`ServingReport` serializes to
-canonical sorted-key JSON for determinism diffing.
+:func:`run_serving_experiment` is the one-call harness the CLI and the
+tests share; its :class:`ServingReport` serializes to canonical
+sorted-key JSON for determinism diffing.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.apps.taskgraph import Task, TaskGraph
 from repro.core.runtime.jobs import JobManager
@@ -444,14 +453,20 @@ class ServingGateway:
             if tags is not None:
                 attrs["requests"] = tags["requests"]
             self._emit_batch(**attrs)
-        spawn(
-            self.sim,
-            self._completion_waiter(handle, batch),
-            name=f"serve.batch{handle.job_id}",
-        )
+        # subscribe one lane slot from now, where a waiter process would
+        # start, so the done signal's waiters keep their order
+        self.sim._soon(self._watch_batch, (handle, batch))
 
-    def _completion_waiter(self, handle, batch: List[Request]) -> Generator:
-        yield handle.done
+    def _watch_batch(self, entry) -> None:
+        handle, batch = entry
+
+        def complete(_handle) -> None:
+            self._complete_batch(handle, batch)
+
+        handle.done._subscribe(self.sim, complete)
+
+    def _complete_batch(self, handle, batch: List[Request]) -> None:
+        """The batch's job finished: every request in it completes now."""
         now = self.sim.now
         emit_complete = self._emit_complete
         tracer = self.request_tracer

@@ -234,3 +234,28 @@ class TestServeCommand:
                 assert key in tenant["latency_ns"]
         text = capsys.readouterr().out
         assert "autoscaler" in text and "goodput" in text
+
+    def test_serve_out_is_the_pinned_flash_crowd_report(self, tmp_path):
+        """The flash-crowd ``--out`` file holds the keys and values of
+        ``run_serving_experiment("flash-crowd", seed=7).json()``, whose
+        bytes ``tests/test_report_digests.py`` pins, so two runs cannot
+        differ.  The crowd must be shed, lossless and elastic."""
+        import json
+
+        from repro.serving import run_serving_experiment
+
+        out = tmp_path / "serve.json"
+        assert main(["serve", "--preset", "flash-crowd", "--seed", "7",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report == json.loads(
+            run_serving_experiment("flash-crowd", seed=7).json()
+        )
+        assert report["offered"] == report["admitted"] + report["shed"]
+        assert report["unrecovered"] == 0, "admitted requests were lost"
+        assert report["shed"] > 0, "the flash crowd should force shedding"
+        assert report["autoscaler"]["regions_configured"] >= 1
+        for tenant in report["tenants"].values():
+            for key in ("p50", "p95", "p99"):
+                assert key in tenant["latency_ns"]
+            assert 0.0 <= tenant["shed_rate"] <= 1.0

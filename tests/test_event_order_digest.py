@@ -14,33 +14,45 @@ change that swaps which callback runs at a position.
 
 Both ``(ts, attrs)`` digests were captured with the heap-only event
 loop, before the same-instant wake-up lane and the tuple heap were
-introduced.  ``serving-steady`` still holds that value.  ``jobs-mini``
-was re-pinned once, when fair-share admission stopped resuming blocked
-drivers: its re-checks and slot releases now run as plain callbacks
-where ``Process._resume`` ran, at the same positions, so its
-``(ts, priority)`` digest (captured before that change) did not move.
+introduced, and re-pinned only where plain callbacks took over
+positions at which ``Process._resume`` ran.  ``jobs-mini`` moved when
+fair-share admission stopped resuming blocked drivers (its re-checks
+and slot releases).  Both moved again when jobs stopped running as
+processes: job starts, dataflow task starts and completions, and
+serving batch completions are callbacks at the same positions.  Their
+event counts and ``(ts, priority)`` digests did not move either time.
+
+A third digest, ``recovery``, hashes the ``(ts, priority)`` stream of
+every simulator of the mini checkpoint-restore run in build order: the
+baseline, the crashed incarnation, whose domain kill sends tasks
+through supervisor retries, and the restored one, whose drivers skip
+the checkpointed tasks.  It was captured while jobs still ran as
+processes.
 """
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
+from repro.chaos import run_checkpoint_restore_experiment
 from repro.experiments import run_jobs_experiment
 from repro.serving import run_serving_experiment
+from repro.sim import Simulator
 from repro.telemetry import Telemetry, attach_simulator
 
 GOLDEN = {
     "jobs-mini": (
         lambda tel: run_jobs_experiment("mini", seed=0, telemetry=tel),
         583,
-        "220e2647f8334f9a5ec3c86e747acf6d81958602850e963eb47fddba89f8bf97",
+        "c251d8b1776ac8ee0f187347d8386f3eba7d64dc0379d39c96acaa419ebcfa40",
         "183a0b064176df8400336b207aa81559941a2ad0264071d54eee394fa1fb1476",
     ),
     "serving-steady": (
         lambda tel: run_serving_experiment("steady", seed=0, telemetry=tel),
         1772,
-        "65f37060575958aabcdb7d93873092a5164cf0e20194f919291d04c7614542dc",
+        "45f1626de4f4f22086960011bdab4b5f7a65e68e661f598da372bfa30368ade9",
         "94e7f038d9ac8bf79f8d6b2e132eb84472f41e6600ad16b904f71ffc974e1e9b",
     ),
 }
@@ -88,3 +100,40 @@ def test_firing_times_digest(name):
     run, events, _, expected = GOLDEN[name]
     count, _, order = _traced_run(run)
     assert (count, order) == (events, expected)
+
+
+class _OrderLog:
+    """A kernel hook that hashes the ``(ts, priority)`` of every fired
+    event, as the hub's ``sim.event`` records would be hashed."""
+
+    def __init__(self, digest):
+        self.digest = digest
+        self.count = 0
+
+    def sim_event_fired(self, event):
+        self.digest.update(json.dumps([event.time, event.priority]).encode() + b"\n")
+        self.count += 1
+
+    def process_spawned(self, process):
+        pass
+
+
+def test_recovery_firing_times_digest():
+    """Retries and a restored job's skip path fire what they fired when
+    every job and its retries ran as processes."""
+    digest = hashlib.sha256()
+    logs = []
+
+    class Recorded(Simulator):
+        def __init__(self):
+            super().__init__()
+            self.telemetry = _OrderLog(digest)
+            logs.append(self.telemetry)
+
+    with mock.patch("repro.sim.Simulator", Recorded):
+        run_checkpoint_restore_experiment("mini", seed=0)
+    assert len(logs) == 3
+    assert (sum(log.count for log in logs), digest.hexdigest()) == (
+        1242,
+        "803cddf3a449b514b0fca50677a04369c625cd567003c348ba8dda5252e22ccb",
+    )

@@ -53,6 +53,10 @@ GOLDEN = {
         lambda: run_serving_experiment("steady", seed=0).json(),
         "aed66455b95e57d6dbdc52a8d5ac3a5e70cff4e5d6d6e7f9411e231054846b33",
     ),
+    "serving-flash-crowd": (
+        lambda: run_serving_experiment("flash-crowd", seed=7).json(),
+        "27d73a2a6f72ea1992ab45372138a8bd53968c96838ed5722c51893f6c4e0861",
+    ),
     "serving-traced": (
         lambda: run_serving_experiment(
             "steady",
