@@ -10,7 +10,8 @@ seed and configuration (never of wall-clock or dict order), and every
 in-flight random decision (link drops, message losses) draws from a
 dedicated per-target RNG seeded from the master seed.  Same seed, same
 machine, same workload => identical fault schedule and identical
-recovery metrics -- the property the CI chaos smoke job diffs for.
+recovery metrics -- the property the ``chaos`` and ``chaos-seed42``
+report digests in ``tests/test_report_digests.py`` pin.
 """
 
 from __future__ import annotations

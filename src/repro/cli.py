@@ -17,7 +17,8 @@ Commands:
                   batching and SLO-driven elastic reconfiguration,
 - ``inspect``     traced serving run -> critical-path breakdown, top-K
                   slowest requests and the SLO burn-rate alert timeline,
-- ``bench``       wall-clock performance suite -> canonical BENCH_perf.json,
+- ``bench``       wall-clock micro-benchmarks no e2e workload reaches ->
+                  canonical BENCH_perf.json,
 - ``daemon``      always-on service mode: one live machine behind a
                   line-delimited-JSON control plane (unix socket / HTTP),
 - ``client``      speak the daemon protocol from the command line.
@@ -782,12 +783,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{entry['events_per_sec']:>12,.0f} ev/s", file=sys.stderr)
 
     mode = "quick" if args.quick else "full"
-    print(f"running {mode} performance suite "
-          f"(shard entries at {args.partitions} partitions)...",
-          file=sys.stderr)
+    print(f"running {mode} performance suite...", file=sys.stderr)
     payload = perf.run_benchmarks(quick=args.quick, only=args.only or None,
-                                  progress=progress,
-                                  partitions=args.partitions)
+                                  progress=progress)
     with open(args.out, "w") as fh:
         fh.write(perf.to_json(payload))
     print(f"wrote {args.out}", file=sys.stderr)
@@ -988,22 +986,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export the structured event log JSON here")
     p.set_defaults(fn=_cmd_inspect)
 
+    # cheap import: repro.perf's benchmark bodies import the simulator
+    # lazily, so `info` stays fast
+    from repro import perf
+
     p = sub.add_parser(
         "bench",
-        help="wall-clock performance suite -> canonical BENCH_perf.json",
+        help="wall-clock micro-benchmarks -> canonical BENCH_perf.json",
     )
     p.add_argument("--quick", action="store_true",
                    help="smaller iteration counts (CI smoke mode)")
     p.add_argument("--only", action="append", default=None, metavar="NAME",
-                   help="run only this benchmark (repeatable)")
+                   choices=list(perf.BENCHMARKS),
+                   help="run only this benchmark (repeatable): "
+                        + ", ".join(perf.BENCHMARKS))
     p.add_argument("--out", default="BENCH_perf.json",
                    help="output path (default: BENCH_perf.json)")
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="baseline BENCH_perf.json; exit 1 on regression")
     p.add_argument("--threshold", type=float, default=0.30,
                    help="relative slowdown tolerated by --compare")
-    p.add_argument("--partitions", type=int, default=4,
-                   help="partition count for the .shardN bench entries")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser(

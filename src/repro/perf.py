@@ -1,10 +1,11 @@
 """The performance-regression harness behind ``python -m repro bench``.
 
-Times the simulator's hot paths -- the raw event loop, batched work-group
-dispatch, SMMU translation, an end-to-end serving preset, and the
-exascale machine-construction sweep -- and writes a canonical
-``BENCH_perf.json`` (sorted keys, fixed schema) so the wall-clock
-trajectory of the codebase is versioned alongside its behavior.
+Times the micro-benchmarks no ``benchmarks/e2e`` workload reaches -- the
+raw event loop, timer cancellation churn, zero-delay process wake-ups,
+batched OpenCL work-group dispatch and SMMU translation -- and writes a
+canonical ``BENCH_perf.json`` (sorted keys, fixed schema).  End-to-end
+host speed (jobs, serving, chaos, shards) is measured by
+``benchmarks/e2e`` alone, with fresh processes and repeated runs.
 
 Schema (``repro-bench/v1``)::
 
@@ -37,10 +38,7 @@ from __future__ import annotations
 import gc
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-#: canonical output filename, written at the repository root
-BENCH_FILENAME = "BENCH_perf.json"
+from typing import Any, Callable, Dict, List, Optional
 
 SCHEMA = "repro-bench/v1"
 
@@ -182,151 +180,6 @@ def bench_smmu_translate(quick: bool) -> int:
     return smmu.stats.translations
 
 
-def bench_serving_steady(quick: bool) -> int:
-    """End-to-end serving `steady` preset (compile + serve + report)."""
-    from repro.serving.gateway import build_serving_gateway
-
-    gateway = build_serving_gateway("steady")
-    gateway.run().json()  # include report serialization in the timed region
-    return gateway.sim.events_processed
-
-
-def bench_serving_steady_traced(quick: bool) -> int:
-    """The `steady` preset with request tracing + burn-rate alerting on.
-
-    Paired with ``serving.steady``: the two walls bound the observability
-    tax (CI's trace-smoke job asserts the ratio stays under its gate).
-    """
-    from repro.serving.alerts import BurnRatePolicy
-    from repro.serving.gateway import build_serving_gateway
-    from repro.serving.tracing import TraceConfig
-
-    gateway = build_serving_gateway(
-        "steady",
-        tracing=TraceConfig(sample_every=1),       # worst case: trace all
-        alerts=BurnRatePolicy(slo_scale=0.1),
-    )
-    gateway.run().json()  # include report serialization in the timed region
-    return gateway.sim.events_processed
-
-
-def bench_exascale_build(quick: bool) -> int:
-    """The exascale example's scaling sweep: build the machine hierarchy,
-    run a 4 KiB allreduce, measure the worst hop distance."""
-    from repro.core import ComputeNodeParams, Machine, MachineParams
-    from repro.sim import Simulator
-
-    configs: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
-        (1, None, 4, None),
-        (4, [4], 4, None),
-        (16, [4, 4], 8, 4),
-        (64, [4, 4, 4], 8, 4),
-    ]
-    if quick:
-        configs = configs[:3]
-    events = 0
-    for nodes, fanouts, wpn, intra in configs:
-        sim = Simulator()
-        machine = Machine(
-            sim,
-            MachineParams(
-                num_nodes=nodes,
-                node=ComputeNodeParams(num_workers=wpn, intra_fanout=intra),
-                inter_node_fanouts=fanouts,
-            ),
-        )
-        machine.world.allreduce(4096)
-        machine.max_hop_distance()
-        # machine construction is the cost here (the collectives are
-        # analytic): count the Workers built as the modelled operations
-        events += machine.total_workers + sim.events_processed
-    return events
-
-
-def bench_exascale_build_warm(quick: bool) -> int:
-    """The exascale sweep's node bring-up through the warm-start path.
-
-    Same node shapes as :func:`bench_exascale_build`, but every Compute
-    Node is stamped from a :class:`~repro.shard.bringup.NodeTemplate`
-    via a fresh cache: the first node of each shape pays template
-    construction, the rest reuse it.  Compared against
-    ``machine.exascale_build`` this is the headline for what
-    ``--warm-start`` buys on construction-dominated work (templated
-    builds are bit-identical to cold ones, so the speedup is free).
-    """
-    from repro.core import ComputeNodeParams
-    from repro.shard.bringup import TemplateCache, build_node
-    from repro.sim import Simulator
-
-    configs: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
-        (1, None, 4, None),
-        (4, [4], 4, None),
-        (16, [4, 4], 8, 4),
-        (64, [4, 4, 4], 8, 4),
-    ]
-    if quick:
-        configs = configs[:3]
-    workers = 0
-    for nodes, _fanouts, wpn, intra in configs:
-        # fresh cache per config: measures template amortization within
-        # one build, not leakage across benchmark iterations
-        cache = TemplateCache()
-        params = ComputeNodeParams(num_workers=wpn, intra_fanout=intra)
-        for node_id in range(nodes):
-            sim = Simulator()
-            node = build_node(sim, params, node_id, cache=cache)
-            workers += len(node)
-    return workers
-
-
-def make_bench_sharded_build(partitions: int) -> Callable[[bool], int]:
-    """The exascale sweep through the sharded engine at one shard count.
-
-    Same machine shapes as :func:`bench_exascale_build`; bring-up goes
-    through the per-node template cache, so this is the headline for
-    what sharding buys on construction-dominated work.
-    """
-
-    def bench(quick: bool) -> int:
-        from repro.shard import run_sharded_build
-
-        configs: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
-            (1, None, 4, None),
-            (4, [4], 4, None),
-            (16, [4, 4], 8, 4),
-            (64, [4, 4, 4], 8, 4),
-        ]
-        if quick:
-            configs = configs[:3]
-        events = 0
-        for nodes, fanouts, wpn, intra in configs:
-            result = run_sharded_build(
-                num_nodes=nodes,
-                workers_per_node=wpn,
-                intra_fanout=intra,
-                inter_node_fanouts=fanouts,
-                partitions=min(partitions, nodes),
-            )
-            events += result["total_workers"]
-        return events
-
-    return bench
-
-
-def make_bench_sharded_serving(partitions: int) -> Callable[[bool], int]:
-    """The serving `steady` preset across a 4-node sharded machine."""
-
-    def bench(quick: bool) -> int:
-        from repro.shard import run_sharded_serving
-
-        report = run_sharded_serving(
-            "steady", seed=0, num_nodes=4, partitions=min(partitions, 4)
-        )
-        return report["sync"]["events"]
-
-    return bench
-
-
 #: registered benchmarks, in canonical execution order
 BENCHMARKS: Dict[str, Callable[[bool], int]] = {
     "sim.engine": bench_sim_engine,
@@ -334,32 +187,7 @@ BENCHMARKS: Dict[str, Callable[[bool], int]] = {
     "sim.wakeups": bench_sim_wakeups,
     "opencl.ndrange_workgroups": bench_ndrange_workgroups,
     "memory.smmu_translate": bench_smmu_translate,
-    "serving.steady": bench_serving_steady,
-    "serving.steady.traced": bench_serving_steady_traced,
-    "machine.exascale_build": bench_exascale_build,
-    "machine.exascale_build.warm": bench_exascale_build_warm,
 }
-
-
-def benchmark_registry(partitions: int = 1) -> Dict[str, Callable[[bool], int]]:
-    """The canonical suite plus the sharded-engine entries.
-
-    ``.shard1`` entries always run (the sharded engine at one partition
-    -- the byte-identity reference); a ``.shard{p}`` pair is added when
-    ``partitions > 1``.  Single-threaded entries keep their historical
-    names so committed baselines stay comparable.
-    """
-    registry = dict(BENCHMARKS)
-    registry["machine.exascale_build.shard1"] = make_bench_sharded_build(1)
-    registry["serving.steady.shard1"] = make_bench_sharded_serving(1)
-    if partitions > 1:
-        registry[f"machine.exascale_build.shard{partitions}"] = (
-            make_bench_sharded_build(partitions)
-        )
-        registry[f"serving.steady.shard{partitions}"] = (
-            make_bench_sharded_serving(partitions)
-        )
-    return registry
 
 
 # ----------------------------------------------------------------------
@@ -369,18 +197,16 @@ def run_benchmarks(
     quick: bool = False,
     only: Optional[List[str]] = None,
     progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
-    partitions: int = 1,
 ) -> Dict[str, Any]:
     """Run the suite and return the BENCH_perf payload (not yet written)."""
-    registry = benchmark_registry(partitions)
-    names = list(registry) if not only else list(only)
-    unknown = [n for n in names if n not in registry]
+    names = list(BENCHMARKS) if not only else list(only)
+    unknown = [n for n in names if n not in BENCHMARKS]
     if unknown:
-        known = ", ".join(registry)
+        known = ", ".join(BENCHMARKS)
         raise KeyError(f"unknown benchmark(s) {unknown}; choose from: {known}")
     results: Dict[str, Dict[str, float]] = {}
     for name in names:
-        fn = registry[name]
+        fn = BENCHMARKS[name]
         # collect before and pause the collector during the timed
         # region, so one benchmark's garbage is never billed to the
         # next one's wall clock

@@ -19,7 +19,6 @@ from repro.shard.checkpoint import (
     restore_sharded_jobs,
 )
 from repro.shard.experiments import (
-    run_sharded_build,
     run_sharded_chaos,
     run_sharded_jobs,
     run_sharded_serving,
@@ -56,7 +55,6 @@ __all__ = [
     "resolve_backend",
     "restore_sharded_jobs",
     "run_conservative",
-    "run_sharded_build",
     "run_sharded_chaos",
     "run_sharded_jobs",
     "run_sharded_serving",

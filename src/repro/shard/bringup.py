@@ -3,7 +3,7 @@
 Building a sharded machine means building many *identical* Compute
 Nodes.  Everything that is a pure function of the node parameters --
 the fabric tile grid and its prefix sums, the frozen region budget, the
-NUMA hop-distance matrix, the intra tree diameter -- is computed once
+NUMA hop-distance matrix -- is computed once
 per distinct shape and shared across clones as immutable state.  Routes
 need no template: ``build_tree`` indexes every node network, so each
 pair resolves by an LCA walk.  Mutable simulation objects (Workers,
@@ -28,7 +28,6 @@ class NodeTemplate:
     grid: object = None                 # fabric.floorplan.TileGrid
     budget: Optional[list] = None       # frozen Placement list
     numa_distances: Optional[Dict[tuple, int]] = None
-    intra_diameter: int = 0
 
     @classmethod
     def for_params(cls, params: ComputeNodeParams) -> "NodeTemplate":
@@ -43,7 +42,6 @@ class NodeTemplate:
             grid=w0.floorplanner.grid,
             budget=list(w0.floorplanner.budget_regions(params.worker.fabric_regions)),
             numa_distances=node.numa.distance_table(),
-            intra_diameter=node.network.diameter_hops(node.endpoints),
         )
 
 

@@ -1,4 +1,4 @@
-"""Sharded experiment harnesses: jobs, serving, chaos, machine build.
+"""Sharded experiment harnesses: jobs, serving and chaos.
 
 Each experiment decomposes the machine by Compute Node: every node gets
 its *own* :class:`~repro.sim.Simulator` plus the full mechanism stack
@@ -34,7 +34,6 @@ import json
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
-from repro.shard.bringup import build_node, shared_template_cache
 from repro.shard.merge import max_field, merged_report, sum_field
 from repro.shard.plan import PartitionPlan, ShardError
 from repro.shard.sync import NodeCell
@@ -575,80 +574,3 @@ def run_sharded_chaos(
     return merged_report(
         "repro-shard-chaos/v1", header, fragments, sync=stats.to_dict()
     )
-
-
-# ======================================================================
-# machine build: the bench's sharded exascale construction sweep
-# ======================================================================
-def build_build_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell:
-    """One node of the sharded machine build: bring-up only."""
-    from repro.core import ComputeNodeParams
-    from repro.sim import Simulator
-
-    params = ComputeNodeParams(
-        num_workers=config["workers_per_node"],
-        intra_fanout=config["intra_fanout"],
-    )
-    cache = shared_template_cache()
-    node = build_node(Simulator(), params, node_id, cache)
-    cell = NodeCell(node_id, node.sim)
-    diameter = cache.get(params).intra_diameter
-    cell.fragment = lambda: {"workers": len(node), "intra_diameter": diameter}
-    return cell
-
-
-def run_sharded_build(
-    num_nodes: int,
-    workers_per_node: int = 4,
-    intra_fanout: Optional[int] = None,
-    inter_node_fanouts: Optional[List[int]] = None,
-    partitions: int = 1,
-    backend: str = "auto",
-    payload_bytes: int = 4096,
-) -> Dict[str, Any]:
-    """Build a sharded machine and measure its hierarchy metrics.
-
-    The per-node mechanism stacks are built inside the partitions; the
-    coordinator only builds the small inter-node tree and the world
-    communicator for the allreduce -- exactly the structures
-    :class:`~repro.core.machine.Machine` builds, so ``total_workers``,
-    ``max_hop_distance`` and the allreduce numbers match the monolithic
-    build at any partition count.
-    """
-    from repro.interconnect.topology import build_tree, level_params
-    from repro.mpi.comm import Communicator
-    from repro.shard.backends import ShardSet
-    from repro.sim import Simulator
-
-    plan = PartitionPlan.build(num_nodes, min(partitions, num_nodes))
-    config = {
-        "workers_per_node": workers_per_node,
-        "intra_fanout": intra_fanout,
-    }
-    with ShardSet(plan, build_build_node, config, backend) as shards:
-        fragments = shards.fragments()
-
-    fanouts = list(inter_node_fanouts or [num_nodes])
-    depth = len(fanouts)
-    # mirror Machine: inter-node levels sit one level above the intra tree
-    params_per_level = [level_params(depth - 1 - d + 1) for d in range(depth)]
-    sim = Simulator()
-    inter_network, endpoints = build_tree(sim, fanouts, params_per_level)
-    world = Communicator(inter_network, endpoints, name="world")
-    result = world.allreduce(payload_bytes)
-
-    intra = int(max_field(fragments, "intra_diameter"))
-    if num_nodes == 1:
-        max_hop = intra
-    else:
-        max_hop = intra + inter_network.diameter_hops(endpoints)
-    return {
-        "num_nodes": num_nodes,
-        "total_workers": int(sum_field(fragments, "workers")),
-        "max_hop_distance": max_hop,
-        "allreduce": {
-            "latency_ns": result.latency_ns,
-            "rounds": result.rounds,
-            "bytes_moved": result.bytes_moved,
-        },
-    }

@@ -259,3 +259,41 @@ class TestServeCommand:
             for key in ("p50", "p95", "p99"):
                 assert key in tenant["latency_ns"]
             assert 0.0 <= tenant["shed_rate"] <= 1.0
+
+
+class TestChaosCommand:
+    def test_chaos_events_out_is_the_pinned_seed42_report(self, tmp_path):
+        """The ``--events-out`` file is the indented form of
+        ``run_chaos_experiment("mini", seed=42).events_json()``, whose
+        bytes ``tests/test_report_digests.py`` pins, so two runs cannot
+        differ.  Faults must be injected and every task must heal."""
+        import json
+
+        from repro.chaos import run_chaos_experiment
+
+        out = tmp_path / "chaos.json"
+        assert main(["chaos", "mini", "--seed", "42",
+                     "--events-out", str(out)]) == 0
+        text = out.read_text()
+        assert text == run_chaos_experiment("mini", seed=42).events_json(indent=2)
+        report = json.loads(text)
+        assert report["integrity_ok"], "chaos run lost tasks"
+        assert report["faults_injected"] > 0, "no faults were injected"
+        assert report["chaos"]["tasks_unrecovered"] == 0
+
+
+class TestBenchCommand:
+    def test_unknown_benchmark_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick", "--only", "sim.engin"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_only_runs_the_named_benchmark(self, tmp_path):
+        import json
+
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--quick", "--only", "sim.engine",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload["benchmarks"]) == ["sim.engine"]

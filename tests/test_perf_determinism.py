@@ -267,6 +267,19 @@ class TestBenchHarness:
         assert "sim.wakeups" in perf.new_benchmarks(payload, baseline)
         assert perf.compare(payload, baseline) == []
 
+    def test_baseline_names_only_registered_benchmarks(self):
+        # compare() skips names missing from either side, so a renamed
+        # or retired entry would drop out of the gate without a failure
+        baseline_path = Path(__file__).resolve().parents[1] / "benchmarks/perf/baseline.json"
+        baseline = json.loads(baseline_path.read_text())
+        assert set(baseline["benchmarks"]) <= set(perf.BENCHMARKS)
+
+    def test_registry_is_the_micro_benchmarks(self):
+        assert list(perf.BENCHMARKS) == [
+            "sim.engine", "sim.cancellation", "sim.wakeups",
+            "opencl.ndrange_workgroups", "memory.smmu_translate",
+        ]
+
     def test_unknown_benchmark_is_an_error(self):
         with pytest.raises(KeyError):
             perf.run_benchmarks(quick=True, only=["no.such.bench"])

@@ -70,6 +70,10 @@ GOLDEN = {
         lambda: run_chaos_experiment("mini", seed=0).events_json(),
         "279c93f9d54948b3006aa48da9860ff40a6525d94b55d5dbdc8f4abf0aec8f04",
     ),
+    "chaos-seed42": (
+        lambda: run_chaos_experiment("mini", seed=42).events_json(),
+        "0a48d39d6a1e5d673a1aad50bb0cb87649747ba8c6b3a6b63134ac2eebc52be8",
+    ),
     "multi-job-chaos": (
         lambda: run_multi_job_chaos_experiment("mini", seed=0).events_json(),
         "2b629229ab74714dca860ff83a5b4ab8ec7d713e6e40d186a1f16823adde2929",

@@ -4,20 +4,17 @@ The acceptance contract of the sharded engine: the canonical merged
 report of every experiment is the same byte string whether the machine
 ran in one partition (the single-threaded reference), several inline
 partitions, or forked worker processes.  Also pins the template-based
-bring-up (a templated node behaves exactly like a legacy one) and the
-bench gate's handling of benchmarks the baseline has never seen.
+bring-up (a templated node behaves exactly like a legacy one).
 """
 
 import os
 
 import pytest
 
-from repro import perf
 from repro.shard import (
     TemplateCache,
     build_node,
     report_json,
-    run_sharded_build,
     run_sharded_chaos,
     run_sharded_jobs,
     run_sharded_serving,
@@ -181,53 +178,3 @@ def test_templated_numa_distances_match():
     templated = build_node(Simulator(), params, 3, TemplateCache())
     assert legacy.numa.distance_table() == templated.numa.distance_table()
     assert len(legacy) == len(templated)
-
-
-def test_sharded_build_matches_monolithic_machine():
-    from repro.core import ComputeNodeParams, Machine, MachineParams
-    from repro.sim import Simulator
-
-    sharded = run_sharded_build(
-        num_nodes=4, workers_per_node=4, inter_node_fanouts=[4], partitions=2
-    )
-    machine = Machine(
-        Simulator(),
-        MachineParams(
-            num_nodes=4,
-            node=ComputeNodeParams(num_workers=4),
-            inter_node_fanouts=[4],
-        ),
-    )
-    allreduce = machine.world.allreduce(4096)
-    assert sharded["total_workers"] == machine.total_workers
-    assert sharded["max_hop_distance"] == machine.max_hop_distance()
-    assert sharded["allreduce"]["latency_ns"] == allreduce.latency_ns
-    assert sharded["allreduce"]["rounds"] == allreduce.rounds
-    assert sharded["allreduce"]["bytes_moved"] == allreduce.bytes_moved
-
-
-# ----------------------------------------------------------------------
-# bench gate: new benchmarks are reported, never failed
-# ----------------------------------------------------------------------
-def test_new_benchmarks_reported_not_failed():
-    baseline = {"benchmarks": {"a": {"wall_seconds": 1.0}}}
-    current = {
-        "benchmarks": {
-            "a": {"wall_seconds": 1.0},
-            "b.shard4": {"wall_seconds": 9.9},
-        }
-    }
-    assert perf.new_benchmarks(current, baseline) == ["b.shard4"]
-    assert perf.compare(current, baseline) == []
-
-
-def test_benchmark_registry_adds_shard_entries():
-    r1 = perf.benchmark_registry(1)
-    assert "machine.exascale_build.shard1" in r1
-    assert "serving.steady.shard1" in r1
-    assert not any(name.endswith(".shard4") for name in r1)
-    r4 = perf.benchmark_registry(4)
-    assert "machine.exascale_build.shard4" in r4
-    assert "serving.steady.shard4" in r4
-    # historical names survive so committed baselines stay comparable
-    assert set(perf.BENCHMARKS) <= set(r4)

@@ -1,6 +1,6 @@
 """Tests for machine warm starts: templated bring-up is byte-identical
-to cold bring-up across all three batch harnesses, snapshot paths pin
-the topology they were taken on, and the bench entry is registered."""
+to cold bring-up across all three batch harnesses, and snapshot paths
+pin the topology they were taken on."""
 
 import json
 
@@ -77,12 +77,3 @@ class TestSnapshotPinning:
         assert warm == cold
         with pytest.raises(ValueError):
             run_jobs_experiment("board", seed=0, warm_start=path)
-
-
-class TestWarmBench:
-    def test_warm_bench_is_registered_and_counts_the_same_workers(self):
-        from repro.perf import BENCHMARKS, bench_exascale_build_warm
-
-        assert BENCHMARKS["machine.exascale_build.warm"] is bench_exascale_build_warm
-        # quick mode builds 1 + 4 + 16 nodes: 4 + 16 + 128 workers
-        assert bench_exascale_build_warm(True) == 148
