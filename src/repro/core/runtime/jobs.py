@@ -518,10 +518,6 @@ class JobManager:
         spawn(self.sim, relay(), name="jobs.drain")
         return signal
 
-    def resume_admission(self) -> None:
-        """Lift a drain barrier (a drained daemon accepting new epochs)."""
-        self._draining = False
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------

@@ -19,8 +19,7 @@ is the only place that builds it:
 Callers: :func:`build_jobs_machine` / :func:`run_jobs_experiment` (the
 ``jobs`` command and the daemon's jobs epochs),
 :func:`repro.serving.gateway.build_serving_gateway` (batch serving,
-the daemon's serving epochs, ``inspect`` and the serving bench
-entries), the chaos and multi-job chaos experiments, the checkpoint
+the daemon's serving epochs and ``inspect``), the chaos and multi-job chaos experiments, the checkpoint
 experiments, restore and ``checkpoint save``, the three sharded
 partition builders in :mod:`repro.shard.experiments`, and the
 ``trace``/``metrics`` commands.  Multi-node jobs run through
@@ -47,7 +46,7 @@ different node preset is an error, not a silent cold build.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.runtime.report import MachineReport
 
@@ -267,14 +266,3 @@ def run_jobs_experiment(
         warm_start=warm_start,
     )
     return manager.run()
-
-
-def experiment_summary(report: MachineReport) -> Dict[str, Any]:
-    """The handful of headline numbers shared by CLI and daemon status."""
-    return {
-        "makespan_ns": report.makespan_ns,
-        "tasks": report.tasks,
-        "jobs": len(report.jobs),
-        "energy_pj": report.energy_pj,
-        "tasks_unrecovered": report.tasks_unrecovered,
-    }

@@ -88,13 +88,6 @@ class Fabric:
     def __len__(self) -> int:
         return len(self.regions)
 
-    @property
-    def total_capacity(self) -> ResourceVector:
-        total = ResourceVector()
-        for r in self.regions:
-            total = total + r.capacity
-        return total
-
     def region_with_function(self, function: str) -> Optional[Region]:
         """A READY region currently hosting ``function`` (MRU first)."""
         hosting = [

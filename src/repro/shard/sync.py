@@ -130,12 +130,7 @@ class PartitionRuntime:
         out: List[BridgeMessage] = []
         for node_id in sorted(self.cells):
             cell = self.cells[node_id]
-            if math.isinf(horizon):
-                before = cell.sim.events_processed
-                cell.sim.run()
-                fired += cell.sim.events_processed - before
-            else:
-                fired += cell.sim.run_window(horizon)
+            fired += cell.sim.run_window(horizon)
             out.extend(cell.bridge.drain())
         if out and math.isinf(horizon):
             raise ShardError(

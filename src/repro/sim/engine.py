@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
@@ -69,7 +70,7 @@ class Event:
 
 def _wakeup_event(now: float, pair: Tuple[Callable[[Any], None], Any]) -> Event:
     """A detached :class:`Event` view of a lane wake-up pair, for the
-    callers that need one (``peek``/``step`` and the telemetry hook).
+    telemetry hook, the one consumer that needs an :class:`Event`.
     Pairs carry no sequence number, so the view's ``seq`` is -1."""
     return Event(now, 0, -1, pair[0], (pair[1],))
 
@@ -94,8 +95,12 @@ class Simulator:
     ``(now, 0)``, else the lane head.  That merge is exact: a heap entry
     at ``(now, 0)`` was scheduled before the clock reached ``now`` (later
     ones went to the lane), so it precedes every lane entry.  Both rely
-    on the clock never passing a pending event, which :meth:`run`
+    on the clock never passing a pending event, which the event loop
     guarantees.
+
+    One loop, :meth:`_fire`, fires every event; :meth:`run`,
+    :meth:`run_window` and :meth:`step` are calls of it with different
+    horizons and event limits.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -196,8 +201,8 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries from both queues, in place, so the run
-        loops' local bindings stay valid (event order is total, so the
+        """Drop cancelled entries from both queues, in place, so the event
+        loop's local bindings stay valid (event order is total, so the
         re-heapified queue pops in the same order)."""
         heap = self._queue
         heap[:] = [entry for entry in heap if not entry[3].cancelled]
@@ -211,70 +216,34 @@ class Simulator:
         lane.extend(live)
         self._cancelled_in_queue = 0
 
-    def _head(self) -> Tuple[Optional[Event], bool]:
-        """The next live event and whether it heads the heap (rather than
-        the lane), discarding cancelled heads; ``(None, False)`` if idle.
-        A wake-up pair at the lane head comes back as a detached
-        :class:`Event` built for the caller."""
-        heap = self._queue
-        lane = self._lane
-        while True:
-            if lane:
-                if heap:
-                    head = heap[0]
-                    if (head[0], head[1]) <= (self.now, 0):
-                        event = head[3]
-                        if not event.cancelled:
-                            return event, True
-                        heapq.heappop(heap)
-                        self._cancelled_in_queue -= 1
-                        continue
-                entry = lane[0]
-                if entry.__class__ is tuple:
-                    return _wakeup_event(self.now, entry), False
-                if not entry.cancelled:
-                    return entry, False
-                lane.popleft()
-            elif heap:
-                event = heap[0][3]
-                if not event.cancelled:
-                    return event, True
-                heapq.heappop(heap)
-            else:
-                return None, False
-            self._cancelled_in_queue -= 1
-
-    def _pop_next(self) -> Optional[Event]:
-        """Pop the next live event (discarding cancelled ones), or None."""
-        event, from_heap = self._head()
-        if event is None:
-            return None
-        if from_heap:
-            heapq.heappop(self._queue)
-        else:
-            self._lane.popleft()
-        event._sim = None  # detached: a late cancel() must not count
-        return event
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def peek(self) -> Optional[float]:
-        """Return the timestamp of the next pending event, or ``None``."""
-        event, _ = self._head()
-        return None if event is None else event.time
+        """Return the timestamp of the next pending event, or ``None``.
+
+        Discards cancelled queue heads on the way.  A live lane entry is
+        due at ``now`` (class invariant), and so is any heap entry that
+        would fire before it, so the answer is ``now`` then."""
+        lane = self._lane
+        while lane:
+            entry = lane[0]
+            if entry.__class__ is tuple or not entry.cancelled:
+                return self.now
+            lane.popleft()
+            self._cancelled_in_queue -= 1
+        heap = self._queue
+        while heap:
+            event = heap[0][3]
+            if not event.cancelled:
+                return event.time
+            heapq.heappop(heap)
+            self._cancelled_in_queue -= 1
+        return None
 
     def step(self) -> bool:
         """Fire the next event.  Returns ``False`` when the queue is empty."""
-        event = self._pop_next()
-        if event is None:
-            return False
-        self.now = event.time
-        self._processed += 1
-        if self.telemetry is not None:
-            self.telemetry.sim_event_fired(event)
-        event.callback(*event.args)
-        return True
+        return self._fire(_INF, 1)[0] > 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
@@ -284,16 +253,46 @@ class Simulator:
         "simulate this horizon" semantics -- but never past a pending
         event: a run cut short by ``max_events`` leaves the clock at most
         at the next event's time, so time never runs backwards.
+        """
+        _, horizon = self._fire(
+            _INF if until is None else until,
+            _INF if max_events is None else max_events,
+        )
+        if until is not None and horizon > self.now:
+            self.now = horizon
+
+    def run_window(self, horizon: float) -> int:
+        """Fire every event with ``time < horizon``; return how many fired.
+
+        The sharded engine's conservative-synchronization primitive: a
+        partition advances its node simulators window by window, and the
+        window end must be *exclusive* so a cross-partition message
+        delivered exactly at ``horizon`` interleaves with local events at
+        the same timestamp by the normal (time, priority, seq) order --
+        it is scheduled before any local event at ``horizon`` exists.
+        For floats ``t < horizon`` is ``t <= nextafter(horizon, -inf)``,
+        so the window is the event loop's inclusive horizon one float
+        lower.  Unlike ``run(until=...)`` the clock is left at the last
+        processed event (events may still legally be scheduled inside
+        [now, horizon)), which matches the monolithic engine's clock
+        trajectory exactly.
+        """
+        return self._fire(math.nextafter(horizon, -_INF), _INF)[0]
+
+    def _fire(self, horizon: float, limit: float) -> Tuple[int, float]:
+        """The event loop behind :meth:`run`, :meth:`run_window` and
+        :meth:`step`: fire events with ``time <= horizon``, at most
+        ``limit`` of them.  Returns ``(fired, horizon)``; a cut by
+        ``limit`` lowers ``horizon`` to the next event's time, so the
+        clock can be moved up to it without passing a pending event.
 
         The loop looks at each queue head exactly once per event, and
         merges the heap and the lane inline (see the class docstring).
         """
         if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
+            raise SimulationError("simulator is already running (re-entrant event loop)")
         self._running = True
         fired = 0
-        horizon = _INF if until is None else until
-        limit = _INF if max_events is None else max_events
         # hot loop: bind everything reached per event to locals
         # (_compact edits both queues in place, so the bindings hold)
         heap = self._queue
@@ -353,79 +352,7 @@ class Simulator:
                 fired += 1
         finally:
             self._running = False
-        if until is not None and horizon > self.now:
-            self.now = horizon
-
-    def run_window(self, horizon: float) -> int:
-        """Fire every event with ``time < horizon``; return how many fired.
-
-        The sharded engine's conservative-synchronization primitive: a
-        partition advances its node simulators window by window, and the
-        window end must be *exclusive* so a cross-partition message
-        delivered exactly at ``horizon`` interleaves with local events at
-        the same timestamp by the normal (time, priority, seq) order --
-        it is scheduled before any local event at ``horizon`` exists.
-        Unlike ``run(until=...)`` the clock is left at the last processed
-        event (events may still legally be scheduled inside [now,
-        horizon)), which matches the monolithic engine's clock trajectory
-        exactly.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        fired = 0
-        heap = self._queue
-        lane = self._lane
-        pop = heapq.heappop
-        popleft = lane.popleft
-        try:
-            while True:
-                now = self.now
-                if lane and not (heap and (heap[0][0], heap[0][1]) <= (now, 0)):
-                    event = lane[0]
-                    if event.__class__ is tuple:
-                        # a wake-up pair, due at ``now``
-                        if now >= horizon:
-                            break
-                        popleft()
-                        callback, arg = event
-                        self._processed += 1
-                        telemetry = self.telemetry
-                        if telemetry is not None:
-                            telemetry.sim_event_fired(_wakeup_event(now, event))
-                        callback(arg)
-                        fired += 1
-                        continue
-                    from_heap = False
-                elif heap:
-                    event = heap[0][3]
-                    from_heap = True
-                else:
-                    break
-                if event.cancelled:
-                    if from_heap:
-                        pop(heap)
-                    else:
-                        popleft()
-                    self._cancelled_in_queue -= 1
-                    continue
-                if event.time >= horizon:
-                    break
-                if from_heap:
-                    pop(heap)
-                else:
-                    popleft()
-                event._sim = None
-                self.now = event.time
-                self._processed += 1
-                telemetry = self.telemetry
-                if telemetry is not None:
-                    telemetry.sim_event_fired(event)
-                event.callback(*event.args)
-                fired += 1
-        finally:
-            self._running = False
-        return fired
+        return fired, horizon
 
     def warp_to(self, time: float) -> None:
         """Jump an *idle* simulator's clock forward (checkpoint restore).

@@ -282,6 +282,28 @@ class TestChaosCommand:
         assert report["chaos"]["tasks_unrecovered"] == 0
 
 
+class TestShardedCommands:
+    @pytest.mark.parametrize("argv, out_flag", [
+        (["jobs", "mini"], "--out"),
+        (["serve", "--preset", "steady"], "--out"),
+        (["chaos", "mini"], "--events-out"),
+    ])
+    def test_report_bytes_identical_at_1_and_4_partitions(
+        self, tmp_path, argv, out_flag
+    ):
+        """The CLI's sharded report file is the same bytes whether the
+        4-node machine runs in one partition or four."""
+        blobs = []
+        for partitions in (1, 4):
+            out = tmp_path / f"p{partitions}.json"
+            assert main(argv + ["--seed", "0", "--nodes", "4",
+                                "--partitions", str(partitions),
+                                out_flag, str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert b'"repro-shard-' in blobs[0]
+
+
 class TestBenchCommand:
     def test_unknown_benchmark_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -56,6 +56,38 @@ def test_chaos_identical_at_1_and_2_partitions():
     assert r1["faults_injected"] > 0
 
 
+_FOUR_NODE_CASES = {
+    "jobs": lambda p: run_sharded_jobs("mini", seed=0, num_nodes=4, partitions=p),
+    "serving": lambda p: run_sharded_serving(
+        "steady", seed=0, num_nodes=4, partitions=p
+    ),
+    "chaos": lambda p: run_sharded_chaos("mini", seed=0, num_nodes=4, partitions=p),
+}
+
+
+def _keys(obj):
+    """Every dict key anywhere in a JSON-shaped report."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+@pytest.mark.parametrize("experiment", sorted(_FOUR_NODE_CASES))
+def test_four_node_report_identical_at_1_and_4_partitions(experiment):
+    run = _FOUR_NODE_CASES[experiment]
+    r1, r4 = run(1), run(4)
+    assert report_json(r1) == report_json(r4)
+    assert r1["schema"].startswith("repro-shard-")
+    assert r1["sync"]["windows"] > 0
+    # the partition layout is not part of the canonical report
+    leaked = {"partitions", "backend"} & set(_keys(r1))
+    assert not leaked, leaked
+
+
 def test_jobs_seed_changes_report():
     r0 = run_sharded_jobs("mini", seed=0, num_nodes=2, partitions=2)
     r1 = run_sharded_jobs("mini", seed=1, num_nodes=2, partitions=2)

@@ -128,6 +128,26 @@ def test_step_returns_false_on_empty_queue():
     assert sim.step() is False
 
 
+def test_step_from_a_callback_during_run_is_rejected():
+    # a nested step would fire an event the outer loop still holds and
+    # could move the clock past entries that loop has yet to fire
+    sim = Simulator()
+    errors = []
+
+    def nested():
+        try:
+            sim.step()
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule(1.0, nested)
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    assert len(errors) == 1
+    assert sim.events_processed == 2
+    assert sim.now == 2.0
+
+
 def test_events_processed_counts():
     sim = Simulator()
     for i in range(5):

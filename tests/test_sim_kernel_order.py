@@ -219,7 +219,10 @@ reaction = st.lists(
     st.one_of(schedule_ops, st.tuples(st.just("cancel"), st.integers(0, 8))),
     max_size=3,
 )
+#: window offsets include ``inf``: the sharded engine's last window is
+#: unbounded, and ``run_window(inf)`` must fire everything
 offsets = st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0))
+window_offsets = st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0, float("inf")))
 top_ops = st.one_of(
     schedule_ops,
     st.tuples(st.just("cancel"), st.integers(0, 20)),
@@ -237,7 +240,7 @@ top_ops = st.one_of(
     ),
     st.tuples(st.just("step")),
     st.tuples(st.just("peek")),
-    st.tuples(st.just("window"), offsets),
+    st.tuples(st.just("window"), window_offsets),
     st.tuples(st.just("warp"), offsets),
 )
 
@@ -271,7 +274,7 @@ lane_ops = st.one_of(
     st.tuples(st.just("run"), st.none(), st.none()),
     st.tuples(st.just("step")),
     st.tuples(st.just("peek")),
-    st.tuples(st.just("window"), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+    st.tuples(st.just("window"), st.sampled_from((0.0, 0.5, 1.0, 2.0, float("inf")))),
 )
 
 
