@@ -12,62 +12,51 @@ workload can be partitioned hierarchically (Fig. 1) or flat:
 - synthetic task DAGs with a tunable locality knob.
 """
 
-from repro.apps.bfs import CsrGraph, bfs_levels, frontier_exchange_plan, random_graph
-from repro.apps.cart import CartTree, make_classification
-from repro.apps.mapping import (
-    block_mapping,
-    communication_bytes,
-    cyclic_mapping,
-    random_mapping,
-)
-from repro.apps.matmul import blocked_matmul, matmul_task_list
-from repro.apps.montecarlo import european_call_mc, gbm_paths
-from repro.apps.nbody import nbody_energy, nbody_step
-from repro.apps.sorting import (
-    SortExchange,
-    choose_splitters,
-    partition_data,
-    plan_exchange,
-    sample_sort,
-)
-from repro.apps.stencil import (
-    StencilDecomposition,
-    decompose_grid,
-    halo_pairs,
-    jacobi_reference,
-    jacobi_step,
-)
-from repro.apps.taskgraph import Task, TaskGraph, graph_signature, make_layered_dag
+import importlib
 
-__all__ = [
-    "CartTree",
-    "CsrGraph",
-    "StencilDecomposition",
-    "SortExchange",
-    "Task",
-    "TaskGraph",
-    "block_mapping",
-    "bfs_levels",
-    "blocked_matmul",
-    "communication_bytes",
-    "cyclic_mapping",
-    "decompose_grid",
-    "european_call_mc",
-    "frontier_exchange_plan",
-    "gbm_paths",
-    "graph_signature",
-    "halo_pairs",
-    "jacobi_reference",
-    "jacobi_step",
-    "make_classification",
-    "make_layered_dag",
-    "matmul_task_list",
-    "nbody_energy",
-    "nbody_step",
-    "partition_data",
-    "plan_exchange",
-    "random_graph",
-    "random_mapping",
-    "sample_sort",
-    "choose_splitters",
-]
+# name -> defining submodule; resolved on first access (PEP 562) so that
+# importing one app, or the numpy-free task graphs, loads no other app
+_EXPORTS = {
+    "CartTree": "cart",
+    "CsrGraph": "bfs",
+    "StencilDecomposition": "stencil",
+    "SortExchange": "sorting",
+    "Task": "taskgraph",
+    "TaskGraph": "taskgraph",
+    "block_mapping": "mapping",
+    "bfs_levels": "bfs",
+    "blocked_matmul": "matmul",
+    "communication_bytes": "mapping",
+    "cyclic_mapping": "mapping",
+    "decompose_grid": "stencil",
+    "european_call_mc": "montecarlo",
+    "frontier_exchange_plan": "bfs",
+    "gbm_paths": "montecarlo",
+    "graph_signature": "taskgraph",
+    "halo_pairs": "stencil",
+    "jacobi_reference": "stencil",
+    "jacobi_step": "stencil",
+    "make_classification": "cart",
+    "make_layered_dag": "taskgraph",
+    "matmul_task_list": "matmul",
+    "nbody_energy": "nbody",
+    "nbody_step": "nbody",
+    "partition_data": "sorting",
+    "plan_exchange": "sorting",
+    "random_graph": "bfs",
+    "random_mapping": "mapping",
+    "sample_sort": "sorting",
+    "choose_splitters": "sorting",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+

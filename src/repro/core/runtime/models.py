@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.runtime.history import ExecutionHistory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def kernel_features(items: int, input_bytes: int = 0, output_bytes: int = 0) -> np.ndarray:
     """The engineered feature vector: size, data volumes, and the
     log/linear-log terms that capture cache-regime transitions."""
+    import numpy as np
+
     if items < 1:
         raise ValueError("items must be positive")
     n = float(items)
@@ -51,6 +54,8 @@ class LinearModel:
         return self._w is not None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearModel":
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -63,6 +68,8 @@ class LinearModel:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if self._w is None:
             raise RuntimeError("fit() before predict()")
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -91,6 +98,8 @@ class PcaRegressor:
         return self._basis is not None and self._ridge.trained
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "PcaRegressor":
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 2:
@@ -107,6 +116,8 @@ class PcaRegressor:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if not self.trained:
             raise RuntimeError("fit() before predict()")
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -133,6 +144,8 @@ class KnnPredictor:
         return self._x is not None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnPredictor":
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
@@ -141,6 +154,8 @@ class KnnPredictor:
         return self
 
     def predict_one(self, x: np.ndarray) -> float:
+        import numpy as np
+
         if self._x is None:
             raise RuntimeError("fit() before predict()")
         x = np.asarray(x, dtype=float)
@@ -159,10 +174,14 @@ class _LogModel:
         self._base = base
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "_LogModel":
+        import numpy as np
+
         self._base.fit(x, np.log(np.maximum(y, 1e-9)))
         return self
 
     def predict_one(self, x: np.ndarray) -> float:
+        import numpy as np
+
         return float(np.exp(self._base.predict_one(x)))
 
 
@@ -199,6 +218,8 @@ class DeviceSelector:
     # ------------------------------------------------------------------
     def train(self, history: ExecutionHistory) -> int:
         """(Re)fit every (function, device) model; returns models trained."""
+        import numpy as np
+
         trained = 0
         self._models.clear()
         for function in history.functions():

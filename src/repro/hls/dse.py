@@ -47,18 +47,27 @@ class DesignPoint:
 
 
 def pareto_front(points: Iterable[DesignPoint]) -> List[DesignPoint]:
-    """Non-dominated subset, sorted by ascending area."""
-    pts = list(points)
+    """Non-dominated subset, sorted by ascending area.
+
+    Same front as filtering on :meth:`DesignPoint.dominates`, but each
+    point's derived area and throughput are evaluated once, not on
+    every comparison.
+    """
+    scored = [(p.area, p.throughput, p) for p in points]
+    # a point never dominates itself (or an equal one), so no self-skip
     front = [
-        p
-        for p in pts
-        if not any(q.dominates(p) for q in pts if q is not p)
+        s
+        for s in scored
+        if not any(
+            qa <= s[0] and qt >= s[1] and (qa < s[0] or qt > s[1])
+            for qa, qt, _ in scored
+        )
     ]
     # dedup equal (area, throughput) pairs
     seen = set()
     unique = []
-    for p in sorted(front, key=lambda p: (p.area, -p.throughput)):
-        key = (round(p.area, 6), round(p.throughput, 9))
+    for area, throughput, p in sorted(front, key=lambda s: (s[0], -s[1])):
+        key = (round(area, 6), round(throughput, 9))
         if key not in seen:
             seen.add(key)
             unique.append(p)

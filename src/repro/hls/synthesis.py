@@ -9,6 +9,7 @@ results land in the runtime's :class:`~repro.fabric.ModuleLibrary`.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -105,7 +106,7 @@ class HlsTool:
         fill = self.floorplanner.fill_fraction(point.estimate.resources, placement)
         name = f"{point.kernel.name}.{point.config.label()}"
         bitstream = Bitstream.synthesize(
-            name, placement.frames, fill, seed=hash(name) & 0xFFFF
+            name, placement.frames, fill, seed=zlib.crc32(name.encode()) & 0xFFFF
         )
         est = point.estimate
         return AcceleratorModule(

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.interconnect.link import Link, LinkParams
 from repro.interconnect.message import Message, TransactionType
 from repro.sim import Simulator
@@ -37,12 +35,23 @@ class Network:
     Endpoints (Workers, Compute-Node routers, chassis switches) are
     arbitrary hashable ids.  Link weights for routing are the uncontended
     per-hop latencies, so routes naturally prefer faster layers.
+
+    The topology is an insertion-ordered adjacency ``{node: {neighbour:
+    link}}`` laid out exactly as networkx lays out a ``Graph`` built by
+    the same calls.  Tree-indexed networks route by LCA walks over it;
+    only a search on a network without a tree index (mesh, dragonfly,
+    slim fly) imports networkx, on a ``Graph`` replayed from the node
+    order and the link log so its neighbour order, and hence its
+    Dijkstra tie-breaks, are the same.
     """
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self.graph = nx.Graph()
+        self._adj: Dict[Hashable, Dict[Hashable, Link]] = {}
+        # add_link calls in order, replayed by _nx_graph()
+        self._edges: List[Tuple[Hashable, Hashable, Link]] = []
+        self._graph = None
         self._route_cache: Dict[Tuple[Hashable, Hashable], Route] = {}
         # (parent, depth) maps from index_tree(); lets route() build any
         # pair's unique path by an LCA walk instead of a graph search
@@ -59,8 +68,9 @@ class Network:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_node(self, node: Hashable, **attrs) -> None:
-        self.graph.add_node(node, **attrs)
+    def add_node(self, node: Hashable) -> None:
+        self._adj.setdefault(node, {})
+        self._graph = None
 
     def add_link(
         self,
@@ -70,7 +80,10 @@ class Network:
         name: str = "",
     ) -> Link:
         link = Link(self.sim, params, name or f"{a}<->{b}")
-        self.graph.add_edge(a, b, link=link, weight=params.latency_ns)
+        self._adj.setdefault(a, {})[b] = link
+        self._adj.setdefault(b, {})[a] = link
+        self._edges.append((a, b, link))
+        self._graph = None
         self._route_cache.clear()
         self._tree_index = None
         self._links = None
@@ -78,7 +91,7 @@ class Network:
 
     @property
     def nodes(self) -> List[Hashable]:
-        return list(self.graph.nodes)
+        return list(self._adj)
 
     @property
     def links(self) -> List[Link]:
@@ -87,8 +100,28 @@ class Network:
     def _link_list(self) -> List[Link]:
         """The cached link list; callers must not mutate it."""
         if self._links is None:
-            self._links = [data["link"] for _, _, data in self.graph.edges(data=True)]
+            # networkx EdgeView order: each edge once, at its first end
+            done = set()
+            links = []
+            for node, nbrs in self._adj.items():
+                links.extend(link for nbr, link in nbrs.items() if nbr not in done)
+                done.add(node)
+            self._links = links
         return self._links
+
+    def _nx_graph(self):
+        """A networkx ``Graph`` replayed from the construction calls."""
+        if self._graph is None:
+            import networkx as nx
+
+            graph = nx.Graph()
+            # nodes first, in first-appearance order as networkx keeps
+            # them; links in call order fix each node's neighbour order
+            graph.add_nodes_from(self._adj)
+            for a, b, link in self._edges:
+                graph.add_edge(a, b, weight=link.params.latency_ns)
+            self._graph = graph
+        return self._graph
 
     # ------------------------------------------------------------------
     # routing
@@ -99,30 +132,21 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        treed = self._tree_path(src, dst)
-        if treed is not None:
-            edges = self.graph.edges
-            route = Route(
-                list(treed),
-                [
-                    edges[treed[i], treed[i + 1]]["link"]
-                    for i in range(len(treed) - 1)
-                ],
-            )
-            self._route_cache[key] = route
-            return route
-        if src == dst:
-            route = Route([src], [])
-        else:
-            try:
-                path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-                raise ValueError(f"no route from {src!r} to {dst!r}") from exc
-            links = [
-                self.graph.edges[path[i], path[i + 1]]["link"]
-                for i in range(len(path) - 1)
-            ]
-            route = Route(path, links)
+        path = self._tree_path(src, dst)
+        if path is None:
+            if src == dst:
+                path = [src]
+            else:
+                import networkx as nx
+
+                try:
+                    path = nx.shortest_path(self._nx_graph(), src, dst, weight="weight")
+                except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+                    raise ValueError(f"no route from {src!r} to {dst!r}") from exc
+        adj = self._adj
+        route = Route(
+            list(path), [adj[path[i]][path[i + 1]] for i in range(len(path) - 1)]
+        )
         self._route_cache[key] = route
         return route
 
@@ -140,7 +164,7 @@ class Network:
         links carry traffic.  Raises otherwise; any topology change
         drops the index.
         """
-        nodes = list(self.graph.nodes)
+        nodes = list(self._adj)
         if not nodes:
             raise ValueError("cannot index an empty network")
         root = nodes[0]
@@ -148,12 +172,12 @@ class Network:
         depth: Dict[Hashable, int] = {root: 0}
         order = [root]
         for node in order:
-            for nbr in self.graph.adj[node]:
+            for nbr in self._adj[node]:
                 if nbr not in parent:
                     parent[nbr] = node
                     depth[nbr] = depth[node] + 1
                     order.append(nbr)
-        if len(parent) != len(nodes) or self.graph.number_of_edges() != len(nodes) - 1:
+        if len(parent) != len(nodes) or len(self._link_list()) != len(nodes) - 1:
             raise ValueError("index_tree needs a connected tree")
         self._tree_index = (parent, depth)
 
@@ -191,13 +215,15 @@ class Network:
         traffic must keep flowing over exactly the cached routes.  That
         caveat cannot arise on a tree, where every pair has one path.
         """
-        if src not in self.graph:
+        if src not in self._adj:
             raise ValueError(f"unknown node {src!r}")
         targets = list(dsts) if dsts is not None else self.nodes
         if self._tree_index is not None:
             paths = {dst: self._tree_path(src, dst) for dst in targets}
         else:
-            _, paths = nx.single_source_dijkstra(self.graph, src, weight="weight")
+            import networkx as nx
+
+            _, paths = nx.single_source_dijkstra(self._nx_graph(), src, weight="weight")
         out: Dict[Hashable, int] = {}
         for dst in targets:
             if dst == src:
@@ -229,9 +255,12 @@ class Network:
 
             u = max(nodes, key=lambda n: dist(nodes[0], n))
             return max(dist(u, n) for n in nodes)
+        import networkx as nx
+
+        graph = self._nx_graph()
         best = 0
         for i, a in enumerate(nodes):
-            lengths = nx.single_source_shortest_path_length(self.graph, a)
+            lengths = nx.single_source_shortest_path_length(graph, a)
             for b in nodes[i + 1:]:
                 if b not in lengths:
                     raise ValueError(f"{b!r} unreachable from {a!r}")

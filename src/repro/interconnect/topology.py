@@ -69,7 +69,7 @@ def build_tree(
     net = Network(sim, name=f"tree{tuple(fanouts)}")
     workers: List[Hashable] = []
     root = ("s", 0, 0)
-    net.add_node(root, kind="switch", depth=0)
+    net.add_node(root)
 
     frontier = [root]
     for d, fanout in enumerate(fanouts):
@@ -79,11 +79,11 @@ def build_tree(
             for c in range(fanout):
                 if last_level:
                     child: Hashable = ("w", len(workers))
-                    net.add_node(child, kind="worker")
+                    net.add_node(child)
                     workers.append(child)
                 else:
                     child = ("s", d + 1, len(next_frontier))
-                    net.add_node(child, kind="switch", depth=d + 1)
+                    net.add_node(child)
                     next_frontier.append(child)
                 net.add_link(parent, child, params_per_level[d])
         frontier = next_frontier
@@ -107,11 +107,11 @@ def build_flat_crossbar(
         raise ValueError("need at least one worker")
     net = Network(sim, name=f"flat{num_workers}")
     hub = ("s", 0, 0)
-    net.add_node(hub, kind="switch")
+    net.add_node(hub)
     workers: List[Hashable] = []
     for i in range(num_workers):
         w = ("w", i)
-        net.add_node(w, kind="worker")
+        net.add_node(w)
         net.add_link(hub, w, params)
         workers.append(w)
     return net, workers
@@ -156,7 +156,7 @@ def build_mesh2d(
     for r in range(rows):
         for c in range(cols):
             w = ("w", r * cols + c)
-            net.add_node(w, kind="worker", row=r, col=c)
+            net.add_node(w)
             workers.append(w)
     for r in range(rows):
         for c in range(cols):
@@ -187,10 +187,10 @@ def build_dragonfly(
     for g in range(groups):
         for r in range(routers_per_group):
             router = ("r", g, r)
-            net.add_node(router, kind="switch", group=g)
+            net.add_node(router)
             for w in range(workers_per_router):
                 worker = ("w", len(workers))
-                net.add_node(worker, kind="worker", group=g)
+                net.add_node(worker)
                 net.add_link(router, worker, local)
                 workers.append(worker)
         # intra-group all-to-all
@@ -252,10 +252,10 @@ def build_slimfly_like(
     workers: List[Hashable] = []
     for v in range(q):
         router = ("r", v)
-        net.add_node(router, kind="switch")
+        net.add_node(router)
         for w in range(workers_per_router):
             worker = ("w", len(workers))
-            net.add_node(worker, kind="worker")
+            net.add_node(worker)
             net.add_link(router, worker, local)
             workers.append(worker)
     for a, b in _paley_edges(q):

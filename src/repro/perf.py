@@ -207,6 +207,9 @@ def run_benchmarks(
     results: Dict[str, Dict[str, float]] = {}
     for name in names:
         fn = BENCHMARKS[name]
+        # one untimed warm call, so the timed call measures steady-state
+        # work rather than first-call imports and cache fills
+        fn(quick)
         # collect before and pause the collector during the timed
         # region, so one benchmark's garbage is never billed to the
         # next one's wall clock

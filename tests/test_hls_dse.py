@@ -1,9 +1,17 @@
 """Unit tests for design-space exploration and end-to-end synthesis."""
 
+import os
+import random
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
 from repro.fabric import ModuleLibrary, ResourceVector, TileGrid
 from repro.hls import (
+    DesignPoint,
     DesignSpaceExplorer,
     HlsConfig,
     HlsTool,
@@ -76,6 +84,79 @@ class TestExplorer:
 
     def test_pareto_front_empty(self):
         assert pareto_front([]) == []
+
+
+def _quadratic_front(points):
+    """The reference definition: filter on ``dominates``, sort, dedup."""
+    pts = list(points)
+    front = [p for p in pts if not any(q.dominates(p) for q in pts if q is not p)]
+    seen = set()
+    unique = []
+    for p in sorted(front, key=lambda p: (p.area, -p.throughput)):
+        key = (round(p.area, 6), round(p.throughput, 9))
+        if key not in seen:
+            seen.add(key)
+            unique.append(p)
+    return unique
+
+
+@dataclass(frozen=True, eq=False)
+class _Point:
+    area: float
+    throughput: float
+
+    dominates = DesignPoint.dominates
+
+
+class TestParetoFront:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_quadratic_definition_with_ties(self, seed):
+        rng = random.Random(seed)
+        # few distinct values -> many ties on one or both axes
+        points = [
+            _Point(float(rng.randint(1, 6)), float(rng.randint(1, 6)))
+            for _ in range(rng.randint(0, 30))
+        ]
+        # the same object twice, and an equal-valued twin
+        if points:
+            points.append(rng.choice(points))
+            twin = rng.choice(points)
+            points.insert(rng.randrange(len(points)), _Point(twin.area, twin.throughput))
+        got = pareto_front(points)
+        assert [id(p) for p in got] == [id(p) for p in _quadratic_front(points)]
+
+    @pytest.mark.parametrize("kernel", [vecadd_kernel(64), saxpy_kernel(64), matmul_kernel(16)])
+    def test_matches_quadratic_definition_on_explored_points(self, kernel):
+        points = DesignSpaceExplorer().explore(kernel)
+        got = pareto_front(points)
+        assert [id(p) for p in got] == [id(p) for p in _quadratic_front(points)]
+
+
+_SUITE_BITSTREAM_DIGEST = """
+import hashlib
+from repro.presets import compiled_suite
+_, library = compiled_suite()
+h = hashlib.sha256()
+for function in library.functions():
+    for module in library.variants(function):
+        h.update(module.name.encode())
+        h.update(module.bitstream.data)
+print(h.hexdigest())
+"""
+
+
+def test_suite_bitstreams_do_not_depend_on_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _SUITE_BITSTREAM_DIGEST],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 class TestHlsTool:

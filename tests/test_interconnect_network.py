@@ -1,8 +1,9 @@
 """Unit tests for Network routing, costing and simulation."""
 
+import networkx
 import pytest
 
-from repro.interconnect import LinkParams, Message, Network, TransactionType
+from repro.interconnect import LinkParams, Message, Network, TransactionType, topology
 from repro.sim import Simulator, spawn
 
 
@@ -148,3 +149,86 @@ class TestTreeIndex:
         assert indexed._tree_index is None
         # routing still works, now via graph search
         assert indexed.route(eps[0], eps[1]).hops == 1
+
+
+class _Mirrored(Network):
+    """A Network that repeats every construction call on an ``nx.Graph``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.mirror = networkx.Graph()
+
+    def add_node(self, node):
+        super().add_node(node)
+        self.mirror.add_node(node)
+
+    def add_link(self, a, b, params=LinkParams(), name=""):
+        link = super().add_link(a, b, params, name)
+        self.mirror.add_edge(a, b, link=link, weight=params.latency_ns)
+        return link
+
+
+def _scrambled_ring(sim):
+    """A 6-ring whose links arrive out of node order: its equal-cost
+    routes follow neighbour order, i.e. Dijkstra's tie-breaks."""
+    net = _Mirrored(sim)
+    for a, b in [(3, 4), (0, 5), (2, 3), (4, 5), (1, 2), (0, 1)]:
+        net.add_link(a, b, LinkParams())
+    return net, list(range(6))
+
+
+BUILDS = {
+    "scrambled_ring": _scrambled_ring,
+    "tree": lambda sim: topology.build_tree(sim, [2, 3]),
+    "flat_crossbar": lambda sim: topology.build_flat_crossbar(sim, 5),
+    "fat_tree": lambda sim: topology.build_fat_tree(sim, [2, 2, 2]),
+    "mesh2d": lambda sim: topology.build_mesh2d(sim, 3, 4),
+    "dragonfly": lambda sim: topology.build_dragonfly(sim, 3, 2, 2),
+    "slimfly_like": lambda sim: topology.build_slimfly_like(sim, 5),
+}
+
+
+class TestMatchesNetworkx:
+    """Every builder's network routes as an ``nx.Graph`` of the same calls."""
+
+    @pytest.fixture(params=sorted(BUILDS))
+    def built(self, request, monkeypatch):
+        monkeypatch.setattr(topology, "Network", _Mirrored)
+        net, workers = BUILDS[request.param](Simulator())
+        return net, workers, net.mirror
+
+    def test_nodes_and_links_in_graph_order(self, built):
+        net, _, graph = built
+        assert net.nodes == list(graph.nodes)
+        assert [l.name for l in net.links] == [
+            data["link"].name for _, _, data in graph.edges(data=True)
+        ]
+
+    def test_routes(self, built):
+        net, _, graph = built
+        for a in graph.nodes:
+            for b in graph.nodes:
+                path = networkx.shortest_path(graph, a, b, weight="weight")
+                route = net.route(a, b)
+                assert route.nodes == path
+                assert route.links == [
+                    graph.edges[path[i], path[i + 1]]["link"] for i in range(len(path) - 1)
+                ]
+
+    def test_hop_distances_from(self, built):
+        net, _, graph = built
+        for src in graph.nodes:
+            _, paths = networkx.single_source_dijkstra(graph, src, weight="weight")
+            assert net.hop_distances_from(src) == {
+                dst: len(path) - 1 for dst, path in paths.items()
+            }
+
+    def test_diameter_hops(self, built):
+        net, workers, graph = built
+        for members in (workers, list(graph.nodes)):
+            expected = max(
+                networkx.single_source_shortest_path_length(graph, a)[b]
+                for a in members
+                for b in members
+            )
+            assert net.diameter_hops(members) == expected

@@ -258,14 +258,30 @@ class TestBenchHarness:
         assert entry["events_processed"] == 20_000
         json.loads(perf.to_json(payload))
 
-    def test_wakeups_entry_is_informational(self):
+    def test_wakeups_entry_is_gated(self):
         payload = perf.run_benchmarks(quick=True, only=["sim.wakeups"])
         assert payload["benchmarks"]["sim.wakeups"]["events_processed"] == 10_016
         baseline_path = Path(__file__).resolve().parents[1] / "benchmarks/perf/baseline.json"
         baseline = json.loads(baseline_path.read_text())
-        # absent from the committed baseline: reported as new, never failed
-        assert "sim.wakeups" in perf.new_benchmarks(payload, baseline)
-        assert perf.compare(payload, baseline) == []
+        assert "sim.wakeups" not in perf.new_benchmarks(payload, baseline)
+        slow = json.loads(json.dumps(payload))
+        slow["benchmarks"]["sim.wakeups"]["wall_seconds"] = (
+            baseline["benchmarks"]["sim.wakeups"]["wall_seconds"] + 1.0
+        )
+        assert [f for f in perf.compare(slow, baseline) if "sim.wakeups" in f]
+
+    def test_timed_call_follows_an_untimed_warm_call(self, monkeypatch):
+        calls = []
+
+        def bench(quick):
+            calls.append(quick)
+            return len(calls)
+
+        monkeypatch.setitem(perf.BENCHMARKS, "fake", bench)
+        payload = perf.run_benchmarks(quick=True, only=["fake"])
+        assert calls == [True, True]
+        # the reported entry is the second (timed) call's
+        assert payload["benchmarks"]["fake"]["events_processed"] == 2
 
     def test_baseline_names_only_registered_benchmarks(self):
         # compare() skips names missing from either side, so a renamed
@@ -313,3 +329,4 @@ class TestBenchHarness:
                                         "events_processed": 1,
                                         "events_per_sec": 1.0}}}
         assert perf.compare(cur, base) == []
+        assert perf.new_benchmarks(cur, base) == ["other"]
