@@ -164,24 +164,19 @@ def run_chaos_experiment(
     seed: int = 0,
     telemetry=None,
     compiled=None,
-    warm_start=False,
 ) -> ChaosReport:
     """Run one named chaos scenario end to end.
 
     ``compiled`` lets callers pass a pre-built ``(registry, library)``
     pair (the HLS flow is the slow part); ``telemetry`` instruments the
-    chaos run only.  ``warm_start`` (bool or saved-snapshot path) builds
-    both machines through the template cache -- bit-identical reports,
-    bring-up paid once.
+    chaos run only.
     """
     preset = chaos_preset(preset_name)
     if compiled is None:
         compiled = compiled_suite(max_variants=1)
 
     # --- baseline: fault tolerance off, no faults ----------------------
-    baseline_engine = build_engine(
-        preset.node, warm_start=warm_start, compiled=compiled
-    )
+    baseline_engine = build_engine(preset.node, compiled=compiled)
     baseline_graph = layered_graph(
         preset.layers, preset.width, len(baseline_engine.node), preset.graph_seed
     )
@@ -190,7 +185,6 @@ def run_chaos_experiment(
     # --- chaos: self-healing runtime + seeded fault plan ---------------
     engine = build_engine(
         preset.node,
-        warm_start=warm_start,
         compiled=compiled,
         fault_tolerance=preset.fault_tolerance(),
         telemetry=telemetry,

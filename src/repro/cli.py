@@ -62,16 +62,18 @@ def _cmd_machine(args: argparse.Namespace) -> int:
     from repro.core import ComputeNodeParams, Machine, MachineParams
     from repro.sim import Simulator
 
-    machine = Machine(
-        Simulator(),
-        MachineParams(
+    try:
+        params = MachineParams(
             num_nodes=args.nodes,
             node=ComputeNodeParams(
                 num_workers=args.workers,
                 intra_fanout=args.intra_fanout,
             ),
-        ),
-    )
+        )
+    except ValueError as exc:
+        print(f"repro machine: error: {exc}", file=sys.stderr)
+        return 2
+    machine = Machine(Simulator(), params)
     print(f"machine: {args.nodes} compute nodes x {args.workers} workers "
           f"= {machine.total_workers} workers")
     print(f"max worker-to-worker hop distance: {machine.max_hop_distance()}")
@@ -253,22 +255,6 @@ def _shard_shape(args: argparse.Namespace) -> tuple:
     return nodes, partitions
 
 
-def _warm_start(args: argparse.Namespace):
-    """The experiment ``warm_start`` argument from --warm-start [SNAP]."""
-    value = getattr(args, "warm_start", None)
-    if value is None:
-        return False
-    return value  # True (bare flag) or a snapshot path
-
-
-def _add_warm_start_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--warm-start", nargs="?", const=True, default=None, metavar="SNAPSHOT",
-        help="skip bring-up via the template cache; with a SNAPSHOT path, "
-             "verify the topology against a saved daemon snapshot first "
-             "(reports are bit-identical either way)")
-
-
 def _shard_requested(args: argparse.Namespace) -> bool:
     return args.partitions is not None or args.nodes is not None
 
@@ -312,9 +298,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     print(f"compiling the kernel suite, running chaos preset {args.preset!r} "
           f"(seed {args.seed})...", file=sys.stderr)
-    report = run_chaos_experiment(
-        args.preset, seed=args.seed, warm_start=_warm_start(args)
-    )
+    report = run_chaos_experiment(args.preset, seed=args.seed)
     if args.events_out:
         _write_or_print(report.events_json(indent=2), args.events_out)
     chaos, base = report.chaos, report.baseline
@@ -510,9 +494,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     print(f"compiling the kernel suite, running job mix {args.preset!r} "
           f"({len(mix.jobs)} jobs on node preset {mix.node!r})...",
           file=sys.stderr)
-    report = run_jobs_experiment(
-        args.preset, seed=args.seed, warm_start=_warm_start(args)
-    )
+    report = run_jobs_experiment(args.preset, seed=args.seed)
     if args.out:
         _write_or_print(report.json(indent=2), args.out)
     print(f"  machine makespan : {report.makespan_ns / 1e6:.3f} ms "
@@ -569,9 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"(seed {args.seed})...",
         file=sys.stderr,
     )
-    report = run_serving_experiment(
-        args.preset, seed=args.seed, warm_start=_warm_start(args)
-    )
+    report = run_serving_experiment(args.preset, seed=args.seed)
     _write_or_print(report.json(indent=2), args.out)
     print(f"  horizon          : {report.horizon_ns / 1e6:.3f} ms simulated")
     print(f"  requests         : {report.offered} offered, "
@@ -610,7 +590,6 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         seed=args.seed,
         window_ns=args.window_ns,
         telemetry=not args.no_telemetry,
-        warm=not args.cold,
         snapshot_dir=args.snapshot_dir,
         restore=args.restore,
     )
@@ -890,7 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events-out", default=None,
                    help="write the fault plan/injection JSON here")
     _add_shard_args(p)
-    _add_warm_start_args(p)
     p.set_defaults(fn=_cmd_chaos)
 
     p = sub.add_parser(
@@ -940,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write the canonical MachineReport JSON here")
     _add_shard_args(p)
-    _add_warm_start_args(p)
     p.set_defaults(fn=_cmd_jobs)
 
     p = sub.add_parser(
@@ -957,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write the canonical ServingReport JSON here")
     _add_shard_args(p)
-    _add_warm_start_args(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -1032,8 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay this snapshot before serving")
     p.add_argument("--no-telemetry", action="store_true",
                    help="run epochs without a metrics hub")
-    p.add_argument("--cold", action="store_true",
-                   help="disable warm-start templates for epoch bring-up")
     p.set_defaults(fn=_cmd_daemon)
 
     p = sub.add_parser(

@@ -10,17 +10,19 @@ UNIMEM space with software tasks."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Hashable, List, Optional
+import functools
+from dataclasses import dataclass
+from typing import Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro.core.worker import Worker, WorkerParams
 from repro.energy.accounting import EnergyLedger
+from repro.fabric.floorplan import Floorplanner, Placement, TileGrid
 from repro.fabric.region import RegionWatch
 from repro.interconnect.link import LinkParams
 from repro.interconnect.message import Message, TransactionType
 from repro.interconnect.network import Network
 from repro.interconnect.topology import build_tree, level_params
-from repro.memory.address import AddressRange
+from repro.memory.address import AddressRange, GlobalAddressMap
 from repro.memory.unimem import UnimemSpace
 from repro.pgas.allocator import GlobalAllocator
 from repro.pgas.numa import NumaDomain, NumaMap
@@ -41,6 +43,54 @@ class ComputeNodeParams:
             raise ValueError("need at least one worker")
         if self.dram_window <= 0:
             raise ValueError("dram window must be positive")
+        if self.intra_fanout is not None and self.intra_fanout < 1:
+            raise ValueError(
+                f"intra_fanout must be a positive int or None, got {self.intra_fanout}"
+            )
+
+
+def _intra_fanouts(params: ComputeNodeParams) -> List[int]:
+    """The ``build_tree`` fanouts of the intra-node interconnect."""
+    n = params.num_workers
+    fanout = params.intra_fanout
+    if fanout is not None and fanout < n:
+        return [(n + fanout - 1) // fanout, fanout]
+    return [n]
+
+
+@dataclass(frozen=True)
+class _NodeShape:
+    """The parts of a Compute Node that are pure functions of its params.
+
+    Read-only and shared by every node of one shape: the fabric tile grid
+    (with its prefix sums), the frozen region budget, the NUMA map and
+    the worker x worker hop table.
+    """
+
+    grid: TileGrid
+    budget: Tuple[Placement, ...]
+    numa: NumaMap
+    hops: List[List[int]]
+
+
+@functools.lru_cache(maxsize=32)
+def _node_shape(params: ComputeNodeParams) -> _NodeShape:
+    """Derive a node shape once per distinct ``params`` per process.
+
+    Hop counts come from a topology built on a scratch simulator: they
+    depend on the tree's shape only, never on its links' state.
+    """
+    n = params.num_workers
+    wp = params.worker
+    grid = TileGrid.standard(wp.fabric_columns, wp.fabric_rows)
+    budget = tuple(Floorplanner(grid).budget_regions(wp.fabric_regions))
+    network, endpoints = build_tree(Simulator(), _intra_fanouts(params))
+    windows = GlobalAddressMap(n, params.dram_window)
+    numa = NumaMap(
+        [NumaDomain(i, endpoints[i], windows.window(i)) for i in range(n)], network
+    )
+    hops = [[numa.distance(a, b) for b in range(n)] for a in range(n)]
+    return _NodeShape(grid, budget, numa, hops)
 
 
 class ComputeNode:
@@ -52,7 +102,6 @@ class ComputeNode:
         params: ComputeNodeParams = ComputeNodeParams(),
         node_id: int = 0,
         ledger: Optional[EnergyLedger] = None,
-        template=None,
     ) -> None:
         self.sim = sim
         self.params = params
@@ -62,46 +111,29 @@ class ComputeNode:
 
         # multi-layer intra-node interconnect: a tree of workers
         n = params.num_workers
-        if params.intra_fanout and params.intra_fanout < n:
-            fanout = params.intra_fanout
-            groups = (n + fanout - 1) // fanout
-            self.network, endpoints = build_tree(sim, [groups, fanout])
-            endpoints = endpoints[:n]
-        else:
-            self.network, endpoints = build_tree(sim, [n])
-        self.endpoints: List[Hashable] = endpoints
+        self.network, endpoints = build_tree(sim, _intra_fanouts(params))
+        self.endpoints: List[Hashable] = endpoints[:n]
 
-        # ``template`` (see repro.shard.bringup.NodeTemplate) shares the
-        # structures that are pure functions of ``params`` -- tile grid,
-        # region budget, NUMA distance matrix -- across identical nodes;
-        # every mutable object stays per-node.
-        grid = template.grid if template is not None else None
-        budget = template.budget if template is not None else None
+        # grid, region budget, NUMA map and hop table are shared by every
+        # node of this shape; Workers, links, caches and queues are per-node
+        shape = _node_shape(params)
         self.workers: List[Worker] = [
             Worker(
                 sim, i, params.worker, ledger=self.ledger,
-                name=f"{self.name}.w{i}", grid=grid, budget=budget,
+                name=f"{self.name}.w{i}", grid=shape.grid, budget=shape.budget,
             )
             for i in range(n)
         ]
 
         # UNIMEM space + NUMA-aware allocator over it
         self.unimem = UnimemSpace(n, params.dram_window)
-        domains = [
-            NumaDomain(i, endpoints[i], self.unimem.map.window(i)) for i in range(n)
-        ]
-        if template is not None and template.numa_distances is not None:
-            self.numa = NumaMap(domains, distances=template.numa_distances)
-        else:
-            self.numa = NumaMap(domains, self.network)
+        self.numa = shape.numa
         self.allocator = GlobalAllocator(self.numa)
 
         # worker x worker hop counts: the topology is fixed after
         # bring-up, so the per-task placement queries index a table
         # instead of resolving a route per call
-        self._hops: List[List[int]] = [
-            [self.numa.distance(a, b) for b in range(n)] for a in range(n)
-        ]
+        self._hops: List[List[int]] = shape.hops
         # bumped by every region state/module write on this node; the
         # UNILOGIC hosting-region memo is keyed on it
         self.region_watch = RegionWatch()

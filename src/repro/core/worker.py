@@ -12,9 +12,9 @@ front of the reconfigurable fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Sequence
 
-from repro.fabric.floorplan import Floorplanner, TileGrid
+from repro.fabric.floorplan import Floorplanner, Placement, TileGrid
 from repro.fabric.module_library import AcceleratorModule, ModuleLibrary
 from repro.fabric.region import Fabric, Region
 from repro.fabric.reconfiguration import ConfigPort, ReconfigurationController
@@ -89,7 +89,7 @@ class Worker:
         ledger: Optional[EnergyLedger] = None,
         name: str = "",
         grid: Optional[TileGrid] = None,
-        budget: Optional[list] = None,
+        budget: Optional[Sequence[Placement]] = None,
     ) -> None:
         self.sim = sim
         self.worker_id = worker_id
@@ -102,9 +102,8 @@ class Worker:
         self.dram = Dram(sim, params.dram, name=f"{self.name}.dram")
         self.smmu = Smmu(tlb_entries=params.smmu_tlb_entries, name=f"{self.name}.smmu")
 
-        # ``grid``/``budget`` let shard bring-up share one immutable
-        # TileGrid (and its prefix sums) plus the frozen region budget
-        # across identical Workers; building them fresh is the default.
+        # a Compute Node passes its shape's shared TileGrid (and prefix
+        # sums) and frozen region budget; a standalone Worker builds its own
         if grid is None:
             grid = TileGrid.standard(params.fabric_columns, params.fabric_rows)
         self.floorplanner = Floorplanner(grid)

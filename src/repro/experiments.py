@@ -9,8 +9,8 @@ is the only place that builds it:
   construction order every canonical report depends on:
   ``compiled_suite`` (or a caller's shared pair), a fresh
   ``Simulator``, the ``warp_to`` of a restored incarnation, the
-  telemetry factory (``sim -> hub``), ``build_preset_node`` (cold, or
-  templated at a node id), wiring the hub into the node, then the
+  telemetry factory (``sim -> hub``), ``build_preset_node`` at a node
+  id, wiring the hub into the node, then the
   engine with the fixed reconfiguration-daemon period
   :data:`DAEMON_PERIOD_NS`.
 - :func:`layered_graph` -- the layered-DAG recipe over
@@ -32,25 +32,16 @@ engine.
 sharded jobs nodes and the chaos/checkpoint workloads all go through
 it, restore included.
 
-:func:`resolve_warm_start` turns a ``warm_start`` argument (bool or
-path to a saved machine snapshot) into a primed template cache, so
-repeated experiments on one topology skip the expensive bring-up.
-Warm starts ride the shard layer's
-:class:`~repro.shard.bringup.NodeTemplate` machinery: templated builds
-are bit-identical to cold ones, so a warm experiment's canonical report
-matches the cold report byte for byte.  A snapshot path additionally
-pins *which* topology was prebuilt; passing a snapshot taken on a
-different node preset is an error, not a silent cold build.
+Every node of one shape shares the parts of bring-up that are pure
+functions of its parameters (see :class:`~repro.core.ComputeNode`), so
+repeated builds of one preset pay for them once per process.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.runtime.report import MachineReport
-
-WarmStart = Union[bool, str]
 
 #: the Fig. 5 reconfiguration daemon's period on every harness machine
 DAEMON_PERIOD_NS = 100_000.0
@@ -59,53 +50,10 @@ DAEMON_PERIOD_NS = 100_000.0
 GRAPH_FUNCTIONS = ("saxpy", "stencil5", "montecarlo")
 
 
-def resolve_warm_start(warm_start: WarmStart, node: str) -> bool:
-    """Normalize a ``warm_start`` argument against node preset ``node``.
-
-    ``False``/``True`` pass through.  A string is a path to a snapshot
-    saved by the service daemon (or the checkpoint subsystem); its
-    ``workload`` block must name the same node preset, and resolving it
-    primes the process-wide template cache for that shape so the caller's
-    build is warm.  Returns whether the build should use templates.
-    """
-    if isinstance(warm_start, bool):
-        if warm_start:
-            _prime_template(node)
-        return warm_start
-    with open(warm_start, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    workload = payload.get("workload") or {}
-    nodes = set(workload.get("nodes") or [])
-    if workload.get("node"):
-        nodes.add(workload["node"])
-    if not nodes:
-        raise ValueError(
-            f"snapshot {warm_start!r} records no node preset; "
-            "cannot use it as a warm-start token"
-        )
-    if node not in nodes:
-        known = ", ".join(sorted(nodes))
-        raise ValueError(
-            f"snapshot {warm_start!r} was taken on node preset(s) {known}; "
-            f"refusing to warm-start a {node!r} build from it"
-        )
-    _prime_template(node)
-    return True
-
-
-def _prime_template(node: str) -> None:
-    """Warm the shared template cache for one node preset's shape."""
-    from repro.presets import node_preset
-    from repro.shard.bringup import shared_template_cache
-
-    shared_template_cache().get(node_preset(node))
-
-
 def build_engine(
     preset: str,
     *,
     node_id: int = 0,
-    warm_start: WarmStart = False,
     telemetry=None,
     fault_tolerance=None,
     compiled=None,
@@ -128,7 +76,6 @@ def build_engine(
     from repro.presets import build_preset_node, compiled_suite
     from repro.sim import Simulator
 
-    warm = resolve_warm_start(warm_start, preset)
     registry, library = (
         compiled if compiled is not None else compiled_suite(max_variants=max_variants)
     )
@@ -137,7 +84,7 @@ def build_engine(
         sim.warp_to(start_ns)
     if callable(telemetry):
         telemetry = telemetry(sim)
-    node = build_preset_node(sim, preset, warm=warm, node_id=node_id)
+    node = build_preset_node(sim, preset, node_id=node_id)
     node.attach_telemetry(telemetry)
     return ExecutionEngine(
         node,
@@ -178,7 +125,6 @@ def build_jobs_machine(
     seed: int = 0,
     telemetry=None,
     fault_tolerance=None,
-    warm_start: WarmStart = False,
     max_variants: int = 1,
     submit_mix: bool = True,
 ):
@@ -196,7 +142,6 @@ def build_jobs_machine(
     mix = job_preset(preset)
     engine = build_engine(
         mix.node,
-        warm_start=warm_start,
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
         max_variants=max_variants,
@@ -255,7 +200,6 @@ def run_jobs_experiment(
     seed: int = 0,
     telemetry=None,
     fault_tolerance=None,
-    warm_start: WarmStart = False,
 ) -> MachineReport:
     """Run one job-mix preset end to end and return its MachineReport."""
     manager, _ = build_jobs_machine(
@@ -263,6 +207,5 @@ def run_jobs_experiment(
         seed=seed,
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
-        warm_start=warm_start,
     )
     return manager.run()

@@ -114,6 +114,8 @@ def build_flat_crossbar(
         net.add_node(w)
         net.add_link(hub, w, params)
         workers.append(w)
+    # a star is a tree: route by LCA walk, not search
+    net.index_tree()
     return net, workers
 
 

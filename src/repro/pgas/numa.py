@@ -34,7 +34,6 @@ class NumaMap:
         self,
         domains: Sequence[NumaDomain],
         network: Optional[Network] = None,
-        distances: Optional[Dict[tuple, int]] = None,
     ) -> None:
         if not domains:
             raise ValueError("need at least one NUMA domain")
@@ -44,12 +43,7 @@ class NumaMap:
         self.domains: List[NumaDomain] = list(domains)
         self._by_id: Dict[int, NumaDomain] = {d.domain_id: d for d in domains}
         self._distance: Dict[tuple, int] = {}
-        if distances is not None:
-            # precomputed matrix (shard bring-up templates): distances are
-            # a pure function of the topology shape, so identical nodes
-            # can share one sweep's result instead of re-running Dijkstra
-            self._distance = dict(distances)
-        elif network is not None:
+        if network is not None:
             # one sweep per distinct endpoint (LCA walks on a tree-indexed
             # network) instead of one search per (domain, domain) pair
             nodes = {d.worker_node for d in domains}
@@ -66,11 +60,6 @@ class NumaMap:
 
     def __len__(self) -> int:
         return len(self.domains)
-
-    def distance_table(self) -> Dict[tuple, int]:
-        """A copy of the (domain, domain) -> hops matrix, suitable for
-        seeding another :class:`NumaMap` over an identical topology."""
-        return dict(self._distance)
 
     def domain(self, domain_id: int) -> NumaDomain:
         if domain_id not in self._by_id:

@@ -110,24 +110,17 @@ def node_preset(name: str) -> ComputeNodeParams:
     return NODE_PRESETS[name]()
 
 
-def build_preset_node(sim, name: str, warm: bool = False, node_id: int = 0):
-    """Build the Compute Node for one preset, optionally warm-started.
+def build_preset_node(sim, name: str, node_id: int = 0):
+    """Build the Compute Node for one preset.
 
-    ``warm=True`` routes bring-up through the shard layer's process-wide
-    :class:`~repro.shard.bringup.TemplateCache`: the pure-function parts
-    of bring-up (tile grid, region budget, NUMA distances, diameter) are
-    computed once per node shape and shared, so repeated experiments on
-    the same topology skip the expensive part.  Templated builds are
-    bit-identical to cold ones, so warm starts never change reports.
+    The pure-function parts of bring-up (tile grid, region budget, NUMA
+    map, hop table) are computed once per node shape per process and
+    shared by every node of that shape; Workers, links, caches and queues
+    are always fresh.
     """
-    params = node_preset(name)
-    if warm:
-        from repro.shard.bringup import build_node, shared_template_cache
-
-        return build_node(sim, params, node_id=node_id, cache=shared_template_cache())
     from repro.core import ComputeNode
 
-    return ComputeNode(sim, params, node_id=node_id)
+    return ComputeNode(sim, node_preset(name), node_id=node_id)
 
 
 @dataclass(frozen=True)

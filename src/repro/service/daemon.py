@@ -188,7 +188,6 @@ def run_daemon(
     seed: int = 0,
     window_ns: float = 100_000.0,
     telemetry: bool = True,
-    warm: bool = True,
     snapshot_dir: str = "service-snapshots",
     restore: Optional[str] = None,
 ) -> int:
@@ -198,7 +197,6 @@ def run_daemon(
         seed=seed,
         window_ns=window_ns,
         telemetry=telemetry,
-        warm=warm,
         snapshot_dir=snapshot_dir,
     )
     if restore is not None:

@@ -33,7 +33,7 @@ COMMANDS: Dict[str, str] = {
     "events": "structured telemetry events since a cursor",
     "reconfigure": "swap serving/scheduling knobs at the next window",
     "chaos": "inject a seeded fault plan into the running workload",
-    "snapshot": "persist a warm-start snapshot of the session",
+    "snapshot": "persist a snapshot of the session",
     "restore": "rebuild a session from a snapshot (idle sessions only)",
     "drain": "quiesce: finish in-flight work, refuse new work",
     "shutdown": "drain, then close the session",

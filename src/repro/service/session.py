@@ -112,7 +112,6 @@ class _ServingEpoch:
             max_variants=self.max_variants,
             alerts=alerts,
             brownout=brownout,
-            warm_start=session.warm,
             spawn_arrivals=self.arrivals,
         )
         self.sim = self.gateway.sim
@@ -263,7 +262,6 @@ class _JobsEpoch:
             seed=self.seed,
             telemetry=factory,
             fault_tolerance=ft,
-            warm_start=session.warm,
             max_variants=self.max_variants,
             submit_mix=submit_mix,
         )
@@ -432,7 +430,6 @@ class ServiceSession:
         seed: int = 0,
         window_ns: float = 100_000.0,
         telemetry: bool = True,
-        warm: bool = True,
         snapshot_dir: str = "service-snapshots",
     ) -> None:
         if window_ns <= 0:
@@ -441,7 +438,6 @@ class ServiceSession:
         self.default_seed = int(seed)
         self.window_ns = float(window_ns)
         self.telemetry = bool(telemetry)
-        self.warm = bool(warm)
         self.snapshot_dir = snapshot_dir
         self.workload = None
         self.archive: List[Dict[str, Any]] = []
@@ -451,7 +447,6 @@ class ServiceSession:
         self._epoch_count = 0
         self._snap_seq = 0
         self._events_cursor = 0
-        self._nodes_used: set = set()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -579,7 +574,6 @@ class ServiceSession:
                 "preset": self.default_preset,
                 "seed": self.default_seed,
                 "telemetry": self.telemetry,
-                "warm": self.warm,
             },
         )
 
@@ -625,7 +619,6 @@ class ServiceSession:
                 # the creating frame both builds the machine and carries
                 # the first job; submit it through the same path
                 self.workload.submit_more(frame)
-        self._nodes_used.add(self.workload.node_preset)
         return ok_reply(
             frame.get("id"),
             kind=self.workload.kind,
@@ -750,11 +743,6 @@ class ServiceSession:
             "seed": self.default_seed,
             "window_ns": self.window_ns,
             "telemetry": self.telemetry,
-            "warm": self.warm,
-            "node": (
-                w.node_preset if w is not None else _preset_node(self.default_preset)
-            ),
-            "nodes": sorted(self._nodes_used or {_preset_node(self.default_preset)}),
             "epoch_count": self._epoch_count,
             "boundary_ns": w.now if w is not None else None,
             "journal": [dict(e) for e in self._journal],
@@ -799,11 +787,8 @@ class ServiceSession:
         self.default_seed = int(block["seed"])
         self.window_ns = float(block["window_ns"])
         self.telemetry = bool(block["telemetry"])
-        self.warm = bool(block["warm"])
         self.archive = [dict(e) for e in block.get("archive", [])]
         self._epoch_count = int(block.get("epoch_count", len(self.archive)))
-        for node in block.get("nodes", []):
-            self._nodes_used.add(node)
         # replay the journal: rebuild the epoch's machine from the same
         # seeds and re-apply every command at its recorded boundary.
         # Deterministic simulation makes the result byte-identical to the
@@ -834,11 +819,3 @@ class ServiceSession:
             state="running" if self.workload is not None else "idle",
             now_ns=self.workload.now if self.workload is not None else None,
         )
-
-
-def _preset_node(preset: str) -> str:
-    """The node preset behind a serving preset name (best effort)."""
-    from repro.presets import SERVING_PRESETS
-
-    scenario = SERVING_PRESETS.get(preset)
-    return scenario.node if scenario is not None else "mini"

@@ -646,7 +646,6 @@ def build_serving_gateway(
     tracing: Optional[TraceConfig] = None,
     alerts: Optional[BurnRatePolicy] = None,
     brownout: Optional[BrownoutPolicy] = None,
-    warm_start=False,
     spawn_arrivals: bool = True,
     *,
     scenario: Optional[ServingScenario] = None,
@@ -658,10 +657,7 @@ def build_serving_gateway(
     service daemon's serving epochs, ``inspect`` and each node of a
     sharded run -- over :func:`repro.experiments.build_engine`: same
     build order, same seeds, so a daemon-built gateway is byte-identical
-    to a batch one.  ``telemetry`` may be a factory ``sim -> hub``.
-    ``warm_start`` may be ``True`` or a saved-snapshot path (see
-    :func:`repro.experiments.resolve_warm_start`); templated bring-up is
-    bit-identical to cold, so warm never changes the report.  A sharded
+    to a batch one.  ``telemetry`` may be a factory ``sim -> hub``.  A sharded
     run passes node ``node_id``'s slice of the preset as ``scenario``;
     the report still names ``preset``.
     """
@@ -673,7 +669,6 @@ def build_serving_gateway(
     engine = build_engine(
         scenario.node,
         node_id=node_id,
-        warm_start=warm_start,
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
         max_variants=max_variants,
@@ -702,7 +697,6 @@ def run_serving_experiment(
     tracing: Optional[TraceConfig] = None,
     alerts: Optional[BurnRatePolicy] = None,
     brownout: Optional[BrownoutPolicy] = None,
-    warm_start=False,
 ) -> ServingReport:
     """Build a machine for ``preset`` and serve it end to end.
 
@@ -718,8 +712,7 @@ def run_serving_experiment(
     ``alerts`` / ``brownout`` opt the run into request-scoped causal
     tracing, burn-rate alerting and degraded-mode serving (extra report
     blocks; the canonical report without them is byte-identical to a
-    plain run).  ``warm_start`` skips bring-up via the template cache
-    (bool, or a saved-snapshot path pinning the topology).
+    plain run).
     """
     gateway = build_serving_gateway(
         preset,
@@ -730,7 +723,6 @@ def run_serving_experiment(
         tracing=tracing,
         alerts=alerts,
         brownout=brownout,
-        warm_start=warm_start,
     )
     chaos: Dict[str, Any] = {}
     if faults:

@@ -12,7 +12,6 @@ any backend.
 
 from repro.shard.backends import BACKENDS, ShardSet, resolve_backend
 from repro.shard.bridge import BridgeMessage, NodeBridge, sort_messages
-from repro.shard.bringup import NodeTemplate, TemplateCache, build_node
 from repro.shard.checkpoint import (
     capture_sharded_jobs,
     manifest_json,
@@ -38,15 +37,12 @@ __all__ = [
     "BridgeMessage",
     "NodeBridge",
     "NodeCell",
-    "NodeTemplate",
     "PartitionPlan",
     "PartitionRuntime",
     "SendGate",
     "ShardError",
     "ShardSet",
     "SyncStats",
-    "TemplateCache",
-    "build_node",
     "capture_sharded_jobs",
     "default_lookahead_ns",
     "manifest_json",

@@ -94,7 +94,6 @@ def build_jobs_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell
     engine = build_engine(
         mix.node,
         node_id=node_id,
-        warm_start=True,
         compiled=compiled_suite(max_variants=1),
     )
     sim = engine.node.sim
@@ -252,7 +251,6 @@ def build_serving_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeC
         config["preset"],
         seed=config["seed"] + node_id * _SERVE_SEED_STRIDE,
         brownout=BrownoutPolicy(),
-        warm_start=True,
         scenario=_node_scenario(scenario, node_id, plan.num_nodes),
         node_id=node_id,
     )
@@ -424,9 +422,7 @@ def build_chaos_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCel
     graph_seed = preset.graph_seed + config["seed"] + node_id * _GRAPH_SEED_STRIDE
 
     # ---- phase A: fault-free baseline on a throwaway machine ----------
-    base_engine = build_engine(
-        preset.node, node_id=node_id, warm_start=True, compiled=compiled
-    )
+    base_engine = build_engine(preset.node, node_id=node_id, compiled=compiled)
     with _task_id_base(node_id * _TASK_ID_STRIDE):
         base_graph = layered_graph(
             preset.layers, preset.width, len(base_engine.node), graph_seed
@@ -437,7 +433,6 @@ def build_chaos_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCel
     engine = build_engine(
         preset.node,
         node_id=node_id,
-        warm_start=True,
         compiled=compiled,
         fault_tolerance=preset.fault_tolerance(),
     )

@@ -75,6 +75,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max worker-to-worker hop distance" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--nodes", "0"],
+        ["--workers", "-1"],
+        ["--intra-fanout", "0"],
+        ["--intra-fanout", "-1"],
+    ])
+    def test_machine_bad_shape_is_a_usage_error(self, capsys, flags):
+        assert main(["machine"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("repro machine: error:") and "\n" not in err
+
     def test_power(self, capsys):
         assert main(["power"]) == 0
         out = capsys.readouterr().out

@@ -46,6 +46,12 @@ class TestComputeNode:
             ComputeNodeParams(num_workers=0)
         with pytest.raises(ValueError):
             ComputeNodeParams(dram_window=0)
+        for fanout in (0, -1):
+            with pytest.raises(ValueError, match="intra_fanout"):
+                ComputeNodeParams(num_workers=4, intra_fanout=fanout)
+        # None stays single level: every pair is two hops apart
+        flat = ComputeNode(Simulator(), ComputeNodeParams(num_workers=4, intra_fanout=None))
+        assert flat.hop_distance(0, 3) == 2
 
     def test_hop_distance_symmetric(self):
         node = ComputeNode(Simulator(), ComputeNodeParams(num_workers=4))

@@ -16,6 +16,7 @@ from repro.interconnect import (
 from repro.interconnect.topology import level_params
 from repro.presets import NODE_PRESETS, build_preset_node
 from repro.sim import Simulator
+from tests.test_startup_imports import _modules_after
 
 
 def _no_graph_search(*args, **kwargs):
@@ -98,6 +99,20 @@ class TestFlatCrossbar:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_flat_crossbar(Simulator(), 0)
+
+    def test_star_is_indexed(self):
+        net, workers = build_flat_crossbar(Simulator(), 8)
+        net.route(workers[0], workers[7])
+        assert net._tree_index is not None
+
+    def test_routes_without_networkx(self):
+        loaded = _modules_after(
+            "from repro.interconnect import build_flat_crossbar\n"
+            "from repro.sim import Simulator\n"
+            "net, workers = build_flat_crossbar(Simulator(), 8)\n"
+            "net.route(workers[0], workers[7])"
+        )
+        assert "networkx" not in loaded
 
 
 class TestFatTree:

@@ -20,7 +20,7 @@ from repro.service.daemon import ServiceDaemon
 def daemon(tmp_path):
     """One live daemon on a unix socket and an OS-assigned HTTP port."""
     session = ServiceSession(
-        telemetry=True, warm=False, snapshot_dir=str(tmp_path / "snaps")
+        telemetry=True, snapshot_dir=str(tmp_path / "snaps")
     )
     sock = str(tmp_path / "repro.sock")
     d = ServiceDaemon(session, socket_path=sock, http_port=0)

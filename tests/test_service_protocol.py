@@ -94,18 +94,18 @@ class TestEncode:
 # ----------------------------------------------------------------------
 class TestDispatchContract:
     def test_every_command_has_a_session_handler(self):
-        session = ServiceSession(telemetry=False, warm=False)
+        session = ServiceSession(telemetry=False)
         for cmd in COMMANDS:
             assert callable(getattr(session, f"_cmd_{cmd}", None)), cmd
 
     def test_ping_reports_protocol_version(self):
-        session = ServiceSession(telemetry=False, warm=False)
+        session = ServiceSession(telemetry=False)
         reply = session.handle({"cmd": "ping"})
         assert reply["ok"] and reply["pong"]
         assert reply["protocol"] == PROTOCOL_VERSION
 
     def test_handle_line_turns_malformed_input_into_error_replies(self):
-        session = ServiceSession(telemetry=False, warm=False)
+        session = ServiceSession(telemetry=False)
         cases = {
             b"{not json\n": "bad-json",
             b"[1, 2]\n": "bad-frame",
@@ -118,7 +118,7 @@ class TestDispatchContract:
             assert reply["error"] == code
 
     def test_request_id_echoed_on_ok_and_error(self):
-        session = ServiceSession(telemetry=False, warm=False)
+        session = ServiceSession(telemetry=False)
         assert session.handle({"cmd": "ping", "id": 5})["id"] == 5
         reply = session.handle({"cmd": "step", "id": "s1"})  # no workload
         assert reply["ok"] is False and reply["id"] == "s1"
@@ -127,12 +127,12 @@ class TestDispatchContract:
         assert reply["id"] == 9
 
     def test_unknown_command_via_handle(self):
-        session = ServiceSession(telemetry=False, warm=False)
+        session = ServiceSession(telemetry=False)
         reply = session.handle({"cmd": "bogus"})
         assert reply["ok"] is False and reply["error"] == "unknown-command"
 
     def test_closed_session_only_answers_ping_and_status(self):
-        session = ServiceSession(telemetry=False, warm=False)
+        session = ServiceSession(telemetry=False)
         reply = session.handle({"cmd": "shutdown"})
         assert reply["ok"] and reply["closed"]
         assert session.handle({"cmd": "ping"})["ok"]

@@ -16,7 +16,6 @@ WINDOW_NS = 100_000.0
 
 def fresh_session(**kwargs):
     kwargs.setdefault("telemetry", False)
-    kwargs.setdefault("warm", False)
     return ServiceSession(**kwargs)
 
 

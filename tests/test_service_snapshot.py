@@ -12,7 +12,6 @@ from repro.service.session import SESSION_SNAPSHOT_KIND
 
 def fresh_session(tmp_path, **kwargs):
     kwargs.setdefault("telemetry", False)
-    kwargs.setdefault("warm", False)
     kwargs.setdefault("snapshot_dir", str(tmp_path / "snaps"))
     return ServiceSession(**kwargs)
 
@@ -110,9 +109,31 @@ class TestSnapshotRestore:
         snapshot = SnapshotStore(str(tmp_path / "snaps")).load_latest()
         block = snapshot.workload
         assert block["kind"] == SESSION_SNAPSHOT_KIND
-        assert block["node"] == "mini"
+        assert {"warm", "node", "nodes"}.isdisjoint(block)
         assert block["boundary_ns"] == 500_000.0
         assert [e["frame"]["cmd"] for e in block["journal"]] == ["submit"]
+
+    def test_restore_accepts_snapshot_with_warm_start_keys(self, tmp_path):
+        # snapshots written while sessions had a warm-start option carry
+        # "warm" and the node preset(s); restore ignores them
+        control = fresh_session(tmp_path)
+        run_script(control, MIDRUN + [{"cmd": "run"}])
+        expected = latest_report(control)
+
+        session = fresh_session(tmp_path)
+        run_script(session, MIDRUN)
+        path = tmp_path / "legacy.json"
+        snapshot = Snapshot.from_json(
+            open(session.handle({"cmd": "snapshot"})["path"]).read()
+        )
+        snapshot.workload.update(warm=True, node="mini", nodes=["mini"])
+        path.write_text(snapshot.to_json())
+
+        restored = fresh_session(tmp_path)
+        reply = restored.handle({"cmd": "restore", "path": str(path)})
+        assert reply["ok"] and reply["replayed"] == 1
+        run_script(restored, [{"cmd": "run"}])
+        assert latest_report(restored) == expected
 
     def test_restore_refuses_foreign_snapshot_kind(self, tmp_path):
         # a PR 7 checkpoint (workload kind "chaos-jobs") is not a session
@@ -143,13 +164,3 @@ class TestSnapshotRestore:
         session = fresh_session(tmp_path)
         reply = session.handle({"cmd": "restore"})
         assert reply["ok"] is False and reply["error"] == "no-snapshot"
-
-    def test_snapshot_is_a_warm_start_token(self, tmp_path):
-        # the saved workload block pins the node preset, so the batch
-        # harnesses accept the file as a --warm-start argument
-        from repro.experiments import resolve_warm_start
-
-        session = fresh_session(tmp_path)
-        run_script(session, MIDRUN)
-        path = session.handle({"cmd": "snapshot"})["path"]
-        assert resolve_warm_start(path, "mini") is True

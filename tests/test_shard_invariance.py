@@ -3,8 +3,8 @@
 The acceptance contract of the sharded engine: the canonical merged
 report of every experiment is the same byte string whether the machine
 ran in one partition (the single-threaded reference), several inline
-partitions, or forked worker processes.  Also pins the template-based
-bring-up (a templated node behaves exactly like a legacy one).
+partitions, or forked worker processes.  Also pins the shared bring-up:
+a node built on a shape-memo hit behaves exactly like one built on a miss.
 """
 
 import os
@@ -12,8 +12,6 @@ import os
 import pytest
 
 from repro.shard import (
-    TemplateCache,
-    build_node,
     report_json,
     run_sharded_chaos,
     run_sharded_jobs,
@@ -165,48 +163,86 @@ def test_serving_split_is_checked_before_any_fork(backend, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# template bring-up equivalence
+# shared bring-up equivalence
 # ----------------------------------------------------------------------
-def test_templated_node_matches_legacy_node():
+def _run_graph_json(node):
     import dataclasses
     import json
 
     from repro.apps import make_layered_dag
-    from repro.core import ComputeNode
     from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset
-    from repro.sim import Simulator
+    from repro.presets import compiled_suite
 
-    params = node_preset("mini")
     registry, library = compiled_suite(max_variants=1)
-
-    def run(node_factory):
-        sim = Simulator()
-        node = node_factory(sim)
-        engine = ExecutionEngine(
-            node, registry, library, use_daemon=True,
-            daemon_period_ns=100_000.0,
-        )
-        graph = make_layered_dag(
-            layers=3, width=4, num_workers=len(node),
-            functions=("saxpy", "stencil5", "montecarlo"), seed=7,
-        )
-        report = engine.run_graph(graph)
-        return json.dumps(dataclasses.asdict(report), sort_keys=True)
-
-    cache = TemplateCache()
-    legacy = run(lambda sim: ComputeNode(sim, params))
-    templated = run(lambda sim: build_node(sim, params, 0, cache))
-    assert legacy == templated
+    engine = ExecutionEngine(
+        node, registry, library, use_daemon=True, daemon_period_ns=100_000.0,
+    )
+    graph = make_layered_dag(
+        layers=3, width=4, num_workers=len(node),
+        functions=("saxpy", "stencil5", "montecarlo"), seed=7,
+    )
+    return json.dumps(dataclasses.asdict(engine.run_graph(graph)), sort_keys=True)
 
 
-def test_templated_numa_distances_match():
+def test_templated_node_matches_legacy_node():
+    """A node built from the shared shape memo (a memo hit) runs a task
+    graph exactly like one whose shape was derived fresh (a memo miss)."""
     from repro.core import ComputeNode
+    from repro.core.compute_node import _node_shape
     from repro.presets import node_preset
     from repro.sim import Simulator
 
     params = node_preset("mini")
+    _node_shape.cache_clear()
     legacy = ComputeNode(Simulator(), params)
-    templated = build_node(Simulator(), params, 3, TemplateCache())
-    assert legacy.numa.distance_table() == templated.numa.distance_table()
-    assert len(legacy) == len(templated)
+    assert _node_shape.cache_info().misses == 1
+    templated = ComputeNode(Simulator(), params)
+    assert _node_shape.cache_info().hits == 1
+    assert _run_graph_json(legacy) == _run_graph_json(templated)
+
+
+def test_templated_numa_distances_match():
+    """The hop table and NUMA distances of a memo-hit node equal those of
+    a node whose shape was derived fresh."""
+    from repro.core import ComputeNode
+    from repro.core.compute_node import _node_shape
+    from repro.presets import node_preset
+    from repro.sim import Simulator
+
+    params = node_preset("mini")
+    _node_shape.cache_clear()
+    legacy = ComputeNode(Simulator(), params)
+    templated = ComputeNode(Simulator(), params)
+    assert _node_shape.cache_info().hits == 1
+    n = len(legacy)
+    assert len(templated) == n
+    assert [[templated.hop_distance(a, b) for b in range(n)] for a in range(n)] == [
+        [legacy.hop_distance(a, b) for b in range(n)] for a in range(n)
+    ]
+    assert [
+        [templated.numa.distance(a, b) for b in range(n)] for a in range(n)
+    ] == [[legacy.numa.distance(a, b) for b in range(n)] for a in range(n)]
+
+
+def test_nodes_of_one_shape_share_grid_and_budget():
+    from repro.presets import build_preset_node
+    from repro.sim import Simulator
+
+    a = build_preset_node(Simulator(), "board")
+    b = build_preset_node(Simulator(), "board", node_id=1)
+    wa, wb = a.workers[0], b.workers[0]
+    assert wa.floorplanner.grid is wb.floorplanner.grid
+    assert wa.fabric.regions[0].placement is wb.fabric.regions[0].placement
+    # mutable state stays per node
+    assert wa.fabric.regions[0] is not wb.fabric.regions[0]
+    assert a.network is not b.network
+
+
+def test_different_shapes_do_not_share_grid_or_budget():
+    from repro.presets import build_preset_node
+    from repro.sim import Simulator
+
+    mini = build_preset_node(Simulator(), "mini").workers[0]
+    board = build_preset_node(Simulator(), "board").workers[0]
+    assert mini.floorplanner.grid is not board.floorplanner.grid
+    assert mini.fabric.regions[0].placement is not board.fabric.regions[0].placement
