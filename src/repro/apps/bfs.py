@@ -32,10 +32,6 @@ class CsrGraph:
     def num_vertices(self) -> int:
         return len(self.indptr) - 1
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.indices) // 2
-
     def neighbours(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 

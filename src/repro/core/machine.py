@@ -52,12 +52,10 @@ class Machine:
         sim: Simulator,
         params: MachineParams = MachineParams(),
         ledger: Optional[EnergyLedger] = None,
-        telemetry=None,
     ) -> None:
         self.sim = sim
         self.params = params
         self.ledger = ledger if ledger is not None else EnergyLedger()
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
 
         self.nodes: List[ComputeNode] = [
             ComputeNode(sim, params.node, node_id=i, ledger=self.ledger)
@@ -75,11 +73,6 @@ class Machine:
         self.inter_network, endpoints = build_tree(sim, list(fanouts), params_per_level)
         self.node_endpoints = endpoints
         self.world = Communicator(self.inter_network, endpoints, name="world")
-
-        if self.telemetry is not None:
-            from repro.telemetry.wiring import attach_machine
-
-            attach_machine(self.telemetry, self)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -44,14 +44,6 @@ from repro.core.runtime.jobs import (
     JobState,
 )
 from repro.core.runtime.lazy import LazyStatusTracker, LocalWorkQueue
-from repro.core.runtime.monitoring import (
-    CallProfile,
-    CounterSnapshot,
-    FunctionInstrumentation,
-    ModelActuator,
-    PerformanceMonitor,
-    Projection,
-)
 from repro.core.runtime.models import (
     DeviceSelector,
     KnnPredictor,
@@ -72,15 +64,9 @@ from repro.core.runtime.report import JobOutcome, MachineReport
 from repro.core.runtime.scheduler import WorkItem, WorkerScheduler
 
 __all__ = [
-    "CallProfile",
     "CheckpointManager",
     "CheckpointPolicy",
-    "CounterSnapshot",
     "DaemonStats",
-    "FunctionInstrumentation",
-    "ModelActuator",
-    "PerformanceMonitor",
-    "Projection",
     "DeviceSelector",
     "DistributionPolicy",
     "ExecutionEngine",

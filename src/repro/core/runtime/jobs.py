@@ -152,9 +152,6 @@ class JobRegistry:
     def policy(self, job_id: int) -> SchedulingPolicy:
         return self.record(job_id).policy
 
-    def job_ids(self) -> List[int]:
-        return sorted(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -486,10 +483,6 @@ class JobManager:
     @property
     def draining(self) -> bool:
         return self._draining
-
-    @property
-    def active_jobs(self) -> int:
-        return self._active
 
     def drain(self) -> Signal:
         """Stop admitting jobs; the returned Signal fires once the last

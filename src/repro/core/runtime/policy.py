@@ -167,37 +167,6 @@ class SchedulingPolicy:
                 best_score = score
         return best
 
-    # ------------------------------------------------------------------
-    # OpenCL routing decision (context: a Worker + kernel handle)
-    # ------------------------------------------------------------------
-    def route_ndrange(self, worker, kernel, global_size: int) -> bool:
-        """CPU vs. FPGA for one OpenCL ND-range on ``worker`` (the
-        distributed command queue's routing hook; ``True`` = FPGA).
-
-        Greedy default: FPGA whenever a fitting variant's latency --
-        including a reconfiguration if nothing hosts the kernel yet --
-        beats the software estimate.
-        """
-        program = kernel.program
-        function = kernel.function
-        if not program.is_accelerated(function):
-            return False
-        # only consider variants that actually fit this worker's regions
-        capacity = max(
-            (r.capacity for r in worker.fabric.regions),
-            key=lambda c: c.area_units(),
-        )
-        module = program.library.best_variant(
-            function, capacity=capacity, items_hint=global_size
-        )
-        if module is None:
-            return False
-        hw_ns = module.latency_ns(global_size)
-        if worker.hosted_region(function) is None:
-            hw_ns += worker.reconfig.load_cost_ns(module)
-        sw_ns = worker.software_latency_ns(kernel.kernel_ir, global_size)
-        return hw_ns < sw_ns
-
 
 class GreedyHardwarePolicy(SchedulingPolicy):
     """The default policy: hardware whenever it is predicted faster,
@@ -267,32 +236,6 @@ class EnergyAwarePolicy(SchedulingPolicy):
                 return found[0]
         return super().choose_worker(distributor, task, observer)
 
-    def route_ndrange(self, worker, kernel, global_size: int) -> bool:
-        """Latency-plus-energy compare for the ND-range route."""
-        program = kernel.program
-        function = kernel.function
-        if not program.is_accelerated(function):
-            return False
-        capacity = max(
-            (r.capacity for r in worker.fabric.regions),
-            key=lambda c: c.area_units(),
-        )
-        module = program.library.best_variant(
-            function, capacity=capacity, items_hint=global_size
-        )
-        if module is None:
-            return False
-        weight = self.config.energy_ns_per_pj
-        hw_cost = module.latency_ns(global_size) + weight * module.energy_pj(
-            global_size
-        )
-        if worker.hosted_region(function) is None:
-            hw_cost += worker.reconfig.load_cost_ns(module)
-        sw_cost = worker.software_latency_ns(
-            kernel.kernel_ir, global_size
-        ) + weight * worker.params.software.energy_pj(kernel.kernel_ir, global_size)
-        return hw_cost < sw_cost
-
 
 class LocalityPolicy(SchedulingPolicy):
     """NUMA-style locality first: run every task where its working set
@@ -326,13 +269,6 @@ class LocalityPolicy(SchedulingPolicy):
                 w,
             ),
         )
-
-    def route_ndrange(self, worker, kernel, global_size: int) -> bool:
-        """FPGA only when the kernel is already resident on this Worker:
-        locality never pays for a reconfiguration."""
-        if worker.hosted_region(kernel.function) is None:
-            return False
-        return super().route_ndrange(worker, kernel, global_size)
 
 
 #: The built-in policies ``JobManager.submit_job(policy=...)`` accepts

@@ -111,9 +111,6 @@ class UnilogicDomain:
         memo[key] = found
         return found
 
-    def total_regions(self) -> int:
-        return sum(len(w.fabric) for w in self.node.workers)
-
     # ------------------------------------------------------------------
     # invocation
     # ------------------------------------------------------------------

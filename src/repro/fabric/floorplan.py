@@ -79,9 +79,6 @@ class TileGrid:
                 cols.append("clb")
         return cls(tuple(cols), rows)
 
-    def column_resources(self, index: int) -> ResourceVector:
-        return _TILE_RESOURCES[self.columns[index]] * self.rows
-
     def span_resources(self, start: int, width: int) -> ResourceVector:
         if start < 0 or width < 0 or start + width > len(self.columns):
             raise IndexError(f"span [{start}, {start + width}) outside grid")

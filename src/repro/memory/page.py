@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.memory.address import PAGE_SHIFT
-
 
 class PageOwnershipError(RuntimeError):
     """Raised when the single-cacheable-owner invariant would be violated."""
@@ -40,10 +38,6 @@ class Page:
     dirty: bool = False
     migrations: int = 0
     uncached_accessors: Set[int] = field(default_factory=set)
-
-    @property
-    def base_address(self) -> int:
-        return self.number << PAGE_SHIFT
 
 
 class PageRegistry:

@@ -69,10 +69,6 @@ class ProgressiveTranslator:
         # are still charged per call so reports are unchanged.
         self._memo: Dict[int, Tuple[int, float, Tuple[str, ...]]] = {}
 
-    def add_step(self, step: TranslationStep) -> None:
-        self.steps.append(step)
-        self._memo.clear()
-
     def translate(self, addr: int) -> Tuple[int, float, List[str]]:
         """Returns (final_address, total_latency_ns, applied step names)."""
         if addr < 0:

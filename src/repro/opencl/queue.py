@@ -9,7 +9,7 @@ device nearest its data, choosing CPU vs. FPGA by estimated cost.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,9 +20,6 @@ from repro.opencl.platform import Device, DeviceType
 from repro.opencl.program import KernelHandle
 from repro.opencl.types import CommandType, DataScope
 from repro.sim import AllOf, Signal, Timeout, spawn
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runtime.policy import SchedulingPolicy
 
 #: host bridge cost for read/write (PCIe/DMA-engine class)
 _HOST_BW_GBPS = 8.0
@@ -265,21 +262,14 @@ class DistributedCommandQueue:
     """One logical queue across all Workers of the node (Section 4.4).
 
     ND-ranges are routed to the Worker that *homes* the kernel's first
-    buffer (data locality first), then to CPU vs. FPGA by the routing
-    policy (a :class:`~repro.core.runtime.policy.SchedulingPolicy`;
-    default greedy cost compare); per-Worker in-order queues run
-    concurrently with each other, giving transparent cross-worker queue
-    management.
+    buffer (data locality first), then to CPU vs. FPGA by a greedy cost
+    compare; per-Worker in-order queues run concurrently with each
+    other, giving transparent cross-worker queue management.
     """
 
-    def __init__(
-        self, context: Context, policy: Optional["SchedulingPolicy"] = None
-    ) -> None:
-        from repro.core.runtime.policy import GreedyHardwarePolicy
-
+    def __init__(self, context: Context) -> None:
         self.context = context
         self.node = context.platform.node
-        self.policy = policy if policy is not None else GreedyHardwarePolicy()
         self._queues: dict = {}
         for device in context.devices:
             self._queues[(device.worker_id, device.device_type)] = CommandQueue(
@@ -296,13 +286,31 @@ class DistributedCommandQueue:
 
     # ------------------------------------------------------------------
     def _route(self, kernel: KernelHandle, global_size: int) -> CommandQueue:
+        """The queue for one ND-range: the data home's FPGA whenever a
+        fitting variant's latency -- including a reconfiguration if
+        nothing hosts the kernel yet -- beats the software estimate,
+        otherwise its CPU."""
         buffers = _buffer_args(kernel)
         target_worker = buffers[0].home_worker if buffers else 0
         worker = self.node.worker(target_worker)
-
-        if self.policy.route_ndrange(worker, kernel, global_size):
-            self.routed_to_fpga += 1
-            return self.queue_for(target_worker, DeviceType.FPGA)
+        function = kernel.function
+        module = None
+        if kernel.program.is_accelerated(function):
+            # only consider variants that actually fit this worker's regions
+            capacity = max(
+                (r.capacity for r in worker.fabric.regions),
+                key=lambda c: c.area_units(),
+            )
+            module = kernel.program.library.best_variant(
+                function, capacity=capacity, items_hint=global_size
+            )
+        if module is not None:
+            hw_ns = module.latency_ns(global_size)
+            if worker.hosted_region(function) is None:
+                hw_ns += worker.reconfig.load_cost_ns(module)
+            if hw_ns < worker.software_latency_ns(kernel.kernel_ir, global_size):
+                self.routed_to_fpga += 1
+                return self.queue_for(target_worker, DeviceType.FPGA)
         self.routed_to_cpu += 1
         return self.queue_for(target_worker, DeviceType.CPU)
 

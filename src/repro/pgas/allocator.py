@@ -133,9 +133,6 @@ class GlobalAllocator:
         self._arenas[alloc.domain_id].release(alloc.range)
 
     # ------------------------------------------------------------------
-    def live_allocations(self) -> List[Allocation]:
-        return list(self._live.values())
-
     def free_bytes(self, domain_id: Optional[int] = None) -> int:
         if domain_id is not None:
             return self._arenas[domain_id].free_bytes()

@@ -10,11 +10,7 @@ JSON is byte-identical at any partition count and on any backend.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
-
-
-def node_order(fragments: Dict[int, dict]) -> List[int]:
-    return sorted(fragments)
+from typing import Any, Dict, Iterable, Optional
 
 
 def sum_field(fragments: Dict[int, dict], *path: str) -> float:

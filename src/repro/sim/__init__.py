@@ -9,7 +9,8 @@ runs on this kernel.  It provides:
 - :class:`Signal` -- one-shot completion events processes can wait on,
 - :class:`Resource` / :class:`Store` -- contention points (ports, buses,
   configuration controllers),
-- :class:`Monitor` and friends -- statistics collection.
+- :class:`Counter`, :class:`TimeWeighted` and :class:`Histogram` --
+  statistics collection.
 
 The kernel is deterministic: events at equal timestamps fire in
 (priority, insertion-order) order, so simulations are exactly repeatable.
@@ -29,7 +30,6 @@ from repro.sim.resources import PriorityResource, Request, Resource, Store
 from repro.sim.stats import (
     Counter,
     Histogram,
-    Monitor,
     StatRegistry,
     TimeWeighted,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "Event",
     "Histogram",
     "Interrupt",
-    "Monitor",
     "PriorityResource",
     "Process",
     "Request",

@@ -7,7 +7,6 @@ simulated time rather than over samples.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator
@@ -37,77 +36,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class Monitor:
-    """Collects samples and reports summary statistics.
-
-    Mean/variance use Welford's online algorithm: the naive
-    sum-of-squares form loses all precision when values are large with
-    a small spread (e.g. timestamps in ns), because ``sumsq/n`` and
-    ``mean**2`` agree in their leading digits and the subtraction
-    cancels catastrophically.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def record(self, value: float) -> None:
-        self._n += 1
-        self._sum += value
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def total(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self._n else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self._n < 2:
-            return 0.0
-        return max(0.0, self._m2 / self._n)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self._n else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return self._max if self._n else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self._n),
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum,
-            "max": self.maximum,
-            "total": self._sum,
-        }
 
 
 class TimeWeighted:
@@ -154,7 +82,12 @@ class TimeWeighted:
 
 
 class Histogram:
-    """A fixed-bin histogram for latency / size distributions."""
+    """A fixed-bin histogram for latency / size distributions.
+
+    The running mean uses Welford's update: a naive ``sum / n`` loses
+    precision when values are large with a small spread (e.g.
+    timestamps in ns), and exported ``_sum`` lines read ``mean * count``.
+    """
 
     def __init__(self, bin_edges: List[float], name: str = "") -> None:
         if sorted(bin_edges) != list(bin_edges) or len(bin_edges) < 2:
@@ -164,10 +97,12 @@ class Histogram:
         self.counts = [0] * (len(bin_edges) - 1)
         self.underflow = 0
         self.overflow = 0
-        self._monitor = Monitor(name)
+        self._n = 0
+        self._mean = 0.0
 
     def record(self, value: float) -> None:
-        self._monitor.record(value)
+        self._n += 1
+        self._mean += (value - self._mean) / self._n
         if value < self.edges[0]:
             self.underflow += 1
             return
@@ -186,11 +121,11 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return self._monitor.count
+        return self._n
 
     @property
     def mean(self) -> float:
-        return self._monitor.mean
+        return self._mean if self._n else 0.0
 
     def percentile(self, p: float) -> float:
         """Approximate percentile from bin midpoints (p in [0, 100])."""
@@ -213,7 +148,6 @@ class StatRegistry:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.counters: Dict[str, Counter] = {}
-        self.monitors: Dict[str, Monitor] = {}
         self.gauges: Dict[str, TimeWeighted] = {}
         self.histograms: Dict[str, Histogram] = {}
 
@@ -221,11 +155,6 @@ class StatRegistry:
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
-
-    def monitor(self, name: str) -> Monitor:
-        if name not in self.monitors:
-            self.monitors[name] = Monitor(name)
-        return self.monitors[name]
 
     def gauge(self, name: str, initial: float = 0.0) -> TimeWeighted:
         if name not in self.gauges:
@@ -244,9 +173,6 @@ class StatRegistry:
         out: Dict[str, float] = {}
         for name, c in self.counters.items():
             out[f"counter.{name}"] = c.value
-        for name, m in self.monitors.items():
-            out[f"monitor.{name}.mean"] = m.mean
-            out[f"monitor.{name}.count"] = float(m.count)
         for name, g in self.gauges.items():
             out[f"gauge.{name}.avg"] = g.time_average()
             out[f"gauge.{name}.max"] = g.maximum

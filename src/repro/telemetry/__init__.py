@@ -58,7 +58,6 @@ from repro.telemetry.wiring import (
     attach_engine,
     attach_fabric,
     attach_link,
-    attach_machine,
     attach_memory,
     attach_network,
     attach_node,
@@ -79,7 +78,6 @@ __all__ = [
     "attach_engine",
     "attach_fabric",
     "attach_link",
-    "attach_machine",
     "attach_memory",
     "attach_network",
     "attach_node",

@@ -179,9 +179,8 @@ def prometheus_text(hub: Telemetry) -> str:
     """The registry in the Prometheus text exposition format.
 
     Counters keep their monotonic value; gauges expose their current
-    value plus a ``_time_avg`` companion; monitors map to summary-style
-    ``_count``/``_sum``; histograms emit cumulative ``_bucket`` lines
-    with ``le`` labels (including ``+Inf``).
+    value plus a ``_time_avg`` companion; histograms emit cumulative
+    ``_bucket`` lines with ``le`` labels (including ``+Inf``).
     """
     hub.collect()
     reg = hub.registry
@@ -198,12 +197,6 @@ def prometheus_text(hub: Telemetry) -> str:
         lines.append(f"{metric} {_prom_value(g.value)}")
         lines.append(f"# TYPE {metric}_time_avg gauge")
         lines.append(f"{metric}_time_avg {_prom_value(g.time_average())}")
-
-    for name, m in sorted(reg.monitors.items()):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {float(m.count)}")
-        lines.append(f"{metric}_sum {_prom_value(m.total)}")
 
     for name, h in sorted(reg.histograms.items()):
         metric = _prom_name(name)

@@ -4,7 +4,7 @@ One :class:`Telemetry` instance owns all three observability channels
 for a simulated machine:
 
 - the **metrics registry** (:class:`~repro.sim.stats.StatRegistry`):
-  counters, time-weighted gauges, monitors and histograms, shared by
+  counters, time-weighted gauges and histograms, shared by
   every layer (interconnect, memory, fabric, runtime),
 - the **tracer** (:class:`~repro.telemetry.tracing.Tracer`): begin/end
   spans on per-component lanes plus causal request-span trees,
@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import Counter, Histogram, Monitor, StatRegistry, TimeWeighted
+from repro.sim.stats import Counter, Histogram, StatRegistry, TimeWeighted
 from repro.telemetry.tracing import Span, Tracer
 from repro.telemetry.events import EventLog, TelemetryEvent
 
@@ -69,9 +69,6 @@ class Telemetry:
 
     def gauge(self, name: str, initial: float = 0.0) -> TimeWeighted:
         return self.registry.gauge(name, initial)
-
-    def monitor(self, name: str) -> Monitor:
-        return self.registry.monitor(name)
 
     def histogram(self, name: str, bin_edges: Optional[List[float]] = None) -> Histogram:
         return self.registry.histogram(name, bin_edges)
@@ -181,9 +178,6 @@ class NullTelemetry:
 
     def gauge(self, name: str, initial: float = 0.0) -> "_NullGauge":
         return _NullGauge(initial)
-
-    def monitor(self, name: str) -> Monitor:
-        return Monitor(name)
 
     def histogram(self, name: str, bin_edges: Optional[List[float]] = None) -> Histogram:
         return Histogram(list(bin_edges) if bin_edges else [0.0, 1.0], name)

@@ -129,7 +129,7 @@ def attach_fabric(hub: Telemetry, worker: Any, prefix: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# workers / nodes / machines
+# workers / nodes
 # ----------------------------------------------------------------------
 
 
@@ -150,20 +150,6 @@ def attach_node(hub: Telemetry, node: Any) -> None:
     attach_network(hub, node.network, prefix=f"{node.name}.noc")
     for worker in node.workers:
         attach_worker(hub, worker)
-
-
-def attach_machine(hub: Telemetry, machine: Any) -> None:
-    """The whole machine: kernel, nodes, inter-node network, energy."""
-    attach_simulator(hub, machine.sim)
-    for node in machine.nodes:
-        attach_node(hub, node)
-    attach_network(hub, machine.inter_network, prefix="interconnect.inter")
-    ledger = machine.ledger
-
-    def collect(h: Telemetry) -> None:
-        h.counter("machine.energy_pj").set(ledger.total_pj())
-
-    hub.register_collector(collect, name="machine.energy")
 
 
 # ----------------------------------------------------------------------

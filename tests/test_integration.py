@@ -1,7 +1,6 @@
 """Integration tests: full-stack scenarios crossing package boundaries."""
 
 import numpy as np
-import pytest
 
 from repro.apps import jacobi_reference, jacobi_step, make_layered_dag
 from repro.core import (
@@ -13,17 +12,11 @@ from repro.core import (
     UnilogicDomain,
 )
 from repro.core.middleware import PartialReconfigDriver
-from repro.core.runtime import (
-    CallProfile,
-    DeviceSelector,
-    ExecutionEngine,
-    ModelActuator,
-)
+from repro.core.runtime import ExecutionEngine
 from repro.fabric import ModuleLibrary
 from repro.hls import (
     HlsTool,
     SynthesisConstraints,
-    montecarlo_kernel,
     saxpy_kernel,
     stencil_kernel,
 )
@@ -75,37 +68,6 @@ class TestOpenclStencilPipeline:
         assert grid_b.cacheable_owner == 0
         # grid_b lives on worker 1: its pages were accessed remotely
         assert plat.node.unimem.remote_bytes > 0
-
-
-class TestRuntimeWithActuation:
-    """Engine run -> history -> actuator -> projections match reality."""
-
-    def test_actuator_projections_match_history(self):
-        sim = Simulator()
-        node = ComputeNode(sim, ComputeNodeParams(num_workers=4))
-        registry = FunctionRegistry()
-        library = ModuleLibrary()
-        tool = HlsTool()
-        for k in (saxpy_kernel(1024), montecarlo_kernel(1024, 8)):
-            registry.register(k)
-            tool.compile(k, library, SynthesisConstraints(max_variants=1))
-        engine = ExecutionEngine(
-            node, registry, library, use_daemon=True, daemon_period_ns=50_000.0
-        )
-        graph = make_layered_dag(
-            layers=10, width=10, num_workers=4,
-            functions=("saxpy", "montecarlo"), seed=17,
-        )
-        report = engine.run_graph(graph)
-        assert report.hw_calls > 0  # daemon did its job
-
-        actuator = ModelActuator(engine.history, retrain_every=1)
-        actuator.observe(CallProfile("saxpy", 1000))
-        recs = engine.history.records("saxpy", "sw")
-        if len(recs) >= 5:
-            mid = recs[len(recs) // 2]
-            proj = actuator.project("saxpy", mid.items)
-            assert proj.sw_latency_ns == pytest.approx(mid.latency_ns, rel=0.5)
 
 
 class TestMachineLevelPlacement:

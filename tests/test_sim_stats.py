@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Histogram, Monitor, Simulator, StatRegistry, TimeWeighted
+from repro.sim import Counter, Histogram, Simulator, StatRegistry, TimeWeighted
 
 
 def test_counter_accumulates():
@@ -13,27 +13,6 @@ def test_counter_accumulates():
     assert c.events == 2
     c.reset()
     assert c.value == 0
-
-
-def test_monitor_summary():
-    m = Monitor("lat")
-    for v in [1.0, 2.0, 3.0, 4.0]:
-        m.record(v)
-    assert m.count == 4
-    assert m.mean == pytest.approx(2.5)
-    assert m.minimum == 1.0
-    assert m.maximum == 4.0
-    assert m.total == 10.0
-    assert m.stdev == pytest.approx(1.1180339887, rel=1e-6)
-    s = m.summary()
-    assert s["count"] == 4.0
-
-
-def test_monitor_empty():
-    m = Monitor()
-    assert m.mean == 0.0
-    assert m.variance == 0.0
-    assert m.minimum == 0.0 and m.maximum == 0.0
 
 
 def test_time_weighted_average():
@@ -84,13 +63,14 @@ def test_histogram_percentile_bounds():
     with pytest.raises(ValueError):
         h.percentile(150)
     assert h.percentile(50) == 0.0  # empty
+    assert h.count == 0 and h.mean == 0.0
 
 
 def test_registry_reuses_instances():
     sim = Simulator()
     reg = StatRegistry(sim)
     assert reg.counter("a") is reg.counter("a")
-    assert reg.monitor("m") is reg.monitor("m")
+    assert reg.histogram("h") is reg.histogram("h")
     assert reg.gauge("g") is reg.gauge("g")
 
 
@@ -98,9 +78,9 @@ def test_registry_snapshot():
     sim = Simulator()
     reg = StatRegistry(sim)
     reg.counter("traffic").add(100)
-    reg.monitor("lat").record(5.0)
+    reg.histogram("lat").record(5.0)
     reg.gauge("depth").set(2.0)
     snap = reg.snapshot()
     assert snap["counter.traffic"] == 100
-    assert snap["monitor.lat.mean"] == 5.0
+    assert snap["histogram.lat.mean"] == 5.0
     assert "gauge.depth.avg" in snap

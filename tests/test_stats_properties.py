@@ -1,7 +1,7 @@
 """Property-based tests for the statistics primitives.
 
 Pins down the numeric contracts the telemetry hub relies on:
-Welford-based Monitor moments, TimeWeighted.time_average bounds, and
+the Welford running mean of Histogram, TimeWeighted.time_average bounds, and
 Histogram.percentile behaviour on every degenerate shape (empty,
 all-underflow, all-overflow).
 """
@@ -11,7 +11,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator
-from repro.sim.stats import Histogram, Monitor, TimeWeighted
+from repro.sim.stats import Histogram, TimeWeighted
 
 finite = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -20,41 +20,18 @@ deltas = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 # ----------------------------------------------------------------------
-# Monitor (Welford)
+# Histogram running mean (Welford)
 # ----------------------------------------------------------------------
 
 
-@given(st.lists(finite, min_size=1, max_size=50))
-@settings(max_examples=100, deadline=None)
-def test_monitor_moments_bounded(values):
-    m = Monitor()
-    for v in values:
-        m.record(v)
-    assert m.count == len(values)
-    assert m.minimum <= m.mean <= m.maximum
-    assert m.variance >= 0.0
-    assert m.total == sum(values)
-
-
 def test_monitor_welford_survives_large_offset():
-    """The naive sum-of-squares form returns variance 0 (or negative)
-    here; Welford keeps full precision."""
-    m = Monitor()
+    """Histogram's Welford running mean keeps large values with a small
+    spread exact."""
+    h = Histogram([0.0, 1.0])
     for v in (1e9, 1e9 + 1.0, 1e9 + 2.0):
-        m.record(v)
-    assert m.mean == 1e9 + 1.0
-    assert math.isclose(m.variance, 2.0 / 3.0, rel_tol=1e-9)
-
-
-@given(st.lists(finite, min_size=2, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_monitor_matches_two_pass_variance(values):
-    m = Monitor()
-    for v in values:
-        m.record(v)
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    assert math.isclose(m.variance, var, rel_tol=1e-6, abs_tol=1e-6)
+        h.record(v)
+    assert h.count == 3
+    assert h.mean == 1e9 + 1.0
 
 
 # ----------------------------------------------------------------------

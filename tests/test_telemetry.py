@@ -6,7 +6,8 @@ import pytest
 
 from repro.apps import make_layered_dag
 from repro.core import ComputeNode, ComputeNodeParams, FunctionRegistry, Worker
-from repro.core.runtime import ExecutionEngine, PerformanceMonitor
+from repro.core.runtime import ExecutionEngine
+from repro.hls import saxpy_kernel
 from repro.presets import compiled_suite
 from repro.sim import Simulator, Timeout, spawn
 from repro.telemetry import (
@@ -141,28 +142,18 @@ class TestWiring:
         assert "counter.worker0.smmu.translations" in snap
         assert "counter.worker0.fabric.reconfigurations" in snap
 
-    def test_performance_monitor_reads_from_hub(self):
-        sim = Simulator()
-        worker = Worker(sim, 0)
-        hub = Telemetry(sim)
-        mon_hub = PerformanceMonitor(worker, telemetry=hub)
-        mon_direct = PerformanceMonitor(worker)
-        spawn(sim, worker.local_stream(0, 8192))
-        sim.run()
-        via_hub = mon_hub.read()
-        direct = mon_direct.read()
-        assert via_hub.dram_bytes == direct.dram_bytes == 8192
-        assert via_hub.cache_hits == direct.cache_hits
-        assert via_hub.sw_calls == direct.sw_calls
+        # the hub mirrors the component's own counters exactly
+        def cpu_work():
+            yield from worker.cached_access(0, 256)
+            yield from worker.cached_access(0, 256)  # all hits
+            yield from worker.run_software(saxpy_kernel(64), 64)
 
-    def test_performance_monitor_does_not_double_attach(self):
-        sim = Simulator()
-        worker = Worker(sim, 0)
-        hub = Telemetry(sim)
-        attach_worker(hub, worker)
-        n = len(hub._collectors)
-        PerformanceMonitor(worker, telemetry=hub)
-        assert len(hub._collectors) == n
+        spawn(sim, cpu_work())
+        sim.run()
+        snap = hub.snapshot()
+        assert worker.cache.stats.hits > 0 and worker.sw_calls == 1
+        assert snap["counter.worker0.cache.hits"] == worker.cache.stats.hits
+        assert snap["counter.worker0.sw_calls"] == worker.sw_calls
 
 
 # ----------------------------------------------------------------------
