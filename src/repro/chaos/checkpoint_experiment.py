@@ -367,7 +367,9 @@ def run_checkpoint_restore_experiment(
     controller = ChaosController(sim, seed=seed, telemetry=telemetry)
     controller.fail_domain(engine, target, kill_ns, downtime_ns=None)
     controller.arm()
-    sim.run(until=abandon_ns)        # the crashed incarnation ends here
+    # the crashed incarnation ends here; its in-flight work stays cyclic,
+    # so unlike a finished run it is left to the cyclic collector
+    sim.run(until=abandon_ns)
     ckpt.stop()
     snapshot = ckpt.latest_before(kill_ns)
     if snapshot is None:

@@ -66,14 +66,19 @@ class ChaosConfig:
 
 @dataclass
 class PlannedFault:
-    """One scheduled fault: what, where, when (plus its apply thunk)."""
+    """One scheduled fault: what, where, when (plus its apply thunk).
+
+    ``apply`` is called with the controller that fires it; a thunk that
+    captured the controller instead would tie it into a reference cycle
+    through the controller's own plan.
+    """
 
     at_ns: float
     layer: str          # "worker" | "link" | "mpi" | "domain"
     kind: str           # "crash-stop" | "transient" | "degrade" | "restore" | "lossy"
     target: str
     params: Dict[str, Any] = field(default_factory=dict)
-    apply: Optional[Callable[[], None]] = None
+    apply: Optional[Callable[["ChaosController"], None]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -234,7 +239,7 @@ class ChaosController:
 
     def _schedule(self, fault: PlannedFault) -> None:
         def fire(f: PlannedFault = fault) -> None:
-            f.apply()
+            f.apply(self)
             self._record(f)
 
         self.sim.schedule_at(max(fault.at_ns, self.sim.now), fire)
@@ -261,7 +266,7 @@ class ChaosController:
                 params=(
                     {"downtime_ns": downtime_ns} if transient else {}
                 ),
-                apply=lambda: engine.crash_worker(worker_id, permanent=not transient),
+                apply=lambda ctl: engine.crash_worker(worker_id, permanent=not transient),
             )
         )
         if transient:
@@ -271,7 +276,7 @@ class ChaosController:
                     layer="worker",
                     kind="restore",
                     target=f"worker{worker_id}",
-                    apply=lambda: engine.recover_worker(worker_id),
+                    apply=lambda ctl: engine.recover_worker(worker_id),
                 )
             )
         return fault
@@ -290,14 +295,14 @@ class ChaosController:
         ``duration_ns`` restores the link to healthy afterwards."""
         rng = self._rng(f"link:{link.name}")
 
-        def apply() -> None:
+        def apply(ctl: ChaosController) -> None:
             fault = LinkFault(
                 rng=rng,
                 drop_rate=drop_rate,
                 latency_multiplier=latency_multiplier,
             )
             if outage_ns > 0:
-                fault.down_until_ns = self.sim.now + outage_ns
+                fault.down_until_ns = ctl.sim.now + outage_ns
             link.fault = fault
 
         fault = self._add(
@@ -315,7 +320,7 @@ class ChaosController:
             )
         )
         if duration_ns is not None:
-            def restore() -> None:
+            def restore(ctl: ChaosController) -> None:
                 link.fault = None
 
             self._add(
@@ -340,7 +345,7 @@ class ChaosController:
         """Arm message loss/duplication on an MPI communicator."""
         rng = self._rng(f"mpi:{comm.name}")
 
-        def apply() -> None:
+        def apply(ctl: ChaosController) -> None:
             comm.faults = MessageFaults(
                 rng=rng, drop_rate=drop_rate, duplicate_rate=duplicate_rate
             )
@@ -356,7 +361,7 @@ class ChaosController:
             )
         )
         if duration_ns is not None:
-            def restore() -> None:
+            def restore(ctl: ChaosController) -> None:
                 comm.faults = None
 
             self._add(
@@ -388,9 +393,9 @@ class ChaosController:
         if transient:
             params["downtime_ns"] = downtime_ns
 
-        def apply() -> None:
-            if self.gateway is not None:
-                self.gateway.enter_brownout(f"domain:{domain.name}")
+        def apply(ctl: ChaosController) -> None:
+            if ctl.gateway is not None:
+                ctl.gateway.enter_brownout(f"domain:{domain.name}")
             for w in workers:
                 engine.crash_worker(w, permanent=not transient)
 
@@ -405,11 +410,11 @@ class ChaosController:
             )
         )
         if transient:
-            def restore() -> None:
+            def restore(ctl: ChaosController) -> None:
                 for w in workers:
                     engine.recover_worker(w)
-                if self.gateway is not None:
-                    self.gateway.exit_brownout()
+                if ctl.gateway is not None:
+                    ctl.gateway.exit_brownout()
 
             self._add(
                 PlannedFault(

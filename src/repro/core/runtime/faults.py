@@ -32,6 +32,7 @@ the pre-fault-tolerance code path (the telemetry NULL-hub pattern).
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, List, Optional
@@ -137,7 +138,9 @@ class TaskSupervisor:
     """Heartbeat monitor + retry machinery for one Execution Engine."""
 
     def __init__(self, engine, policy: FaultTolerancePolicy, telemetry=None) -> None:
-        self.engine = engine
+        # weak: the engine owns this supervisor (see DESIGN.md, "Object
+        # lifetime")
+        self._engine = weakref.ref(engine)
         self.policy = policy
         self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
         self.failures: List[WorkerFailureRecord] = []
@@ -150,6 +153,10 @@ class TaskSupervisor:
         self._misses: Dict[int, int] = {}
         self._open: Dict[int, WorkerFailureRecord] = {}   # detected, not rejoined
         self._running = True
+
+    @property
+    def engine(self):
+        return self._engine()
 
     # ------------------------------------------------------------------
     # lifecycle (the engine spawns run() and calls stop())
@@ -345,7 +352,7 @@ class TaskSupervisor:
                 **attrs,
             )
         if not item.done.triggered:
-            item.done.succeed(item)     # unblock the driver: the run ends
+            item.done.succeed(None)     # unblock the driver: the run ends
 
     # ------------------------------------------------------------------
     # speculative timeout retries (live Worker, stuck task)

@@ -450,7 +450,7 @@ class JobManager:
             )
         if job.on_done is not None:
             job.on_done()
-        job.done.succeed(job)
+        job.done.succeed(None)
         self._active -= 1
         if self._active == 0:
             if self._drain_signal is not None:

@@ -291,4 +291,4 @@ class WorkerScheduler:
             self.queue.mark_done()
             self.tasks_done += 1
             if not item.done.triggered:
-                item.done.succeed(item)
+                item.done.succeed(None)

@@ -38,7 +38,7 @@ class Event:
     def _finish(self, result: Any = None) -> None:
         self.ended_at = self.sim.now
         self.result = result
-        self.signal.succeed(self)
+        self.signal.succeed(None)
 
     @property
     def duration_ns(self) -> Optional[float]:

@@ -15,6 +15,7 @@ already-flushed bucket is a no-op rather than a double flush.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Tuple
 
 from repro.serving.requests import Request
@@ -30,7 +31,9 @@ class DynamicBatcher:
             raise ValueError("max_batch must be >= 1")
         if max_wait_ns < 0:
             raise ValueError("max_wait_ns must be >= 0")
-        self.gateway = gateway
+        # weak: the gateway owns this batcher (see DESIGN.md, "Object
+        # lifetime")
+        self._gateway = weakref.ref(gateway)
         self.sim = gateway.sim
         self.max_batch = max_batch
         self.max_wait_ns = max_wait_ns
@@ -84,7 +87,7 @@ class DynamicBatcher:
         now = self.sim.now
         for r in batch:
             r.batched_at = now
-        self.gateway.dispatch_batch(key, batch)
+        self._gateway().dispatch_batch(key, batch)
 
     def flush_all(self) -> None:
         """Dispatch every parked bucket (arrival-stream drain)."""

@@ -145,9 +145,6 @@ class ProcessShard:
     def eot(self):
         return self._rpc("eot")
 
-    def advance(self, horizon):
-        return self._rpc("advance", horizon)
-
     # split-phase advance: post the request to every worker first, then
     # collect replies in shard order -- this is where the process
     # backend's windows actually overlap across cores
@@ -235,6 +232,9 @@ class ShardSet:
             shard.close_post()
         for shard in forked:
             shard.close_wait()
+        for shard in self.shards:
+            if not isinstance(shard, ProcessShard):
+                shard.close()
 
     def __enter__(self) -> "ShardSet":
         return self

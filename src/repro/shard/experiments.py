@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.shard.merge import max_field, merged_report, sum_field
 from repro.shard.plan import PartitionPlan, ShardError
@@ -261,7 +261,9 @@ def build_serving_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeC
     stopped = False
     epoch = 0
 
-    def epoch_tick() -> None:
+    # the tick is handed itself to reschedule: naming itself would make
+    # the closure a reference cycle
+    def epoch_tick(tick: Callable[..., None]) -> None:
         nonlocal epoch
         if stopped:
             gate.next_send_ns = None
@@ -277,7 +279,7 @@ def build_serving_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeC
         cell.bridge.send(0, "serve-load", load, plan.lookahead_ns)
         epoch += 1
         gate.next_send_ns = sim.now + SERVE_EPOCH_NS
-        sim.schedule_at(gate.next_send_ns, epoch_tick)
+        sim.schedule_at(gate.next_send_ns, tick, tick)
 
     def on_brownout(msg) -> None:
         if msg.payload["active"]:
@@ -289,7 +291,7 @@ def build_serving_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeC
         nonlocal stopped
         stopped = True
 
-    sim.schedule_at(SERVE_EPOCH_NS, epoch_tick)
+    sim.schedule_at(SERVE_EPOCH_NS, epoch_tick, epoch_tick)
     cell.on("serve-brownout", on_brownout)
     cell.on("serve-stop", on_stop)
     coord = _serve_coordinator(cell, plan, config) if node_id == 0 else None

@@ -171,6 +171,13 @@ class PartitionRuntime:
                 out[node_id] = cell.capturer()
         return out
 
+    def close(self) -> None:
+        """Drop every cell's message handlers.  Builders' handlers close
+        over their own cell, so a kept handler would leave the node to
+        the cyclic collector; none may fire after the run anyway."""
+        for cell in self.cells.values():
+            cell.handlers.clear()
+
     # ------------------------------------------------------------------
     def _dispatch(self, cell: NodeCell, msg: BridgeMessage) -> None:
         self._fired[msg.deliver_ns] = self._fired.get(msg.deliver_ns, 0) + 1

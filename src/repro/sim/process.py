@@ -185,11 +185,9 @@ class Process(Waitable):
         # it was subscribed under, so one left queued by a wait the
         # process has since abandoned fires as a no-op.
         self._wait_gen = 0
-        # bound once: every wait subscribes the same callback
-        self._wake = self._resume
         if sim.telemetry is not None:
             sim.telemetry.process_spawned(self)
-        sim._soon(self._wake, None)
+        sim._soon(self._resume, None)
 
     # -- Waitable protocol -------------------------------------------------
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
@@ -225,8 +223,11 @@ class Process(Waitable):
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        except Interrupt:
-            # Uncaught interrupt terminates the process quietly.
+        except Interrupt as uncaught:
+            # Uncaught interrupt terminates the process quietly.  Its
+            # traceback holds this frame, which holds ``exc``: drop it so
+            # the process and its simulator die by reference counting.
+            uncaught.__traceback__ = None
             self._finish(None)
             return
         self._wait_on(item)
@@ -251,7 +252,7 @@ class Process(Waitable):
             )
         gen = self._wait_gen
         if not gen:
-            item._subscribe(self.sim, self._wake)
+            item._subscribe(self.sim, self._resume)
             return
 
         # slow path, only after a caught Interrupt: tag the wake-up

@@ -1,5 +1,8 @@
 """Unit tests for generator processes, signals and composite waits."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -299,3 +302,51 @@ def test_many_processes_interleave_deterministically():
         spawn(sim, proc(i, float(5 - i)))
     sim.run()
     assert order == [4, 3, 2, 1, 0]
+
+
+def _freed_without_collector(run):
+    """Run ``run()`` (it returns the objects to watch) with the cyclic
+    collector off; whether every one of them is already dead."""
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(obj) for obj in run()]
+        return [ref() is None for ref in refs]
+    finally:
+        gc.enable()
+
+
+def test_finished_process_is_freed_by_reference_counting():
+    def run():
+        sim = Simulator()
+
+        def proc():
+            yield Timeout(1.0)
+            return "done"
+
+        p = spawn(sim, proc())
+        sim.run()
+        assert p.value == "done"
+        return [p, sim]
+
+    assert _freed_without_collector(run) == [True, True]
+
+
+def test_interrupted_process_is_freed_by_reference_counting():
+    def run():
+        sim = Simulator()
+
+        def victim():
+            yield Timeout(100.0)
+
+        def attacker(proc):
+            yield Timeout(1.0)
+            proc.interrupt()
+
+        p = spawn(sim, victim())
+        spawn(sim, attacker(p))
+        sim.run()
+        assert not p.alive
+        return [p, sim]
+
+    assert _freed_without_collector(run) == [True, True]
