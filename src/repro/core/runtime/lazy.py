@@ -34,7 +34,7 @@ class LocalWorkQueue:
 
     def push(self, task: Task) -> None:
         self.enqueued += 1
-        self.store.put(task)
+        self.store.put_nowait(task)
 
     def pop(self):
         """Waitable get: ``task = yield queue.pop()``."""

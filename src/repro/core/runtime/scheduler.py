@@ -109,7 +109,7 @@ class WorkerScheduler:
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        self.queue.store.put(_SHUTDOWN)
+        self.queue.store.put_nowait(_SHUTDOWN)
 
     def fail(self) -> None:
         """Crash-stop this Worker's runtime: the loop strands whatever it
@@ -144,7 +144,7 @@ class WorkerScheduler:
         items = [i for i in drained if i is not _SHUTDOWN]
         for sentinel in drained:
             if sentinel is _SHUTDOWN:           # re-arm a pending shutdown
-                self.queue.store.put(sentinel)
+                self.queue.store.put_nowait(sentinel)
         self.queue.enqueued -= len(items)
         items.extend(self.stranded)
         self.stranded = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 import numpy as np
@@ -19,6 +20,10 @@ class Buffer:
     real results) and by a *simulated* allocation in the Compute Node's
     UNIMEM space (so every access has a home, a cacheable owner, and a
     cost).
+
+    The context holds its buffers, so a buffer holds its context only
+    weakly and keeps the platform it allocates from: a context ended
+    without :meth:`Context.release_all` is freed by reference counting.
     """
 
     def __init__(
@@ -31,7 +36,8 @@ class Buffer:
     ) -> None:
         if size_bytes <= 0:
             raise ValueError(f"buffer size must be positive, got {size_bytes}")
-        self.context = context
+        self._context = weakref.ref(context)
+        self.platform = context.platform
         self.scope = scope
         self.size_bytes = size_bytes
         itemsize = np.dtype(dtype).itemsize
@@ -40,10 +46,15 @@ class Buffer:
                 f"size {size_bytes} is not a multiple of dtype size {itemsize}"
             )
         self.array = np.zeros(size_bytes // itemsize, dtype=dtype)
-        self.allocation: Allocation = context.platform.node.allocator.allocate(
+        self.allocation: Allocation = self.platform.node.allocator.allocate(
             size_bytes, affinity_worker
         )
         self._released = False
+
+    @property
+    def context(self) -> Optional["Context"]:
+        """The owning context, or ``None`` once it has been freed."""
+        return self._context()
 
     @property
     def home_worker(self) -> int:
@@ -57,18 +68,18 @@ class Buffer:
     @property
     def cacheable_owner(self) -> int:
         """Who may cache the buffer's first page right now (UNIMEM home)."""
-        return self.context.platform.node.unimem.page_home(self.allocation.base)
+        return self.platform.node.unimem.page_home(self.allocation.base)
 
     def migrate(self, new_owner: int) -> int:
         """The consistency abstraction: re-home the buffer's pages so
         ``new_owner`` may cache them (everyone else goes uncached).
         Returns pages moved."""
-        node = self.context.platform.node
+        node = self.platform.node
         return node.unimem.rehome_range(self.range, new_owner)
 
     def release(self) -> None:
         if not self._released:
-            self.context.platform.node.allocator.free(self.allocation)
+            self.platform.node.allocator.free(self.allocation)
             self._released = True
 
     def __len__(self) -> int:

@@ -68,24 +68,30 @@ class Event:
         return f"<Event t={self.time} prio={self.priority} {state}>"
 
 
-def _wakeup_event(now: float, pair: Tuple[Callable[[Any], None], Any]) -> Event:
-    """A detached :class:`Event` view of a lane wake-up pair, for the
-    telemetry hook, the one consumer that needs an :class:`Event`.
-    Pairs carry no sequence number, so the view's ``seq`` is -1."""
-    return Event(now, 0, -1, pair[0], (pair[1],))
+def _wakeup_event(
+    time: float, seq: int, pair: Tuple[Callable[[Any], None], Any]
+) -> Event:
+    """A detached :class:`Event` view of a ``(callback, arg)`` pair, for
+    the telemetry hook, the one consumer that needs an :class:`Event`.
+    A heap pair's view carries its entry's time and ``seq``; a lane
+    pair carries no sequence number, so its view's ``seq`` is -1.
+    Pairs always have priority 0."""
+    return Event(time, 0, seq, pair[0], (pair[1],))
 
 
 class Simulator:
     """A deterministic discrete-event simulator.
 
     Pending events live in two queues.  ``_queue`` is a heap of
-    ``(time, priority, seq, event)`` tuples, so its sift compares run in
-    C (``seq`` is unique, so the event itself is never compared).
+    ``(time, priority, seq, item)`` tuples, so its sift compares run in
+    C (``seq`` is unique, so the item itself is never compared).
     ``_lane`` is a FIFO of priority-0 entries due at the current instant.
-    Most are process wake-ups queued by :meth:`_soon` as bare
-    ``(callback, arg)`` pairs -- they can never be cancelled, so they
-    need no :class:`Event` -- and the rest are zero-delay priority-0
-    :class:`Event` s from :meth:`schedule` / :meth:`schedule_at`.
+    In both queues an item is an :class:`Event` only when a caller may
+    cancel it -- it came from :meth:`schedule` / :meth:`schedule_at`.
+    Everything else is a bare ``(callback, arg)`` pair that can never be
+    cancelled: process wake-ups queued by :meth:`_soon` on the lane, and
+    timeouts and resource holds queued by :meth:`_later`, on the heap
+    at priority 0 (or on the lane when due now).
 
     **Invariant: every lane entry is due at ``now``.**  Entries join the
     lane only when due at the current instant, and the clock only moves
@@ -115,8 +121,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, int, Event]] = []
-        # Events and (callback, arg) wake-up pairs, all due at ``now``
+        # (time, priority, seq, Event or (callback, arg) pair)
+        self._queue: List[Tuple[float, int, int, Any]] = []
+        # Events and (callback, arg) pairs, all due at ``now``
         self._lane: Deque[Any] = deque()
         self._seq: int = 0
         self._running: bool = False
@@ -181,6 +188,21 @@ class Simulator:
         lane; it takes no sequence number, since lane order is FIFO."""
         self._lane.append((callback, arg))
 
+    def _later(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
+        """``schedule(delay, callback, arg)`` without the argument checks
+        or the returned handle: the heap twin of :meth:`_soon`, for waits
+        nobody cancels (timeouts, resource holds).  It takes the sequence
+        number ``schedule`` would take and queues a bare ``(callback,
+        arg)`` pair at priority 0 -- on the lane when due now."""
+        now = self.now
+        time = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        if time == now:
+            self._lane.append((callback, arg))
+        else:
+            heapq.heappush(self._queue, (time, 0, seq, (callback, arg)))
+
     def _soon_each(self, callback: Callable[[Any], None], args: List[Any]) -> None:
         """:meth:`_soon` ``(callback, arg)`` for each of ``args``, in order,
         in one call."""
@@ -192,7 +214,7 @@ class Simulator:
     def _note_cancelled(self, event: Event) -> None:
         # An event detached from the queues (already fired/popped) marks
         # itself by clearing ``_sim``, so everything reaching here is
-        # still queued.  Wake-up pairs are never cancelled.
+        # still queued.  Pairs are never cancelled.
         self._cancelled_in_queue += 1
         if (
             self._cancelled_in_queue >= _COMPACT_MIN_CANCELLED
@@ -205,7 +227,10 @@ class Simulator:
         loop's local bindings stay valid (event order is total, so the
         re-heapified queue pops in the same order)."""
         heap = self._queue
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heap[:] = [
+            entry for entry in heap
+            if entry[3].__class__ is tuple or not entry[3].cancelled
+        ]
         heapq.heapify(heap)
         lane = self._lane
         live = [
@@ -234,9 +259,10 @@ class Simulator:
             self._cancelled_in_queue -= 1
         heap = self._queue
         while heap:
-            event = heap[0][3]
-            if not event.cancelled:
-                return event.time
+            entry = heap[0]
+            item = entry[3]
+            if item.__class__ is tuple or not item.cancelled:
+                return entry[0]
             heapq.heappop(heap)
             self._cancelled_in_queue -= 1
         return None
@@ -301,31 +327,57 @@ class Simulator:
         popleft = lane.popleft
         try:
             while True:
-                now = self.now
-                if lane and not (heap and (heap[0][0], heap[0][1]) <= (now, 0)):
-                    event = lane[0]
-                    if event.__class__ is tuple:
-                        # a wake-up pair, due at ``now``
-                        if now > horizon:
-                            break
-                        if fired >= limit:
-                            horizon = now
-                            break
-                        popleft()
-                        callback, arg = event
-                        self._processed += 1
-                        telemetry = self.telemetry
-                        if telemetry is not None:
-                            telemetry.sim_event_fired(_wakeup_event(now, event))
-                        callback(arg)
-                        fired += 1
-                        continue
-                    from_heap = False
+                if lane:
+                    now = self.now
+                    if heap:
+                        head = heap[0]
+                        time = head[0]
+                        # the heap head goes first when its (time,
+                        # priority) is at most (now, 0)
+                        from_heap = time < now or (time == now and head[1] <= 0)
+                    else:
+                        from_heap = False
+                    if not from_heap:
+                        event = lane[0]
+                        if event.__class__ is tuple:
+                            # a pair on the lane, due at ``now``
+                            if now > horizon:
+                                break
+                            if fired >= limit:
+                                horizon = now
+                                break
+                            popleft()
+                            self._processed += 1
+                            telemetry = self.telemetry
+                            if telemetry is not None:
+                                telemetry.sim_event_fired(_wakeup_event(now, -1, event))
+                            event[0](event[1])
+                            fired += 1
+                            continue
                 elif heap:
-                    event = heap[0][3]
+                    head = heap[0]
                     from_heap = True
                 else:
                     break
+                if from_heap:
+                    event = head[3]
+                    if event.__class__ is tuple:
+                        # a heap pair: live, never cancelled
+                        time = head[0]
+                        if time > horizon:
+                            break
+                        if fired >= limit:
+                            horizon = time
+                            break
+                        pop(heap)
+                        self.now = time
+                        self._processed += 1
+                        telemetry = self.telemetry
+                        if telemetry is not None:
+                            telemetry.sim_event_fired(_wakeup_event(time, head[2], event))
+                        event[0](event[1])
+                        fired += 1
+                        continue
                 if event.cancelled:
                     if from_heap:
                         pop(heap)

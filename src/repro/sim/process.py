@@ -57,7 +57,7 @@ class Timeout(Waitable):
         self.value = value
 
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
-        sim.schedule(self.delay, callback, self.value)
+        sim._later(self.delay, callback, self.value)
 
 
 class Signal(Waitable):
@@ -92,10 +92,13 @@ class Signal(Waitable):
             raise SimulationError("signal already fired")
         self._fired = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
-        soon = self.sim._soon
-        for waiter in waiters:
-            soon(waiter, value)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            # straight onto the lane, as ``sim._soon`` would queue them
+            lane = self.sim._lane
+            for waiter in waiters:
+                lane.append((waiter, value))
         return self
 
     def fail(self, exc: BaseException) -> "Signal":
@@ -113,7 +116,7 @@ class Signal(Waitable):
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
         if self._fired:
             payload = self._failure if self._failure is not None else self._value
-            sim._soon(callback, payload)
+            sim._lane.append((callback, payload))  # sim._soon, inlined
         else:
             self._waiters.append(callback)
 
@@ -243,19 +246,23 @@ class Process(Waitable):
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._wait_on(item)
+        # an untagged wait subscribes here; _wait_on rejects a
+        # non-Waitable and tags the waits that follow an Interrupt
+        if gen or not isinstance(item, Waitable):
+            self._wait_on(item)
+        else:
+            item._subscribe(self.sim, self._resume)
 
     def _wait_on(self, item: Waitable) -> None:
+        """Subscribe a wait made after an Interrupt, its wake-up tagged
+        with the wait's generation.  Rejects a non-Waitable from any
+        wait."""
         if not isinstance(item, Waitable):
             raise SimulationError(
                 f"process {self.name!r} yielded {item!r}, which is not a Waitable"
             )
         gen = self._wait_gen
-        if not gen:
-            item._subscribe(self.sim, self._resume)
-            return
 
-        # slow path, only after a caught Interrupt: tag the wake-up
         def wake(value: Any) -> None:
             self._resume(value, gen)
 

@@ -26,7 +26,13 @@ class Request(Signal):
     __slots__ = ("resource", "_t_request")
 
     def __init__(self, sim: Simulator, resource: "Resource") -> None:
-        super().__init__(sim)
+        # Signal's fields, set here rather than through super(): one
+        # request is built per resource acquisition
+        self.sim = sim
+        self._value: Any = None
+        self._failure: Optional[BaseException] = None
+        self._fired = False
+        self._waiters: List[Any] = []
         self.resource = resource
         self._t_request = sim.now
 
@@ -148,8 +154,10 @@ class Resource:
         holds = [h for h in holds]
         if not holds:
             return
+        if not all(hold >= 0 for hold in holds):  # also rejects NaN
+            raise SimulationError(f"negative hold in {holds}")
         sim = self.sim
-        schedule = sim.schedule
+        later = sim._later
         done = Signal(sim)
         remaining = len(holds)
 
@@ -164,11 +172,11 @@ class Resource:
             req = self.request()
             if req.triggered:
                 # granted immediately: go straight to the timed release
-                schedule(hold, _finish_one, req)
+                later(hold, _finish_one, req)
             else:
                 req._subscribe(
                     sim,
-                    lambda _v, req=req, hold=hold: schedule(hold, _finish_one, req),
+                    lambda _v, req=req, hold=hold: later(hold, _finish_one, req),
                 )
         yield done
 
@@ -177,7 +185,14 @@ class PriorityRequest(Request):
     __slots__ = ("priority", "seq")
 
     def __init__(self, sim: Simulator, resource: "PriorityResource", priority: int, seq: int) -> None:
-        super().__init__(sim, resource)
+        # Request's fields set here too, without the super() chain
+        self.sim = sim
+        self._value: Any = None
+        self._failure: Optional[BaseException] = None
+        self._fired = False
+        self._waiters: List[Any] = []
+        self.resource = resource
+        self._t_request = sim.now
         self.priority = priority
         self.seq = seq
 
@@ -251,7 +266,9 @@ class Store:
     """An unbounded-or-bounded FIFO of Python objects between processes.
 
     ``put`` and ``get`` return :class:`Signal`-like waitables; a ``get`` on
-    an empty store blocks the consumer until a producer puts.
+    an empty store blocks the consumer until a producer puts.  A producer
+    that never waits for room uses :meth:`put_nowait`, which builds no
+    signal.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "") -> None:
@@ -266,6 +283,16 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def put_nowait(self, item: Any) -> None:
+        """:meth:`put` without the put :class:`Signal`, for producers that
+        never wait on it; raises when a bounded store is full."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif self.capacity is None or len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            raise SimulationError(f"store {self.name!r} is full")
 
     def put(self, item: Any) -> Signal:
         sig = Signal(self.sim)

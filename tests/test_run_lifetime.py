@@ -92,7 +92,7 @@ def _restore():
     return restored.collect().json()
 
 
-def _opencl():
+def _opencl(release_all=True):
     from repro.core import ComputeNode, ComputeNodeParams
     from repro.hls import vecadd_kernel
     from repro.opencl import CommandQueue, Context, DeviceType, Platform, Program
@@ -106,7 +106,8 @@ def _opencl():
     queue = CommandQueue(ctx, platform.device(0, DeviceType.CPU))
     queue.enqueue_nd_range(program.kernel("vecadd").set_args(a, b, c), 1024)
     queue.finish()
-    ctx.release_all()
+    if release_all:
+        ctx.release_all()
 
 
 def _session():
@@ -125,6 +126,8 @@ RUNS = {
     "serving": lambda: run_serving_experiment("steady").json(),
     "chaos": lambda: run_chaos_experiment("mini").events_json(),
     "opencl": _opencl,
+    # a context its caller drops without release_all()
+    "opencl-unreleased": lambda: _opencl(release_all=False),
     "restore": _restore,
     "session-jobs": _session,
 }

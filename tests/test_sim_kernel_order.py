@@ -13,11 +13,29 @@ pairs rather than :class:`~repro.sim.Event` s, so a second program
 family concentrates on the lane: wake-ups mixed with zero-delay
 ``schedule()`` events (some cancelled), short ``max_events`` cuts,
 ``peek``/``step`` between runs, and ``run_window`` horizons.
+
+Timeouts and resource holds travel the heap as bare ``(callback, arg)``
+pairs queued by ``_later``, at priority 0 with a sequence number taken
+as ``schedule()`` would take it.  A third family mixes them -- raw
+``_later`` pairs, ``Timeout`` waits (some interrupted and re-armed)
+and ``use_batch`` holds -- with cancellable ``schedule``/``schedule_at``
+events at the same ``(time, priority)``, and cancel bursts that compact
+the queues while pairs are queued.  A kernel hook logs the ``(time,
+priority, seq, callback)`` of every fired entry; its reference hands
+out the same numbers.
 """
 
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.sim import Signal, SimulationError, Simulator, spawn
+from repro.sim import (
+    Interrupt,
+    Resource,
+    Signal,
+    SimulationError,
+    Simulator,
+    Timeout,
+    spawn,
+)
 from repro.telemetry import Telemetry, attach_simulator
 
 #: few distinct delays, so same-instant collisions are the common case
@@ -364,3 +382,253 @@ def test_burst_triggers_compaction_of_both_queues():
     runner.apply("burst", 100, 1.0, 0, 4)  # heap
     assert len(sim._lane) + len(sim._queue) < 200
     assert sim.pending == 50
+
+
+# ----------------------------------------------------------------------
+# heap pairs: timeouts and resource holds
+# ----------------------------------------------------------------------
+class _PairRefEvent(_RefEvent):
+    """A reference entry that also carries the ``seq`` the kernel's
+    telemetry hook reports: -1 for a lane pair."""
+
+    __slots__ = ("seq",)
+
+    @property
+    def time(self):
+        return self.key[0]
+
+    @property
+    def priority(self):
+        return self.key[1]
+
+
+class _LaneView:
+    """``Signal.succeed`` appends wake-ups to ``sim._lane`` directly."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def append(self, pair):
+        self.kernel._soon(*pair)
+
+
+class PairReferenceKernel(ReferenceKernel):
+    """The sorted reference plus ``_later`` and the kernel hook.
+
+    Order keys use one counter for every entry; a second counter hands
+    out the sequence numbers the kernel hands out, which ``_soon`` does
+    not take."""
+
+    def __init__(self):
+        super().__init__()
+        self.telemetry = None
+        self._lane = _LaneView(self)
+        self._kernel_seq = 0
+
+    def _take_seq(self):
+        seq = self._kernel_seq
+        self._kernel_seq += 1
+        return seq
+
+    def schedule_at(self, time, callback, *args, priority=0, seq=None):
+        if time < self.now:
+            raise SimulationError("past")
+        event = _PairRefEvent((time, priority, self._seq), callback, args)
+        self._seq += 1
+        event.seq = self._take_seq() if seq is None else seq
+        self._entries.append(event)
+        return event
+
+    def _soon(self, callback, arg):
+        self.schedule_at(self.now, callback, arg, seq=-1)
+
+    def _later(self, delay, callback, arg):
+        time = self.now + delay
+        seq = self._take_seq()
+        self.schedule_at(time, callback, arg, seq=-1 if time == self.now else seq)
+
+    def _fire(self, event):
+        if self.telemetry is not None:
+            self.telemetry.sim_event_fired(event)
+        super()._fire(event)
+
+
+class _KeyLog:
+    """A kernel hook that logs every fired entry into a program log."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def sim_event_fired(self, event):
+        self.log.append((
+            "key", event.time, event.priority, event.seq,
+            event.callback.__qualname__,
+        ))
+
+    def process_spawned(self, process):
+        pass
+
+
+class PairProgramRunner(ProgramRunner):
+    """:class:`ProgramRunner` plus raw ``_later`` pairs, ``Timeout``
+    waiters, ``use_batch`` holders and interrupts."""
+
+    def __init__(self, kernel, reactions, traced):
+        super().__init__(kernel, reactions)
+        self.resource = Resource(kernel, capacity=2)
+        self.processes = []
+        if traced:
+            kernel.telemetry = _KeyLog(self.log)
+
+    def _sleeper(self, eid, delay):
+        try:
+            yield Timeout(delay)
+        except Interrupt:
+            # the abandoned timeout's pair stays queued and fires stale
+            yield Timeout(delay)
+        self._fired(eid)
+
+    def _holder(self, eid, holds):
+        yield from self.resource.use_batch(holds)
+        self._fired(eid)
+
+    def _schedule(self, op, *args):
+        k = self.kernel
+        eid = len(self.handles)
+        if op == "later":
+            k._later(args[0], self._fired, eid)
+        elif op == "timeout":
+            self.processes.append(spawn(k, self._sleeper(eid, args[0])))
+        elif op == "hold":
+            spawn(k, self._holder(eid, args[0]))
+        elif op == "interrupt":
+            if self.processes:
+                self.processes[-1 - args[0] % len(self.processes)].interrupt()
+            return
+        else:
+            super()._schedule(op, *args)
+            return
+        self.handles.append(None)
+
+    def apply(self, op, *args):
+        if op not in ("later", "timeout", "hold", "interrupt", "pairs"):
+            super().apply(op, *args)
+            return
+        k = self.kernel
+        if op == "pairs":
+            n, delay = args
+            for _ in range(n):
+                self._schedule("later", delay)
+        else:
+            self._schedule(op, *args)
+        self.log.append((op, k.now, k.pending, k.events_processed))
+
+
+pair_schedule_ops = st.one_of(
+    st.tuples(st.just("sched"), delays, priorities),
+    st.tuples(st.just("sched"), delays, st.just(0)),
+    st.tuples(st.just("at"), st.sampled_from((0.0, 0.0, 1.0)), priorities),
+    st.tuples(st.just("soon")),
+    st.tuples(st.just("later"), delays),
+    st.tuples(st.just("timeout"), delays),
+    st.tuples(st.just("hold"), st.lists(delays, min_size=1, max_size=4)),
+)
+pair_reaction = st.lists(
+    st.one_of(
+        pair_schedule_ops,
+        st.tuples(st.just("cancel"), st.integers(0, 8)),
+        st.tuples(st.just("interrupt"), st.integers(0, 4)),
+    ),
+    max_size=3,
+)
+pair_ops = st.one_of(
+    pair_schedule_ops,
+    st.tuples(st.just("cancel"), st.integers(0, 20)),
+    st.tuples(st.just("interrupt"), st.integers(0, 6)),
+    st.tuples(st.just("pairs"), st.integers(1, 30), delays),
+    st.tuples(
+        st.just("burst"),
+        st.integers(40, 120),
+        delays,
+        priorities,
+        st.integers(1, 6),
+    ),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), offsets),
+        st.one_of(st.none(), st.integers(0, 12)),
+    ),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+    st.tuples(st.just("window"), window_offsets),
+    st.tuples(st.just("warp"), offsets),
+)
+
+
+def _execute_pairs(kernel, reactions, program, traced):
+    runner = PairProgramRunner(kernel, reactions, traced)
+    for op in program:
+        runner.apply(*op)
+    runner.apply("run", None, None)
+    return runner.log
+
+
+@seed(28)
+@settings(max_examples=300, deadline=None)
+@given(
+    reactions=st.lists(pair_reaction, min_size=1, max_size=8),
+    program=st.lists(pair_ops, min_size=10, max_size=60),
+    traced=st.booleans(),
+)
+def test_heap_pairs_match_sorted_reference(reactions, program, traced):
+    got = _execute_pairs(Simulator(), reactions, program, traced)
+    want = _execute_pairs(PairReferenceKernel(), reactions, program, traced)
+    assert got == want
+
+
+def test_pairs_survive_compaction_and_keep_their_place():
+    """A cancel burst compacts both queues while timeout pairs share
+    ``(time, 0)`` with cancellable events; the survivors fire in seq
+    order."""
+    sim = Simulator()
+    runner = PairProgramRunner(sim, [[]], traced=True)
+    runner.apply("sched", 1.0, 0)       # eid 0, seq 0
+    runner.apply("pairs", 3, 1.0)       # eids 1-3, seqs 1-3
+    runner.apply("at", 1.0, 0)          # eid 4, seq 4
+    runner.apply("burst", 100, 1.0, 0, 4)
+    assert len(sim._queue) < 105        # compacted
+    assert sim.pending == 5 + 25
+    assert sim.peek() == 1.0
+    runner.apply("run", None, None)
+    keys = [entry[3] for entry in runner.log if entry[0] == "key"]
+    assert keys[:5] == [0, 1, 2, 3, 4]
+    assert keys == sorted(keys)
+
+
+def test_telemetry_sees_a_timeout_wakeup_at_its_time_and_seq():
+    sim = Simulator()
+    seen = []
+    sim.telemetry = _KeyLog(seen)
+
+    def sleeper():
+        yield Timeout(2.5)
+
+    sim.schedule(1.0, lambda: None)  # seq 0
+    spawn(sim, sleeper())            # its first resume is a lane pair
+    sim.run()
+    resume = "Process._resume"
+    assert [entry[1:4] for entry in seen] == [(0.0, 0, -1), (1.0, 0, 0), (2.5, 0, 1)]
+    # the spawn, the lambda, then the timeout, queued at t=0 with seq 1
+    assert [entry[4] for entry in seen][::2] == [resume, resume]
+    assert seen[1][4].endswith("<lambda>")
+    # the hub records the same wake-up as a sim.event at its own time
+    sim = Simulator()
+    hub = Telemetry(sim, event_capacity=None, trace_sim_events=True)
+    attach_simulator(hub, sim)
+    spawn(sim, sleeper())
+    sim.run()
+    fired = [
+        (ev.ts, ev.attrs["callback"], ev.attrs["priority"])
+        for ev in hub.events.select(kind="sim.event")
+    ]
+    assert fired == [(0.0, resume, 0), (2.5, resume, 0)]

@@ -193,6 +193,37 @@ def test_bounded_store_blocks_putter():
     assert ("put-b", 5.0) in events
 
 
+def test_put_nowait_wakes_a_getter_or_queues_like_put():
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    got = []
+
+    def consumer():
+        for _ in range(3):
+            item = yield store.get()
+            got.append((sim.now, item))
+
+    spawn(sim, consumer())
+    sim.run()
+    store.put_nowait("woken")     # the blocked getter takes it
+    store.put_nowait("a")
+    store.put_nowait("b")
+    with pytest.raises(SimulationError):
+        store.put_nowait("full")  # a bounded store never blocks it
+    sim.run()
+    assert got == [(0.0, "woken"), (0.0, "a"), (0.0, "b")]
+    assert len(store) == 0
+
+
+def test_use_batch_rejects_negative_and_nan_holds():
+    sim = Simulator()
+    res = Resource(sim)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            next(res.use_batch([1.0, bad]))
+    assert res.total_requests == 0
+
+
 def test_bounded_store_capacity_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
