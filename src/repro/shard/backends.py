@@ -6,10 +6,14 @@ Two backends share one grant/window implementation
 * ``inline`` -- every partition runtime lives in this process; the
   coordinator drives them sequentially.  With one partition this *is*
   the single-threaded engine the byte-identity contract references.
-* ``process`` -- each partition runtime lives in a forked worker
-  process speaking a tiny pickle-RPC over a pipe.  Forking inherits the
-  warm interpreter (imports, compiled kernel suite), so bring-up inside
-  workers starts hot.
+* ``process`` -- partition 0 lives in the coordinator, as under
+  ``inline``; every other partition runtime lives in a forked worker
+  process speaking a tiny pickle-RPC over a pipe.  The coordinator
+  advances partition 0 while the workers advance theirs, so P
+  partitions keep P processes busy with P-1 forks (``process`` at one
+  partition forks nothing).  Forking inherits the warm interpreter
+  (imports, compiled kernel suite), so bring-up inside workers starts
+  hot.
 
 ``auto`` picks ``process`` only when it can actually help: more than
 one partition, a ``fork`` start method, and more than one CPU.
@@ -108,8 +112,9 @@ class ProcessShard:
     """Coordinator-side proxy for one forked partition runtime.
 
     Construction only forks: the child builds its runtime while the
-    coordinator forks the next partition, and :meth:`wait_ready`
-    collects the bring-up reply.  A forked child inherits ``builder``
+    coordinator forks the next partition and then builds partition 0
+    itself, and :meth:`wait_ready` collects the bring-up reply.  Only
+    partitions 1..P-1 get a proxy.  A forked child inherits ``builder``
     and ``config`` instead of unpickling them, so any function will do.
     """
 
@@ -184,7 +189,16 @@ class ProcessShard:
 # the coordinator-side shard set
 # ----------------------------------------------------------------------
 class ShardSet:
-    """All partitions of one sharded run, behind one backend."""
+    """All partitions of one sharded run, behind one backend.
+
+    ``shards`` is in partition order.  Under ``inline`` every entry is
+    a :class:`PartitionRuntime`; under ``process`` entry 0 is still the
+    coordinator's own runtime and entries 1..P-1 are
+    :class:`ProcessShard` proxies, which :func:`run_conservative` posts
+    each window to before it advances partition 0 inline.  If any
+    bring-up fails -- partition 0's in this process or a child's --
+    every child already forked is closed before the error propagates.
+    """
 
     def __init__(
         self,
@@ -200,12 +214,14 @@ class ShardSet:
             for p in range(plan.partitions):
                 self.shards.append(build_partition(builder, p, plan, config))
         else:
-            # fork every partition before collecting any bring-up reply,
-            # so the children build their nodes concurrently
+            # fork partitions 1..P-1 first, so the children build their
+            # nodes while the coordinator builds partition 0 itself;
+            # only then collect the children's bring-up replies
             try:
-                for p in range(plan.partitions):
+                for p in range(1, plan.partitions):
                     self.shards.append(ProcessShard(builder, p, plan, config))
-                for shard in self.shards:
+                self.shards.insert(0, build_partition(builder, 0, plan, config))
+                for shard in self.shards[1:]:
                     shard.wait_ready()
             except BaseException:
                 self.close()

@@ -50,3 +50,11 @@ def test_one_jobs_item(capsys):
     assert lines[0] == f"jobs-dag, seed 0, items 0-0: {total:,} events on 1 simulators"
     assert len(lines) == 2 + 3
     assert lines[2].endswith(counts.most_common(1)[0][0])
+
+
+def test_shard_items_are_counted_at_one_partition_only():
+    # items 0 and 1 run one 4-node input at P=1 and at P=2; only the
+    # P=1 run is counted, so its 4 node simulators are all there is
+    counts, sims = event_mix.event_mix("shard-4node", 0, 2)
+    assert sims == 4
+    assert sum(counts.values()) > 0

@@ -6,6 +6,9 @@ global window boundary and keyed purely by node, so a snapshot taken at
 reports that are byte-identical to each other.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.shard import (
@@ -18,6 +21,11 @@ from repro.shard import (
 
 PAUSE_NS = 400_000.0
 
+#: the 4-partition capture runs on the process backend wherever it can:
+#: partition 0's ``capture()`` runs in the coordinator, partitions 1-3
+#: answer capture RPCs from forked children
+_P4_BACKEND = "process" if hasattr(os, "fork") else "inline"
+
 
 @pytest.fixture(scope="module")
 def manifests():
@@ -25,9 +33,21 @@ def manifests():
         PAUSE_NS, preset="mini", seed=0, num_nodes=4, partitions=1
     )
     m4 = capture_sharded_jobs(
-        PAUSE_NS, preset="mini", seed=0, num_nodes=4, partitions=4
+        PAUSE_NS, preset="mini", seed=0, num_nodes=4, partitions=4,
+        backend=_P4_BACKEND,
     )
     return m1, m4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="process backend needs fork")
+def test_process_capture_matches_inline(manifests):
+    _, m4 = manifests
+    inline = capture_sharded_jobs(
+        PAUSE_NS, preset="mini", seed=0, num_nodes=4, partitions=4,
+        backend="inline",
+    )
+    assert manifest_json(m4) == manifest_json(inline)
+    assert multiprocessing.active_children() == []
 
 
 def test_manifest_is_partition_invariant(manifests):

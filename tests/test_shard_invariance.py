@@ -112,14 +112,50 @@ def test_process_backend_matches_inline(experiment):
     assert report_json(run("inline")) == report_json(run("process"))
 
 
-def _fail_on_node_1(node_id, plan, config):
-    """Per-node shard builder whose node 1 cannot be built."""
+def _pid_node(node_id, plan, config):
+    """Per-node shard builder whose fragment is the pid that built it."""
     from repro.shard import NodeCell
     from repro.sim import Simulator
 
-    if node_id == 1:
-        raise RuntimeError("node 1 bring-up failed")
-    return NodeCell(node_id, Simulator())
+    cell = NodeCell(node_id, Simulator())
+    built_in = os.getpid()
+    cell.fragment = lambda: {"pid": built_in}
+    return cell
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_process_backend_runs_partition_0_in_the_coordinator(partitions):
+    import multiprocessing
+
+    from repro.shard import PartitionPlan
+    from repro.shard.backends import ShardSet
+
+    plan = PartitionPlan.build(2 * partitions, partitions)
+    with ShardSet(plan, _pid_node, {}, backend="process") as shards:
+        shards.run()
+        pids = {nid: f["pid"] for nid, f in shards.fragments().items()}
+    by_partition = [{pids[nid] for nid in block} for block in plan.blocks()]
+    assert all(len(block_pids) == 1 for block_pids in by_partition)
+    coordinator, *children = [block_pids.pop() for block_pids in by_partition]
+    assert coordinator == os.getpid()
+    # one child per other partition, none at one partition
+    assert len({coordinator, *children}) == partitions
+    assert multiprocessing.active_children() == []
+
+
+def _fail_on_node(failing):
+    """Per-node shard builder whose node ``failing`` cannot be built."""
+
+    def build(node_id, plan, config):
+        from repro.shard import NodeCell
+        from repro.sim import Simulator
+
+        if node_id == failing:
+            raise RuntimeError(f"node {failing} bring-up failed")
+        return NodeCell(node_id, Simulator())
+
+    return build
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
@@ -130,9 +166,17 @@ def test_process_bringup_failure_reaps_every_child():
     from repro.shard.backends import ShardSet
 
     plan = PartitionPlan.build(3, 3)
+    # a child's bring-up fails: its traceback comes back as ShardError
     with pytest.raises(ShardError, match="partition 1 failed"):
-        ShardSet(plan, _fail_on_node_1, {}, backend="process")
+        ShardSet(plan, _fail_on_node(1), {}, backend="process")
     assert multiprocessing.active_children() == []
+    # partition 0 is built in the coordinator after the children are
+    # forked: the builder's own error propagates, as under inline
+    for backend in ("inline", "process"):
+        with pytest.raises(RuntimeError, match="^node 0 bring-up failed$") as raised:
+            ShardSet(plan, _fail_on_node(0), {}, backend=backend)
+        assert type(raised.value) is RuntimeError
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
