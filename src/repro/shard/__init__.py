@@ -3,7 +3,7 @@
 The machine is decomposed by Compute Node -- every node owns a private
 :class:`~repro.sim.Simulator` plus its full mechanism stack -- and nodes
 are grouped into partitions that advance in lockstep lookahead windows
-(:mod:`repro.shard.sync`).  Partitions run inline or in forked worker
+(:mod:`repro.shard.sync`).  Partitions run inline or in persistent worker
 processes (:mod:`repro.shard.backends`); policy stays on the coordinator
 or node 0 and travels over the bridge.  Canonical merged reports
 (:mod:`repro.shard.merge`) are byte-identical at any partition count on

@@ -39,10 +39,10 @@ def capture_sharded_jobs(
 
     if pause_at_ns <= 0:
         raise ShardError(f"pause_at_ns must be positive, got {pause_at_ns}")
-    job_preset(preset)
+    mix = job_preset(preset)  # resolve the name before any worker builds
     compiled_suite(max_variants=1)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
-    config = {"preset": preset, "seed": seed}
+    config = {"mix": mix, "seed": seed}
     with ShardSet(plan, build_jobs_node, config, backend) as shards:
         shards.run(pause_at_ns=pause_at_ns)
         captured = shards.capture()

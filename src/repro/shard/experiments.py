@@ -13,8 +13,11 @@ A builder here (``build_*_node``) constructs exactly one node:
 :func:`repro.shard.backends.build_partition` groups its cells into the
 partitions the conservative window protocol (:mod:`repro.shard.sync`)
 drives.  :class:`~repro.shard.backends.ShardSet` takes the builder
-function itself: the process backend forks, so a child inherits the
-builder and its ``config`` rather than unpickling them.
+function itself, and the process backend sends it (by import path) and
+its ``config`` to a worker that may have been forked several runs ago.
+So a builder reads its inputs only from ``config``, never from a
+registry: each ``run_sharded_*`` resolves its preset name to the spec
+once, on the coordinator, and ships the spec.
 
 Determinism notes:
 
@@ -88,9 +91,9 @@ def build_jobs_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell
     """
     from repro.core.runtime import JobManager
     from repro.experiments import build_engine, job_mix_graphs, submit_job_mix
-    from repro.presets import compiled_suite, job_preset
+    from repro.presets import compiled_suite
 
-    mix = job_preset(config["preset"])
+    mix = config["mix"]
     engine = build_engine(
         mix.node,
         node_id=node_id,
@@ -165,10 +168,10 @@ def run_sharded_jobs(
     from repro.presets import compiled_suite, job_preset
     from repro.shard.backends import ShardSet
 
-    job_preset(preset)  # validate the name before any fork
+    mix = job_preset(preset)  # resolve the name before any worker builds
     compiled_suite(max_variants=1)  # warm the HLS cache pre-fork
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
-    config: Dict[str, Any] = {"preset": preset, "seed": seed}
+    config: Dict[str, Any] = {"mix": mix, "seed": seed}
     if restore is not None:
         config["restore"] = restore
     with ShardSet(plan, build_jobs_node, config, backend) as shards:
@@ -242,16 +245,14 @@ def build_serving_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeC
     (see :func:`_serve_coordinator`) broadcasts brownout enter/exit
     transitions and the final stop back over the bridge.
     """
-    from repro.presets import serving_preset
     from repro.serving.brownout import BrownoutPolicy
     from repro.serving.gateway import build_serving_gateway
 
-    scenario = serving_preset(config["preset"])
     gateway = build_serving_gateway(
         config["preset"],
         seed=config["seed"] + node_id * _SERVE_SEED_STRIDE,
         brownout=BrownoutPolicy(),
-        scenario=_node_scenario(scenario, node_id, plan.num_nodes),
+        scenario=_node_scenario(config["scenario"], node_id, plan.num_nodes),
         node_id=node_id,
     )
     sim = gateway.sim
@@ -363,11 +364,13 @@ def run_sharded_serving(
     from repro.presets import compiled_suite, serving_preset
     from repro.shard.backends import ShardSet
 
-    _check_split(serving_preset(preset), num_nodes)  # before any fork
+    scenario = serving_preset(preset)
+    _check_split(scenario, num_nodes)  # before any worker builds
     compiled_suite(max_variants=2)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
     config = {
-        "preset": preset,
+        "preset": preset,  # the name the node reports carry
+        "scenario": scenario,
         "seed": seed,
         # default thresholds scale with the node count so the decision
         # is about per-node pressure, not machine size
@@ -414,12 +417,11 @@ def build_chaos_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCel
     """
     from repro.apps.taskgraph import graph_signature
     from repro.chaos.controller import seeded_node_plan
-    from repro.chaos.experiment import chaos_preset
     from repro.core.runtime import JobManager
     from repro.experiments import build_engine, layered_graph
     from repro.presets import compiled_suite
 
-    preset = chaos_preset(config["preset"])
+    preset = config["chaos"]
     compiled = compiled_suite(max_variants=1)
     graph_seed = preset.graph_seed + config["seed"] + node_id * _GRAPH_SEED_STRIDE
 
@@ -542,10 +544,10 @@ def run_sharded_chaos(
     from repro.presets import compiled_suite
     from repro.shard.backends import ShardSet
 
-    chaos_preset(preset)  # validate the name before any fork
+    spec = chaos_preset(preset)  # resolve the name before any worker builds
     compiled_suite(max_variants=1)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
-    config = {"preset": preset, "seed": seed}
+    config = {"chaos": spec, "seed": seed}
     with ShardSet(plan, build_chaos_node, config, backend) as shards:
         stats = shards.run()
         fragments = shards.fragments()

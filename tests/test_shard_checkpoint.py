@@ -18,12 +18,13 @@ from repro.shard import (
     report_json,
     restore_sharded_jobs,
 )
+from repro.shard.backends import shutdown_workers
 
 PAUSE_NS = 400_000.0
 
 #: the 4-partition capture runs on the process backend wherever it can:
 #: partition 0's ``capture()`` runs in the coordinator, partitions 1-3
-#: answer capture RPCs from forked children
+#: answer capture RPCs from persistent worker processes
 _P4_BACKEND = "process" if hasattr(os, "fork") else "inline"
 
 
@@ -47,6 +48,17 @@ def test_process_capture_matches_inline(manifests):
         backend="inline",
     )
     assert manifest_json(m4) == manifest_json(inline)
+    # the capture parked the workers of partitions 1-3; a second capture
+    # sends its builds to them and forks nothing
+    parked = {child.pid for child in multiprocessing.active_children()}
+    assert len(parked) >= 3
+    again = capture_sharded_jobs(
+        PAUSE_NS, preset="mini", seed=0, num_nodes=4, partitions=4,
+        backend="process",
+    )
+    assert manifest_json(again) == manifest_json(inline)
+    assert {child.pid for child in multiprocessing.active_children()} == parked
+    shutdown_workers()
     assert multiprocessing.active_children() == []
 
 

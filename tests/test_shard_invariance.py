@@ -113,14 +113,35 @@ def test_process_backend_matches_inline(experiment):
 
 
 def _pid_node(node_id, plan, config):
-    """Per-node shard builder whose fragment is the pid that built it."""
+    """Per-node shard builder whose fragment is the pid that built it;
+    node ``config["failing"]``, if set, cannot be built."""
     from repro.shard import NodeCell
     from repro.sim import Simulator
 
+    if node_id == config.get("failing"):
+        raise RuntimeError(f"node {node_id} bring-up failed")
     cell = NodeCell(node_id, Simulator())
     built_in = os.getpid()
     cell.fragment = lambda: {"pid": built_in}
     return cell
+
+
+def _partition_pids(plan):
+    """One process-backend run: the pid that built each partition."""
+    from repro.shard.backends import ShardSet
+
+    with ShardSet(plan, _pid_node, {}, backend="process") as shards:
+        shards.run()
+        pids = {nid: f["pid"] for nid, f in shards.fragments().items()}
+    by_partition = [{pids[nid] for nid in block} for block in plan.blocks()]
+    assert all(len(block_pids) == 1 for block_pids in by_partition)
+    return [block_pids.pop() for block_pids in by_partition]
+
+
+def _live_pids():
+    import multiprocessing
+
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
@@ -129,33 +150,19 @@ def test_process_backend_runs_partition_0_in_the_coordinator(partitions):
     import multiprocessing
 
     from repro.shard import PartitionPlan
-    from repro.shard.backends import ShardSet
+    from repro.shard.backends import shutdown_workers
 
     plan = PartitionPlan.build(2 * partitions, partitions)
-    with ShardSet(plan, _pid_node, {}, backend="process") as shards:
-        shards.run()
-        pids = {nid: f["pid"] for nid, f in shards.fragments().items()}
-    by_partition = [{pids[nid] for nid in block} for block in plan.blocks()]
-    assert all(len(block_pids) == 1 for block_pids in by_partition)
-    coordinator, *children = [block_pids.pop() for block_pids in by_partition]
+    first = _partition_pids(plan)
+    coordinator, *workers = first
     assert coordinator == os.getpid()
-    # one child per other partition, none at one partition
-    assert len({coordinator, *children}) == partitions
+    # one worker per other partition, none at one partition
+    assert len({coordinator, *workers}) == partitions
+    assert set(workers) <= _live_pids()
+    # the next run sends its builds to the same parked workers
+    assert _partition_pids(plan) == first
+    shutdown_workers()
     assert multiprocessing.active_children() == []
-
-
-def _fail_on_node(failing):
-    """Per-node shard builder whose node ``failing`` cannot be built."""
-
-    def build(node_id, plan, config):
-        from repro.shard import NodeCell
-        from repro.sim import Simulator
-
-        if node_id == failing:
-            raise RuntimeError(f"node {failing} bring-up failed")
-        return NodeCell(node_id, Simulator())
-
-    return build
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
@@ -163,20 +170,31 @@ def test_process_bringup_failure_reaps_every_child():
     import multiprocessing
 
     from repro.shard import PartitionPlan, ShardError
-    from repro.shard.backends import ShardSet
+    from repro.shard.backends import ShardSet, shutdown_workers
 
     plan = PartitionPlan.build(3, 3)
-    # a child's bring-up fails: its traceback comes back as ShardError
+    shutdown_workers()
+    workers = set(_partition_pids(plan)[1:])
+    assert _live_pids() == workers
+    # a worker's bring-up fails: its traceback comes back as ShardError,
+    # and no worker of the failed run is parked for the next one
     with pytest.raises(ShardError, match="partition 1 failed"):
-        ShardSet(plan, _fail_on_node(1), {}, backend="process")
-    assert multiprocessing.active_children() == []
-    # partition 0 is built in the coordinator after the children are
-    # forked: the builder's own error propagates, as under inline
+        ShardSet(plan, _pid_node, {"failing": 1}, backend="process")
+    assert _live_pids() == set()
+    # the next run forks fresh workers and succeeds
+    workers = set(_partition_pids(plan)[1:])
+    assert len(workers) == 2 and _live_pids() == workers
+    # partition 0 is built in the coordinator after the builds are
+    # posted: the builder's own error propagates, as under inline
     for backend in ("inline", "process"):
         with pytest.raises(RuntimeError, match="^node 0 bring-up failed$") as raised:
-            ShardSet(plan, _fail_on_node(0), {}, backend=backend)
+            ShardSet(plan, _pid_node, {"failing": 0}, backend=backend)
         assert type(raised.value) is RuntimeError
-        assert multiprocessing.active_children() == []
+    # workers still owing their bring-up reply are reaped too
+    assert _live_pids() == set()
+    assert len(set(_partition_pids(plan)[1:])) == 2
+    shutdown_workers()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -186,10 +204,9 @@ def test_process_bringup_failure_reaps_every_child():
 )
 def test_serving_split_is_checked_before_any_fork(backend, monkeypatch):
     import dataclasses
-    import multiprocessing
 
     from repro.presets import SERVING_PRESETS
-    from repro.shard import ShardError
+    from repro.shard import PartitionPlan, ShardError
 
     steady = SERVING_PRESETS["steady"]
     one = dataclasses.replace(steady.tenants[0], name="t", requests=1)
@@ -199,11 +216,15 @@ def test_serving_split_is_checked_before_any_fork(backend, monkeypatch):
     message = (
         "^tenant 't' has 1 requests, fewer than 2 nodes -- nothing to shard$"
     )
+    if _HAS_FORK:
+        _partition_pids(PartitionPlan.build(2, 2))  # park a worker
+    parked = _live_pids()
     with pytest.raises(ShardError, match=message):
         run_sharded_serving(
             "one-request", seed=0, num_nodes=2, partitions=2, backend=backend
         )
-    assert multiprocessing.active_children() == []
+    # no worker was forked, and none was sent a build that failed
+    assert _live_pids() == parked
 
 
 # ----------------------------------------------------------------------
