@@ -80,6 +80,29 @@ class TestHistory:
         with pytest.raises(ValueError):
             ExecutionHistory(capacity=0)
 
+    def test_history_file_bytes_are_pinned(self, tmp_path):
+        """The History file's JSON layout: field order, keys and float
+        formatting, byte for byte, and a load reproduces the records."""
+        h = ExecutionHistory()
+        h.record(function="saxpy", device="sw", worker=0, items=512,
+                 latency_ns=1234.5, energy_pj=6.25e5, timestamp=10.0)
+        h.record(function="fir32", device="hw", worker=3, items=7,
+                 latency_ns=0.1, energy_pj=0.0, timestamp=11.0, job=2)
+        path = tmp_path / "history.json"
+        h.save(path)
+        assert path.read_text() == (
+            '[{"function": "saxpy", "device": "sw", "worker": 0, "items": 512, '
+            '"latency_ns": 1234.5, "energy_pj": 625000.0, "timestamp": 10.0, '
+            '"job": 0}, {"function": "fir32", "device": "hw", "worker": 3, '
+            '"items": 7, "latency_ns": 0.1, "energy_pj": 0.0, "timestamp": 11.0, '
+            '"job": 2}]'
+        )
+        loaded = ExecutionHistory.load(path)
+        assert loaded.records() == h.records()
+        again = tmp_path / "again.json"
+        loaded.save(again)
+        assert again.read_text() == path.read_text()
+
 
 _FUNCTIONS = ("f", "g", "h")
 _SINCES = (None, 0.0, 2.5, 5.0, 9.0)
