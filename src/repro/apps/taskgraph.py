@@ -118,24 +118,31 @@ def make_layered_dag(
     if not functions:
         raise ValueError("need at least one function")
     rng = random.Random(seed)
+    choices = list(functions)
+    affinities = [(slot * num_workers) // width for slot in range(width)]
+    # where a non-local task's data may live: any other worker (itself
+    # on a one-worker node); one list per affinity, reused every layer
+    others = {
+        affinity: [w for w in range(num_workers) if w != affinity] or [affinity]
+        for affinity in affinities
+    }
+    k = min(fanin, width)
+    lo, hi = items_range
     tasks: List[Task] = []
     prev_layer: List[Task] = []
     for layer in range(layers):
         current: List[Task] = []
-        for slot in range(width):
-            affinity = (slot * num_workers) // width
+        for affinity in affinities:
             if rng.random() < locality:
                 data = affinity
             else:
-                others = [w for w in range(num_workers) if w != affinity] or [affinity]
-                data = rng.choice(others)
+                data = rng.choice(others[affinity])
             deps: Tuple[int, ...] = ()
             if prev_layer:
-                k = min(fanin, len(prev_layer))
                 deps = tuple(t.task_id for t in rng.sample(prev_layer, k))
-            items = rng.randint(*items_range)
+            items = rng.randint(lo, hi)
             task = Task(
-                function=rng.choice(list(functions)),
+                function=rng.choice(choices),
                 items=items,
                 data_worker=data,
                 affinity_worker=affinity,

@@ -135,12 +135,12 @@ class ReconfigurationDaemon:
             # an immediate eviction candidate, so loading it is churn
             if score < self.evict_hotness:
                 continue
-            recs = self.history.records(function, since=since)
-            if not recs:
-                recs = self.history.records(function)
-            if not recs:
-                continue
-            mean_items = sum(r.items for r in recs) / len(recs)
+            # typical call size: over the window, else over every call
+            mean_items = self.history.mean_items(function, since=since)
+            if mean_items is None:
+                mean_items = self.history.mean_items(function)
+                if mean_items is None:
+                    continue
             items = max(1, int(mean_items))
             sw_ns = self.history.mean_latency(function, "sw")
             if sw_ns is None:

@@ -66,6 +66,7 @@ class WorkDistributor:
         self.placements_local = 0   # task placed with its data
         self.placements_remote = 0
         self._down: Set[int] = set()   # failed Workers, out of the pool
+        self._alive: List[int] = self._pool()
 
     # ------------------------------------------------------------------
     # graceful degradation: failed Workers leave the placement pool and
@@ -73,32 +74,39 @@ class WorkDistributor:
     # ------------------------------------------------------------------
     def mark_down(self, worker: int) -> None:
         self._down.add(worker)
+        self._alive = self._pool()
 
     def mark_up(self, worker: int) -> None:
         self._down.discard(worker)
+        self._alive = self._pool()
 
     @property
     def down_workers(self) -> FrozenSet[int]:
         return frozenset(self._down)
 
     def alive_workers(self) -> List[int]:
-        """Placement candidates; a fully-dark pool falls back to everyone
-        (placements then strand until a Worker rejoins)."""
-        if not self._down:
-            return list(range(len(self.queues)))
+        """Placement candidates, in id order: a shared list, rebuilt only
+        when a Worker leaves or rejoins the pool (read it, do not modify
+        it)."""
+        return self._alive
+
+    def _pool(self) -> List[int]:
+        # a fully-dark pool falls back to everyone (placements then
+        # strand until a Worker rejoins)
         alive = [w for w in range(len(self.queues)) if w not in self._down]
         return alive or list(range(len(self.queues)))
 
     def choose_worker(self, task: Task, observer: int = 0, job: int = 0) -> int:
         """The Worker the job's policy picks among the Workers currently
         in the placement pool."""
-        best = self.jobs.policy(job).choose_worker(self, task, observer)
+        record = self.jobs.record(job)
+        best = record.policy.choose_worker(self, task, observer)
         local = best == task.data_worker
         if local:
             self.placements_local += 1
         else:
             self.placements_remote += 1
-        self.jobs.record(job).note_placement(local)
+        record.note_placement(local)
         return best
 
     def dispatch(self, task: Task, observer: int = 0, job: int = 0) -> int:

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry.quantiles import latency_summary, mean
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    """One completed function call."""
-
+class _RecordFields(NamedTuple):
     function: str
     device: str            # "sw" or "hw"
     worker: int
@@ -31,11 +27,41 @@ class ExecutionRecord:
     timestamp: float       # simulated time of completion
     job: int = 0           # owning tenant (0 = the implicit legacy job)
 
-    def __post_init__(self) -> None:
-        if self.device not in ("sw", "hw"):
-            raise ValueError(f"device must be 'sw' or 'hw', got {self.device!r}")
-        if self.items < 1 or self.latency_ns < 0 or self.energy_pj < 0:
+
+class ExecutionRecord(_RecordFields):
+    """One completed function call.
+
+    An immutable named tuple, built once per completed task: positional
+    or keyword construction validates the fields, and ``_asdict()``
+    gives the History file's JSON object (keys in field order).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        function: str,
+        device: str,
+        worker: int,
+        items: int,
+        latency_ns: float,
+        energy_pj: float,
+        timestamp: float,
+        job: int = 0,
+    ) -> "ExecutionRecord":
+        if device not in ("sw", "hw"):
+            raise ValueError(f"device must be 'sw' or 'hw', got {device!r}")
+        if items < 1 or latency_ns < 0 or energy_pj < 0:
             raise ValueError("invalid record fields")
+        return tuple.__new__(
+            cls,
+            (function, device, worker, items, latency_ns, energy_pj, timestamp, job),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "ExecutionRecord":
+        # validate here too, so ``_replace`` cannot build a bad record
+        return cls(*iterable)
 
 
 class ExecutionHistory:
@@ -78,10 +104,12 @@ class ExecutionHistory:
             if not record.timestamp >= self._last_timestamp:
                 self._in_order = False
             self._last_timestamp = record.timestamp
-        for key in ((record.function, None), (record.function, record.device)):
-            bucket = self._index.get(key)
+        index = self._index
+        function = record.function
+        for key in ((function, None), (function, record.device)):
+            bucket = index.get(key)
             if bucket is None:
-                bucket = self._index[key] = deque()
+                bucket = index[key] = deque()
             bucket.append(record)
 
     def record(self, **kwargs) -> ExecutionRecord:
@@ -119,6 +147,19 @@ class ExecutionHistory:
         if job is not None:
             out = [r for r in out if r.job == job]
         return list(out)
+
+    def mean_items(
+        self, function: str, since: Optional[float] = None
+    ) -> Optional[float]:
+        """Mean ``items`` per call of ``function`` (over its records with
+        ``timestamp >= since`` when given); ``None`` when there are none.
+        Without ``since`` it reads the function's list in place."""
+        recs = self._index.get((function, None))
+        if recs and since is not None:
+            recs = self.records(function, since=since)
+        if not recs:
+            return None
+        return sum(r.items for r in recs) / len(recs)
 
     def functions(self) -> List[str]:
         return sorted({r.function for r in self._records})
@@ -170,7 +211,7 @@ class ExecutionHistory:
     # persistence (the literal History *file*)
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        payload = [asdict(r) for r in self._records]
+        payload = [r._asdict() for r in self._records]
         Path(path).write_text(json.dumps(payload))
 
     @classmethod

@@ -383,6 +383,18 @@ class JobManager:
 
         item.done._subscribe(self.sim, release)
 
+    def abandon(self) -> None:
+        """Forget the pending work of a run paused for good: the drivers
+        parked on admission and the completion waiters of every
+        dispatched item, which close over this manager and its drivers.
+        With ``Simulator.close`` (which ends the suspended processes)
+        it frees a paused run by reference counting; a finished run
+        holds neither."""
+        self._blocked = []
+        for job in self.handles:
+            for item in job.items:
+                item.done.drop_waiters()
+
     def _kick(self) -> None:
         """A slot freed: queue one re-check per driver blocked on
         admission, in the order they blocked."""

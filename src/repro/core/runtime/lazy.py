@@ -14,9 +14,7 @@ refresh-ratio -- the quantity the CLAIM-LAZY experiment measures.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Sequence
 
 from repro.apps.taskgraph import Task
 from repro.sim import Simulator, Store
@@ -73,27 +71,49 @@ class LazyStatusTracker:
         self._cache: Dict[int, int] = {}
         self._cached_at: Dict[int, float] = {}
 
+    def estimated_loads(self, observer: int, targets: Sequence[int]) -> List[int]:
+        """``observer``'s beliefs about each of ``targets``' outstanding
+        work, in order -- one call per placement scores the whole pool.
+
+        Each target is resolved exactly as a separate query in list
+        order would be: the observer's own queue is read for free, eager
+        mode polls every other target (one status message each), and
+        lazy mode re-polls a target only when its cached snapshot has
+        expired.
+        """
+        queues = self.queues
+        if not self.lazy:
+            self.status_messages += sum(1 for w in targets if w != observer)
+            return [queues[w].outstanding for w in targets]
+        now = self.sim.now
+        interval = self.refresh_interval_ns
+        cache = self._cache
+        cached_at = self._cached_at
+        messages = 0
+        loads = []
+        for w in targets:
+            if w == observer:
+                loads.append(queues[w].outstanding)  # local state is free
+                continue
+            at = cached_at.get(w)
+            if at is None or now - at >= interval:
+                messages += 1
+                load = cache[w] = queues[w].outstanding
+                cached_at[w] = now
+            else:
+                load = cache[w]
+            loads.append(load)
+        self.status_messages += messages
+        return loads
+
     def estimated_load(self, observer: int, target: int) -> int:
         """``observer``'s belief about ``target``'s outstanding work."""
-        if target == observer:
-            return self.queues[target].outstanding  # local state is free
-        if not self.lazy:
-            self.status_messages += 1
-            return self.queues[target].outstanding
-        now = self.sim.now
-        cached_at = self._cached_at.get(target)
-        if cached_at is None or now - cached_at >= self.refresh_interval_ns:
-            self.status_messages += 1
-            self._cache[target] = self.queues[target].outstanding
-            self._cached_at[target] = now
-        return self._cache[target]
+        return self.estimated_loads(observer, (target,))[0]
 
     def least_loaded(self, observer: int) -> int:
         """The worker believed least loaded (ties to lowest id)."""
-        return min(
-            range(len(self.queues)),
-            key=lambda w: (self.estimated_load(observer, w), w),
-        )
+        loads = self.estimated_loads(observer, range(len(self.queues)))
+        return min(range(len(loads)), key=lambda w: (loads[w], w))
 
     def staleness_error(self) -> float:
         """Mean absolute difference between beliefs and reality now."""

@@ -146,22 +146,28 @@ class SchedulingPolicy:
         The score (lower wins) is the data-affinity transfer cost
         ``hops * bytes * transfer_penalty`` plus the believed load
         ``load * load_penalty``.  Placement runs once per task, so every
-        alive Worker is scored in one pass over the node's hop row; the
-        tracker is queried once per candidate, in pool order, which is
-        what its status-message count and cache depend on.
+        alive Worker is scored in one pass over the node's hop row, with
+        the beliefs about the whole pool from one tracker call (in pool
+        order, which is what its status-message count and cache depend
+        on).
         """
         config = self.config
         hop_row = distributor.node.hop_row(task.data_worker)
         data_bytes = task.input_bytes + task.output_bytes
         penalty = config.transfer_penalty_ns_per_byte_hop
-        tracker = None if config.data_affinity_only else distributor.tracker
+        alive = distributor.alive_workers()
+        loads = (
+            None
+            if config.data_affinity_only
+            else distributor.tracker.estimated_loads(observer, alive)
+        )
         load_penalty = config.load_penalty_ns
         best = -1
         best_score = 0.0
-        for w in distributor.alive_workers():
+        for i, w in enumerate(alive):
             score = hop_row[w] * data_bytes * penalty
-            if tracker is not None:
-                score = score + tracker.estimated_load(observer, w) * load_penalty
+            if loads is not None:
+                score = score + loads[i] * load_penalty
             if best < 0 or score < best_score:
                 best = w
                 best_score = score

@@ -24,7 +24,7 @@ from typing import Generator, List, Optional
 
 from repro.apps.taskgraph import Task
 from repro.core.compute_node import ComputeNode
-from repro.core.runtime.history import ExecutionHistory
+from repro.core.runtime.history import ExecutionHistory, ExecutionRecord
 from repro.core.runtime.jobs import JobRegistry
 from repro.core.runtime.lazy import LocalWorkQueue
 from repro.core.runtime.models import DeviceSelector
@@ -151,16 +151,13 @@ class WorkerScheduler:
         return items
 
     # ------------------------------------------------------------------
-    def _decide_device(self, task: Task, job_id: int = 0) -> str:
-        """SW vs. HW for one task, per its job's policy (the historical
-        entry point; the constants formerly inlined here live in
-        :class:`~repro.core.runtime.policy.PolicyConfig` now)."""
-        return self.jobs.policy(job_id).decide_device(self, task)
-
     def _execute(self, item: WorkItem) -> Generator:
         task = item.task
         kernel = self.registry.kernel(task.function)
-        device = self._decide_device(task, item.job_id)
+        # the tenant's record, looked up once: its policy decides SW vs.
+        # HW, and the completed call is accounted against it
+        job = self.jobs.record(item.job_id)
+        device = job.policy.decide_device(self, task)
         if self.telemetry is not None:
             attrs = dict(
                 task=task.task_id,
@@ -227,18 +224,14 @@ class WorkerScheduler:
         latency = self.node.sim.now - start
         item.device_used = device
         item.latency_ns = latency
-        self.history.record(
-            function=task.function,
-            device=device,
-            worker=self.worker_id,
-            items=task.items,
-            latency_ns=latency,
-            energy_pj=energy,
-            timestamp=self.node.sim.now,
-            job=item.job_id,
+        self.history.append(
+            ExecutionRecord(
+                task.function, device, self.worker_id, task.items,
+                latency, energy, self.node.sim.now, item.job_id,
+            )
         )
         # tenant-side accounting (job 0 = the implicit legacy job)
-        self.jobs.record(item.job_id).note_done(device, energy)
+        job.note_done(device, energy)
         self.worker.note_job_call(item.job_id)
 
     # ------------------------------------------------------------------

@@ -125,10 +125,25 @@ class Kernel:
         raise KeyError(f"kernel {self.name!r} has no array {name!r}")
 
     def ops_per_iteration(self) -> float:
-        return sum(self.ops.values())
+        """Operations per innermost iteration (computed once, like
+        :meth:`cache_key`: the software cost model prices energy with it
+        on every call)."""
+        try:
+            return self._ops_per_iteration  # type: ignore[attr-defined]
+        except AttributeError:
+            total = sum(self.ops.values())
+            object.__setattr__(self, "_ops_per_iteration", total)
+            return total
 
     def bytes_per_iteration(self) -> float:
-        return sum(a.accesses_per_iter * a.elem_bytes for a in self.arrays)
+        """Bytes moved per innermost iteration (computed once: a hardware
+        call sizes its transfers with it)."""
+        try:
+            return self._bytes_per_iteration  # type: ignore[attr-defined]
+        except AttributeError:
+            total = sum(a.accesses_per_iter * a.elem_bytes for a in self.arrays)
+            object.__setattr__(self, "_bytes_per_iteration", total)
+            return total
 
     def arithmetic_intensity(self) -> float:
         """FLOP-ish per byte -- high intensity kernels are the FPGA wins."""

@@ -45,32 +45,40 @@ class SoftwareCostModel:
     def __post_init__(self) -> None:
         if self.clock_ghz <= 0 or self.issue_width <= 0:
             raise ValueError("clock and issue width must be positive")
-        # per-kernel memo: the software baseline is re-priced on every
-        # scheduling decision, so this sits on the dispatch hot path
-        # (frozen dataclass, hence object.__setattr__)
-        object.__setattr__(self, "_cycles_memo", {})
 
     def cycles_per_iteration(self, kernel: Kernel) -> float:
-        memo = self._cycles_memo  # type: ignore[attr-defined]
-        key = kernel.cache_key()
-        cycles = memo.get(key)
-        if cycles is None:
-            op_cycles = sum(
-                count * _CPU_OP_CYCLES[kind] for kind, count in kernel.ops.items()
-            )
-            mem_cycles = sum(a.accesses_per_iter for a in kernel.arrays) * _CPU_MEM_CYCLES
-            cycles = memo[key] = (op_cycles + mem_cycles) / self.issue_width
-        return cycles
+        return _cpu_cycles(kernel) / self.issue_width
 
     def latency_ns(self, kernel: Kernel, items: int) -> float:
         """Time for one core to run ``items`` innermost iterations."""
         if items <= 0:
             raise ValueError(f"items must be positive, got {items}")
-        cycles = self.cycles_per_iteration(kernel) * items
-        return cycles / self.clock_ghz
+        return _cpu_cycles(kernel) / self.issue_width * items / self.clock_ghz
 
     def energy_pj(self, kernel: Kernel, items: int) -> float:
         ops = kernel.ops_per_iteration() * items
         dynamic = ops * self.energy_per_op_pj
         static = self.static_power_mw * self.latency_ns(kernel, items)
         return dynamic + static
+
+
+def _cpu_cycles(kernel: Kernel) -> float:
+    """Op plus memory cycles of one iteration, before issue-width scaling.
+
+    The software baseline is priced on every scheduling decision, so this
+    sits on the dispatch hot path.  It depends only on the kernel and the
+    tables above, so it is computed once and kept on the kernel itself
+    (frozen, hence ``object.__setattr__``), like ``Kernel.cache_key``:
+    it lives and dies with the kernel, and the cost model, which every
+    Worker shares, holds no per-kernel state.
+    """
+    try:
+        return kernel._cpu_cycles  # type: ignore[attr-defined]
+    except AttributeError:
+        op_cycles = sum(
+            count * _CPU_OP_CYCLES[kind] for kind, count in kernel.ops.items()
+        )
+        mem_cycles = sum(a.accesses_per_iter for a in kernel.arrays) * _CPU_MEM_CYCLES
+        cycles = op_cycles + mem_cycles
+        object.__setattr__(kernel, "_cpu_cycles", cycles)
+        return cycles

@@ -96,6 +96,26 @@ class LinkFault:
         return 1 + lost
 
 
+class EnergyTally:
+    """A running total of transport energy, shared by the links of one
+    :class:`~repro.interconnect.network.Network` (every
+    :meth:`Link.account` adds its increment here too).
+
+    It lets a caller read a network's energy in O(1) instead of folding
+    over its links.  The two agree bit for bit whenever each increment is
+    an integer number of picojoules, as with the per-level ``3 ** level``
+    pJ/B of :func:`~repro.interconnect.topology.level_params` times whole
+    bytes: every partial sum is then an integer below 2**53, which floats
+    hold exactly in any summation order.  Links point at the tally, not
+    at their network, so no reference cycle forms.
+    """
+
+    __slots__ = ("pj",)
+
+    def __init__(self) -> None:
+        self.pj = 0.0
+
+
 class Link:
     """One directed or shared channel between two interconnect endpoints."""
 
@@ -104,10 +124,13 @@ class Link:
         sim: Simulator,
         params: LinkParams = LinkParams(),
         name: str = "",
+        tally: Optional[EnergyTally] = None,
     ) -> None:
         self.sim = sim
         self.params = params
         self.name = name
+        # a standalone link keeps a tally of its own
+        self.tally = tally if tally is not None else EnergyTally()
         # priority arbitration: waiting sync/interrupt traffic overtakes
         # queued bulk transfers (the QoS the paper's small-message
         # argument presumes)
@@ -135,7 +158,9 @@ class Link:
             raise ValueError(f"negative transfer size {size_bytes}")
         self.bytes_carried += size_bytes
         self.messages_carried += 1
-        self.energy_pj += size_bytes * self.params.energy_per_byte_pj
+        energy = size_bytes * self.params.energy_per_byte_pj
+        self.energy_pj += energy
+        self.tally.pj += energy
 
     def transfer(self, size_bytes: int, priority: int = 0):
         """Simulation process: occupy a lane for the serialization time.

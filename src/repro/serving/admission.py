@@ -16,8 +16,7 @@ and the arrival stream continues (open-loop traffic does not retry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.serving.requests import Request
 
@@ -27,8 +26,10 @@ RATE_LIMIT = "rate-limit"
 QUEUE_FULL = "queue-full"
 
 
-@dataclass(frozen=True)
-class AdmissionVerdict:
+class AdmissionVerdict(NamedTuple):
+    """One request's admission verdict (an immutable named tuple: one is
+    built per offered request)."""
+
     accepted: bool
     reason: str                  # OK | RATE_LIMIT | QUEUE_FULL
     tokens_left: float = 0.0

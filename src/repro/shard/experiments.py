@@ -105,6 +105,7 @@ def build_jobs_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell
     with _task_id_base(node_id * _TASK_ID_STRIDE):
         graphs = job_mix_graphs(mix, len(engine.node), seed)
     cell = NodeCell(node_id, sim)
+    cell.closer = manager.abandon
     node_restore = (config.get("restore") or {}).get(str(node_id)) or {}
     completed = [job["completed"] for job in node_restore.get("jobs") or []]
     staged_at: Optional[float] = None

@@ -60,6 +60,8 @@ class NodeCell:
         self.gates: List[SendGate] = []
         self.fragment: Optional[Callable[[], dict]] = None
         self.capturer: Optional[Callable[[], dict]] = None  # checkpoint state
+        # drops the run state a paused run still holds, at close
+        self.closer: Optional[Callable[[], None]] = None
 
     def gate(self, next_send_ns: Optional[float] = None) -> SendGate:
         g = SendGate(next_send_ns)
@@ -172,11 +174,16 @@ class PartitionRuntime:
         return out
 
     def close(self) -> None:
-        """Drop every cell's message handlers.  Builders' handlers close
-        over their own cell, so a kept handler would leave the node to
-        the cyclic collector; none may fire after the run anyway."""
+        """Drop every cell's message handlers and close its simulator.
+        Builders' handlers close over their own cell, and a run paused
+        mid-flight (a checkpoint capture) still holds suspended
+        processes; either would leave the node to the cyclic collector.
+        Nothing may fire after the run anyway."""
         for cell in self.cells.values():
             cell.handlers.clear()
+            if cell.closer is not None:
+                cell.closer()
+            cell.sim.close()
 
     # ------------------------------------------------------------------
     def _dispatch(self, cell: NodeCell, msg: BridgeMessage) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 #: Compact the queues when at least this many cancelled entries are
 #: queued *and* they outnumber the live entries.  Cancelled events
@@ -131,6 +131,9 @@ class Simulator:
         # number of cancelled events still sitting in either queue; keeping
         # it exact makes ``pending`` O(1) and tells us when to compact
         self._cancelled_in_queue: int = 0
+        # processes spawned here and not yet finished, in spawn order
+        # (Process keeps it; read by close())
+        self._live: Dict[Any, None] = {}
         # Optional telemetry hub (repro.telemetry).  Left as a plain
         # attribute so the kernel stays dependency-free; when None the
         # only per-event cost is one identity check in the event loop.
@@ -423,6 +426,28 @@ class Simulator:
         if self.peek() is not None:
             raise SimulationError("cannot warp with events pending")
         self.now = time
+
+    def close(self) -> None:
+        """Abandon a run that will not be resumed (a paused capture).
+
+        Closes the generator of every process that has not finished, in
+        spawn order, then drops every pending event.  A suspended
+        process and the signals, resources and queues it waits on form
+        reference cycles; ending it frees the whole run by reference
+        counting.  Nothing fires: the clock and every counter stay as
+        they are.  A finished run has no live process, so closing it
+        only empties the queues.
+        """
+        if self._running:
+            raise SimulationError("cannot close a running simulator")
+        live = self._live
+        while live:
+            process = next(iter(live))
+            del live[process]
+            process._abandon()
+        self._queue.clear()
+        self._lane.clear()
+        self._cancelled_in_queue = 0
 
     @property
     def events_processed(self) -> int:

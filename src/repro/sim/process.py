@@ -120,6 +120,11 @@ class Signal(Waitable):
         else:
             self._waiters.append(callback)
 
+    def drop_waiters(self) -> None:
+        """Forget every waiter without waking it (a run being abandoned:
+        its waiters close over the objects that own this signal)."""
+        self._waiters = []
+
 
 class AllOf(Waitable):
     """Wait for every child; yields the list of their values (in order)."""
@@ -188,6 +193,7 @@ class Process(Waitable):
         # it was subscribed under, so one left queued by a wait the
         # process has since abandoned fires as a no-op.
         self._wait_gen = 0
+        sim._live[self] = None
         if sim.telemetry is not None:
             sim.telemetry.process_spawned(self)
         sim._soon(self._resume, None)
@@ -270,7 +276,15 @@ class Process(Waitable):
 
     def _finish(self, value: Any) -> None:
         self._wait_gen = -1
+        del self.sim._live[self]
         self.done.succeed(value)
+
+    def _abandon(self) -> None:
+        """End the process without resuming it (``Simulator.close``):
+        its generator is closed where it is suspended, and any wake-up
+        still queued for it is stale."""
+        self._wait_gen = -1
+        self.gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "done"

@@ -121,9 +121,6 @@ class Telemetry:
     def register_collector(self, fn: Collector, name: str = "") -> None:
         self._collectors.append((name or getattr(fn, "__name__", "collector"), fn))
 
-    def has_collector(self, name: str) -> bool:
-        return any(n == name for n, _ in self._collectors)
-
     def collect(self) -> None:
         """Poll every registered collector into the registry."""
         for _, fn in self._collectors:
@@ -200,9 +197,6 @@ class NullTelemetry:
 
     def register_collector(self, fn: Collector, name: str = "") -> None:
         return None
-
-    def has_collector(self, name: str) -> bool:
-        return False
 
     def collect(self) -> None:
         return None

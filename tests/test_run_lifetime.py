@@ -29,6 +29,7 @@ from repro.experiments import run_jobs_experiment
 from repro.presets import compiled_suite
 from repro.service import ServiceSession
 from repro.serving import run_serving_experiment
+from repro.shard.checkpoint import capture_sharded_jobs
 from repro.shard.experiments import (
     run_sharded_chaos,
     run_sharded_jobs,
@@ -130,6 +131,10 @@ RUNS = {
     "opencl-unreleased": lambda: _opencl(release_all=False),
     "restore": _restore,
     "session-jobs": _session,
+    # paused mid-run: closing the shard set ends its suspended processes
+    "sharded-capture": lambda: capture_sharded_jobs(
+        400_000.0, "mini", num_nodes=4, partitions=1
+    ),
 }
 for _name, _fn, _preset in (
     ("sharded-jobs", run_sharded_jobs, "mini"),

@@ -66,6 +66,7 @@ class ReferenceKernel:
         self.events_processed = 0
         self._entries = []
         self._seq = 0
+        self._live = {}  # unfinished processes, kept by Process itself
 
     def schedule(self, delay, callback, *args, priority=0):
         if delay < 0:

@@ -350,3 +350,58 @@ def test_interrupted_process_is_freed_by_reference_counting():
         return [p, sim]
 
     assert _freed_without_collector(run) == [True, True]
+
+
+def test_close_ends_a_paused_run():
+    """``Simulator.close`` closes every unfinished process where it is
+    suspended (its ``finally`` runs), drops the pending events and fires
+    nothing, so a run paused mid-flight is freed by reference counting."""
+    ended = []
+
+    def run():
+        sim = Simulator()
+        gate = Signal(sim)
+
+        def sleeper():
+            try:
+                yield Timeout(100.0)
+            finally:
+                ended.append("sleeper")
+
+        def waiter():
+            try:
+                yield gate  # never fired
+            finally:
+                ended.append("waiter")
+
+        def quick():
+            yield Timeout(1.0)
+
+        procs = [spawn(sim, sleeper()), spawn(sim, waiter()), spawn(sim, quick())]
+        sim.run(until=10.0)
+        fired = sim.events_processed
+        sim.close()
+        assert ended == ["sleeper", "waiter"]
+        assert sim.pending == 0 and sim.peek() is None
+        assert sim.events_processed == fired and sim.now == 10.0
+        assert not any(p.alive for p in procs)
+        sim.run()  # nothing left to fire
+        assert sim.events_processed == fired
+        return procs + [gate, sim]
+
+    assert all(_freed_without_collector(run))
+
+
+def test_close_refuses_a_running_simulator():
+    sim = Simulator()
+    errors = []
+
+    def closer():
+        try:
+            sim.close()
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule(1.0, closer)
+    sim.run()
+    assert len(errors) == 1

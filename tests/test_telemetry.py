@@ -65,7 +65,6 @@ class TestHub:
         hub = Telemetry(Simulator())
         state = {"v": 1.0}
         hub.register_collector(lambda h: h.counter("c").set(state["v"]), name="c")
-        assert hub.has_collector("c")
         assert hub.snapshot()["counter.c"] == 1.0
         state["v"] = 7.0
         assert hub.snapshot()["counter.c"] == 7.0
@@ -98,7 +97,6 @@ class TestNullHub:
             pass
         NULL.register_collector(lambda h: None)
         assert NULL.snapshot() == {}
-        assert not NULL.has_collector("anything")
 
     def test_simulator_defaults_dark(self):
         sim = Simulator()
