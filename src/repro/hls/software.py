@@ -53,7 +53,7 @@ class SoftwareCostModel:
         """Time for one core to run ``items`` innermost iterations."""
         if items <= 0:
             raise ValueError(f"items must be positive, got {items}")
-        return _cpu_cycles(kernel) / self.issue_width * items / self.clock_ghz
+        return self.cycles_per_iteration(kernel) * items / self.clock_ghz
 
     def energy_pj(self, kernel: Kernel, items: int) -> float:
         ops = kernel.ops_per_iteration() * items
