@@ -367,11 +367,13 @@ def run_checkpoint_restore_experiment(
     controller = ChaosController(sim, seed=seed, telemetry=telemetry)
     controller.fail_domain(engine, target, kill_ns, downtime_ns=None)
     controller.arm()
-    # the crashed incarnation ends here; its in-flight work stays cyclic,
-    # so unlike a finished run it is left to the cyclic collector
     sim.run(until=abandon_ns)
     ckpt.stop()
     snapshot = ckpt.latest_before(kill_ns)
+    # the crashed incarnation ends here: close it like a paused run, so
+    # its in-flight work is freed by reference counting
+    manager.abandon()
+    sim.close()
     if snapshot is None:
         raise RuntimeError(
             f"no snapshot survived before the kill at {kill_ns:.0f} ns "

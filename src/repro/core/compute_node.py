@@ -107,6 +107,8 @@ class ComputeNode:
         self.params = params
         self.node_id = node_id
         self.name = f"node{node_id}"
+        # this node's interconnect ledger category, formatted once
+        self.noc_category = f"{self.name}.noc"
         self.ledger = ledger if ledger is not None else EnergyLedger()
 
         # multi-layer intra-node interconnect: a tree of workers
@@ -180,7 +182,7 @@ class ComputeNode:
             return 0.0, 0.0
         msg = Message(self.endpoints[src_worker], self.endpoints[dst_worker], size, kind)
         lat, energy = self.network.send_cost(msg)
-        self.ledger.add(f"{self.name}.noc", energy)
+        self.ledger.add(self.noc_category, energy)
         return lat, energy
 
     def transfer(
@@ -196,7 +198,7 @@ class ComputeNode:
         msg = Message(self.endpoints[src_worker], self.endpoints[dst_worker], size, kind)
         energy_before = self.network.total_energy_pj()
         delivered = yield from self.network.send(msg)
-        self.ledger.add(f"{self.name}.noc", self.network.total_energy_pj() - energy_before)
+        self.ledger.add(self.noc_category, self.network.total_energy_pj() - energy_before)
         return delivered
 
     def remote_access(

@@ -94,6 +94,10 @@ class ReconfigurationDaemon:
         self._last_refresh_ns = 0.0
         self._refreshed = False
         self._cold_streak: Dict[str, int] = {}
+        # ``_hosted_regions``' answer, valid while the node's region
+        # watch stays at ``_hosted_generation``
+        self._hosted: Dict[str, List[Tuple[object, object]]] = {}
+        self._hosted_generation = -1
 
     def stop(self) -> None:
         self._running = False
@@ -124,9 +128,7 @@ class ReconfigurationDaemon:
         """(benefit_ns, function) for unhosted, acceleratable functions."""
         self._refresh_hotness()
         since = max(0.0, self.node.sim.now - self.window_ns)
-        hosted = set()
-        for w in self.node.workers:
-            hosted.update(w.fabric.loaded_functions())
+        hosted = self._hosted_regions()
         out = []
         for function, score in self.hotness.items():
             if function in hosted or function not in self.library:
@@ -167,13 +169,23 @@ class ReconfigurationDaemon:
         return min(self.node.workers, key=idle_key)
 
     def _hosted_regions(self) -> Dict[str, List[Tuple[object, object]]]:
-        """function -> [(worker, region)] over all READY regions."""
-        hosted: Dict[str, List[Tuple[object, object]]] = {}
-        for w in self.node.workers:
-            for r in w.fabric.regions:
-                if r.state is RegionState.READY and r.function:
-                    hosted.setdefault(r.function, []).append((w, r))
-        return hosted
+        """function -> [(worker, region)] over all READY regions.
+
+        Rebuilt only when a region's ``state`` or ``module`` changed
+        since the last call (see :class:`~repro.fabric.region.RegionWatch`),
+        so a period with no load, eviction or fault rescans no region.
+        The answer is shared: read it, do not modify it.
+        """
+        generation = self.node.region_watch.generation
+        if generation != self._hosted_generation:
+            hosted: Dict[str, List[Tuple[object, object]]] = {}
+            for w in self.node.workers:
+                for r in w.fabric.regions:
+                    if r.state is RegionState.READY and r.function:
+                        hosted.setdefault(r.function, []).append((w, r))
+            self._hosted = hosted
+            self._hosted_generation = generation
+        return self._hosted
 
     def _evict_cold(self) -> None:
         """Blank regions whose function has stayed cold for a full streak.

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.quantiles import latency_summary
+from repro.telemetry.quantiles import fold_sum, latency_summary
 
 
 @dataclass
@@ -154,7 +154,9 @@ class MachineReport:
         rates = [r for r in rates if r > 0]
         if not rates:
             return 1.0
-        return (sum(rates) ** 2) / (len(rates) * sum(r * r for r in rates))
+        return (fold_sum(rates) ** 2) / (
+            len(rates) * fold_sum([r * r for r in rates])
+        )
 
     def job_latency_summary(self) -> Dict[str, float]:
         """p50/p95/p99 of per-job submit-to-finish latency (shared math)."""

@@ -151,90 +151,6 @@ class WorkerScheduler:
         return items
 
     # ------------------------------------------------------------------
-    def _execute(self, item: WorkItem) -> Generator:
-        task = item.task
-        kernel = self.registry.kernel(task.function)
-        # the tenant's record, looked up once: its policy decides SW vs.
-        # HW, and the completed call is accounted against it
-        job = self.jobs.record(item.job_id)
-        device = job.policy.decide_device(self, task)
-        if self.telemetry is not None:
-            attrs = dict(
-                task=task.task_id,
-                function=task.function,
-                device=device,
-                items=task.items,
-                queue_depth=self.queue.depth,
-                job=item.job_id,
-            )
-            if task.tags:
-                # provenance: which serving requests ride this task
-                attrs["requests"] = task.tags.get("requests")
-            self.telemetry.event("scheduler.decision", self.worker.name, **attrs)
-        start = self.node.sim.now
-        if device == "hw":
-            self.hw_chosen += 1
-            bpi = max(1, int(kernel.bytes_per_iteration()))
-            try:
-                yield from self.unilogic.invoke(
-                    task.function,
-                    caller_worker=self.worker_id,
-                    items=task.items,
-                    data_worker=task.data_worker,
-                    bytes_per_item=bpi,
-                    job=item.job_id,
-                )
-                host_worker, region = self.unilogic.nearest_region(
-                    task.function, task.data_worker
-                ) or (self.worker_id, None)
-                energy = (
-                    region.module.energy_pj(task.items) if region is not None else 0.0
-                )
-            except AcceleratorLost:
-                # the hosting region died while the call was in flight
-                # (fabric fault / Worker crash): degrade to software
-                self.hw_chosen -= 1
-                self.hw_fallbacks += 1
-                device = "sw"
-                item.fell_back = True
-                if self.telemetry is not None:
-                    attrs = dict(
-                        task=task.task_id,
-                        function=task.function,
-                        job=item.job_id,
-                    )
-                    if task.tags:
-                        attrs["requests"] = task.tags.get("requests")
-                    self.telemetry.event(
-                        "scheduler.accel_lost", self.worker.name, **attrs
-                    )
-        if device == "sw":
-            self.sw_chosen += 1
-            # software runs here; pull remote data through UNIMEM first
-            if task.data_worker != self.worker_id:
-                yield from self.node.transfer(
-                    task.data_worker,
-                    self.worker_id,
-                    task.input_bytes,
-                    TransactionType.DMA,
-                )
-            yield from self.worker.run_software(kernel, task.items)
-            energy = self.worker.params.software.energy_pj(kernel, task.items)
-
-        latency = self.node.sim.now - start
-        item.device_used = device
-        item.latency_ns = latency
-        self.history.append(
-            ExecutionRecord(
-                task.function, device, self.worker_id, task.items,
-                latency, energy, self.node.sim.now, item.job_id,
-            )
-        )
-        # tenant-side accounting (job 0 = the implicit legacy job)
-        job.note_done(device, energy)
-        self.worker.note_job_call(item.job_id)
-
-    # ------------------------------------------------------------------
     def _strand(self, item: WorkItem) -> None:
         """A popped item this crashed loop will never complete: hand it to
         the supervisor (unless a retry already claimed it) and fix the
@@ -246,12 +162,23 @@ class WorkerScheduler:
     def run(self) -> Generator:
         """The scheduler's main loop (spawn as a simulation process).
 
+        Each popped item is executed right here: its job's policy picks
+        SW or HW, the call runs (a software call holds a core through
+        ``Worker.software_call``, the loop's only sub-generator on that
+        path), and the completed call goes to the Execution History and
+        its tenant's record.
+
         A crash-stop (:meth:`fail`) takes effect at the loop's next
         decision point: a popped item is stranded instead of executed,
         and a result computed while the flag was raised is discarded
         (the work happened, its answer died with the Worker).
         """
         lane = self.worker.name
+        sim = self.node.sim
+        worker = self.worker
+        worker_id = self.worker_id
+        unilogic = self.unilogic
+        telemetry = self.telemetry
         while True:
             item = yield self.queue.pop()
             if item is _SHUTDOWN:
@@ -265,12 +192,96 @@ class WorkerScheduler:
                 self.queue.mark_done()
                 continue
             self.current_item = item
-            item.started_at = self.node.sim.now
+            item.started_at = sim.now
             span_name = None
             if self.tracer is not None:
                 span_name = f"{item.task.function}#{item.task.task_id}"
                 self.tracer.begin(lane, span_name)
-            yield from self._execute(item)
+
+            task = item.task
+            kernel = self.registry.kernel(task.function)
+            # the tenant's record, looked up once: its policy decides SW
+            # vs. HW, and the completed call is accounted against it
+            job = self.jobs.record(item.job_id)
+            device = job.policy.decide_device(self, task)
+            if telemetry is not None:
+                attrs = dict(
+                    task=task.task_id,
+                    function=task.function,
+                    device=device,
+                    items=task.items,
+                    queue_depth=self.queue.depth,
+                    job=item.job_id,
+                )
+                if task.tags:
+                    # provenance: which serving requests ride this task
+                    attrs["requests"] = task.tags.get("requests")
+                telemetry.event("scheduler.decision", worker.name, **attrs)
+            start = sim.now
+            if device == "hw":
+                self.hw_chosen += 1
+                bpi = max(1, int(kernel.bytes_per_iteration()))
+                try:
+                    yield from unilogic.invoke(
+                        task.function,
+                        caller_worker=worker_id,
+                        items=task.items,
+                        data_worker=task.data_worker,
+                        bytes_per_item=bpi,
+                        job=item.job_id,
+                    )
+                    host_worker, region = unilogic.nearest_region(
+                        task.function, task.data_worker
+                    ) or (worker_id, None)
+                    energy = (
+                        region.module.energy_pj(task.items)
+                        if region is not None
+                        else 0.0
+                    )
+                except AcceleratorLost:
+                    # the hosting region died while the call was in
+                    # flight (fabric fault / Worker crash): degrade to
+                    # software
+                    self.hw_chosen -= 1
+                    self.hw_fallbacks += 1
+                    device = "sw"
+                    item.fell_back = True
+                    if telemetry is not None:
+                        attrs = dict(
+                            task=task.task_id,
+                            function=task.function,
+                            job=item.job_id,
+                        )
+                        if task.tags:
+                            attrs["requests"] = task.tags.get("requests")
+                        telemetry.event(
+                            "scheduler.accel_lost", worker.name, **attrs
+                        )
+            if device == "sw":
+                self.sw_chosen += 1
+                # software runs here; pull remote data through UNIMEM first
+                if task.data_worker != worker_id:
+                    yield from self.node.transfer(
+                        task.data_worker,
+                        worker_id,
+                        task.input_bytes,
+                        TransactionType.DMA,
+                    )
+                energy = yield from worker.software_call(kernel, task.items)
+
+            latency = sim.now - start
+            item.device_used = device
+            item.latency_ns = latency
+            self.history.append(
+                ExecutionRecord(
+                    task.function, device, worker_id, task.items,
+                    latency, energy, sim.now, item.job_id,
+                )
+            )
+            # tenant-side accounting (job 0 = the implicit legacy job)
+            job.note_done(device, energy)
+            worker.note_job_call(item.job_id)
+
             if self.tracer is not None and span_name is not None:
                 self.tracer.end(lane, span_name)
             self.current_item = None

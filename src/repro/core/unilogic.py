@@ -184,7 +184,7 @@ class UnilogicDomain:
             )
         region.last_used_at = self.node.sim.now
         host.hw_calls += 1
-        host.ledger.add(f"{host.name}.fabric", accel.energy_pj - before)
+        host.ledger.add(host.fabric_category, accel.energy_pj - before)
 
         # completion notification back to the caller
         if remote_control:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict
 
+from repro.telemetry.quantiles import fold_sum
+
 
 class EnergyLedger:
     """Accumulates energy (pJ) under hierarchical category names.
@@ -22,9 +24,11 @@ class EnergyLedger:
         self._pj[category] += picojoules
 
     def total_pj(self, prefix: str = "") -> float:
+        """Energy under ``prefix`` (everything when empty), summed left
+        to right in category insertion order (:func:`fold_sum`)."""
         if not prefix:
-            return sum(self._pj.values())
-        return sum(
+            return fold_sum(self._pj.values())
+        return fold_sum(
             v
             for k, v in self._pj.items()
             if k == prefix or k.startswith(prefix + ".")

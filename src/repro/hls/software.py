@@ -9,7 +9,7 @@ kernel IR on a Worker's ARM-class core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.hls.ir import Kernel, OpKind
 
@@ -56,10 +56,14 @@ class SoftwareCostModel:
         return self.cycles_per_iteration(kernel) * items / self.clock_ghz
 
     def energy_pj(self, kernel: Kernel, items: int) -> float:
-        ops = kernel.ops_per_iteration() * items
-        dynamic = ops * self.energy_per_op_pj
-        static = self.static_power_mw * self.latency_ns(kernel, items)
-        return dynamic + static
+        return self.cost(kernel, items)[1]
+
+    def cost(self, kernel: Kernel, items: int) -> Tuple[float, float]:
+        """``(latency_ns, energy_pj)`` of one call, the latency priced
+        once for both."""
+        latency = self.latency_ns(kernel, items)
+        dynamic = kernel.ops_per_iteration() * items * self.energy_per_op_pj
+        return latency, dynamic + self.static_power_mw * latency
 
 
 def _cpu_cycles(kernel: Kernel) -> float:

@@ -188,22 +188,29 @@ class Link:
                 yield Timeout(stall)
             attempts = fault.sample_attempts()
             multiplier = fault.latency_multiplier
-        if self.telemetry is None:
-            for _ in range(attempts):
-                self.account(size_bytes)
-                yield from self.channel.use(
-                    self.cost(size_bytes) * multiplier, priority=priority
-                )
-            return
-        start = self.sim.now
-        self.tel_queue.set(float(self.channel.queue_length))
+        hold = self.cost(size_bytes) * multiplier
+        channel = self.channel
+        traced = self.telemetry is not None
+        if traced:
+            start = self.sim.now
+            self.tel_queue.set(float(channel.queue_length))
         for _ in range(attempts):
             self.account(size_bytes)
-            yield from self.channel.use(
-                self.cost(size_bytes) * multiplier, priority=priority
-            )
-        self.tel_queue.set(float(self.channel.queue_length))
-        self.tel_latency.record(self.sim.now - start)
+            # the lane hold of ``channel.use(hold, priority)``, written
+            # out here to save a generator frame per hop
+            req = channel.request(priority)
+            try:
+                yield req
+            except BaseException:
+                channel.abandon(req)
+                raise
+            try:
+                yield Timeout(hold)
+            finally:
+                channel.release(req)
+        if traced:
+            self.tel_queue.set(float(channel.queue_length))
+            self.tel_latency.record(self.sim.now - start)
 
     @property
     def utilization(self) -> float:

@@ -120,17 +120,19 @@ class Resource:
         try:
             yield req
         except BaseException:
-            self._abandon(req)
+            self.abandon(req)
             raise
         try:
             yield Timeout(hold)
         finally:
             self.release(req)
 
-    def _abandon(self, req: Request) -> None:
+    def abandon(self, req: Request) -> None:
         """Give up ``req`` after its waiter was interrupted: release the
         slot if it was granted (possibly in the same instant), else take
-        the request out of the wait queue."""
+        the request out of the wait queue.  A hold written out in place
+        of :meth:`use` (``Worker.software_call``, ``Link.transfer``)
+        calls it from the same ``except`` clause."""
         if req.triggered:
             self.release(req)
         else:
@@ -247,14 +249,14 @@ class PriorityResource(Resource):
         try:
             yield req
         except BaseException:
-            self._abandon(req)
+            self.abandon(req)
             raise
         try:
             yield Timeout(hold)
         finally:
             self.release(req)
 
-    def _abandon(self, req: Request) -> None:
+    def abandon(self, req: Request) -> None:
         if req.triggered:
             self.release(req)
         else:

@@ -43,6 +43,7 @@ from repro.telemetry.exporters import (
 from repro.telemetry.hub import NULL, NullTelemetry, Telemetry
 from repro.telemetry.quantiles import (
     StreamingQuantile,
+    fold_sum,
     histogram_percentile,
     latency_summary,
     mean,
@@ -87,6 +88,7 @@ __all__ = [
     "chrome_trace_json",
     "events_json",
     "events_tail",
+    "fold_sum",
     "histogram_percentile",
     "latency_summary",
     "mean",

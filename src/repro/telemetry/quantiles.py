@@ -8,6 +8,9 @@ cases.  This module is the one home for that math:
 
 - :func:`percentile` -- exact linear-interpolation percentile over a
   finite sample (the definition numpy calls ``linear``),
+- :func:`fold_sum` -- the left-to-right float sum every report and
+  decision uses (``sum()`` compensates its float additions since
+  Python 3.12, so its last bits differ between interpreter versions),
 - :func:`mean` -- the trivial mean with the empty-sample convention
   (0.0) every caller here wants,
 - :class:`StreamingQuantile` -- the P² single-quantile estimator for
@@ -25,10 +28,13 @@ or telemetry-hub dependency -- so any layer may import it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "StreamingQuantile",
+    "fold_sum",
     "histogram_percentile",
     "latency_summary",
     "mean",
@@ -36,12 +42,28 @@ __all__ = [
 ]
 
 
+def fold_sum(values: Iterable[float], start: float = 0) -> float:
+    """``start + v0 + v1 + ...``, added strictly left to right.
+
+    This is what ``sum()`` computed up to Python 3.11.  From 3.12 on,
+    ``sum()`` of floats uses compensated summation, whose result can
+    differ in the last bits, so a report or a decision built on it would
+    not be reproducible across interpreter versions.  Every float sum
+    that reaches a report or a decision goes through here instead, and
+    any running total of the same values (``total += v`` in the same
+    order) equals it bit for bit.
+    """
+    return reduce(add, values, start)
+
+
 def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sample (the reporting convention)."""
+    """Arithmetic mean; 0.0 for an empty sample (the reporting convention).
+
+    The sum is :func:`fold_sum`'s left-to-right fold."""
     values = list(values)
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    return fold_sum(values) / len(values)
 
 
 def percentile(values: Sequence[float], p: float) -> float:

@@ -18,6 +18,7 @@ from repro.core.runtime import (
     ReconfigurationDaemon,
 )
 from repro.apps import make_layered_dag
+from repro.core.resilience import FaultInjector
 from repro.presets import compiled_suite
 from repro.sim import Simulator, Timeout, spawn
 
@@ -231,3 +232,50 @@ class TestEvictionWithConcurrentJobs:
         assert daemon.stats.loads_triggered >= 2
         # both waves fully completed despite the reshaping fabric
         assert len(engine.history) == 4 * 3 * 4
+
+
+class TestHostedSetCache:
+    """The daemon keeps its view of which regions host what between
+    periods and rebuilds it only when the node's region watch moved: a
+    load, an eviction and a region fault must each show in the next
+    ranking, and an unchanged fabric must not be rescanned."""
+
+    @staticmethod
+    def ranked(daemon):
+        return {function for _, function in daemon.rank_candidates()}
+
+    @staticmethod
+    def load(sim, node, library, function, worker=0):
+        w = node.workers[worker]
+        capacity = max(
+            (r.capacity for r in w.fabric.regions), key=lambda c: c.area_units()
+        )
+        module = library.best_variant(function, capacity=capacity)
+        spawn(sim, w.load_module(module))
+        sim.run()
+        (region,) = [r for r in w.fabric.regions if r.function == function]
+        return region
+
+    def test_refreshes_after_load_evict_and_region_fault(self, compiled):
+        _, library = compiled
+        sim, node, history, daemon = make_daemon(compiled)
+        seed_calls(history, "montecarlo", 16)
+        seed_calls(history, "saxpy", 16)
+        assert self.ranked(daemon) == {"montecarlo", "saxpy"}
+        view = daemon._hosted_regions()
+        # nothing moved: the next ranking reads the same view
+        assert self.ranked(daemon) == {"montecarlo", "saxpy"}
+        assert daemon._hosted_regions() is view
+
+        region = self.load(sim, node, library, "montecarlo")
+        assert self.ranked(daemon) == {"saxpy"}
+        assert daemon._hosted_regions() == {"montecarlo": [(node.workers[0], region)]}
+
+        node.workers[0].reconfig.unload(region)        # an eviction
+        assert self.ranked(daemon) == {"montecarlo", "saxpy"}
+
+        region = self.load(sim, node, library, "saxpy", worker=1)
+        assert self.ranked(daemon) == {"montecarlo"}
+        FaultInjector(node).inject_region_fault(1, region.region_id)
+        assert self.ranked(daemon) == {"montecarlo", "saxpy"}
+        assert daemon._hosted_regions() == {}

@@ -9,6 +9,7 @@ import pytest
 from repro.sim.stats import Histogram
 from repro.telemetry import (
     StreamingQuantile,
+    fold_sum,
     histogram_percentile,
     latency_summary,
     mean,
@@ -25,6 +26,29 @@ class TestMean:
 
     def test_accepts_any_iterable(self):
         assert mean(x for x in (2.0, 4.0)) == pytest.approx(3.0)
+
+
+class TestFoldSum:
+    def test_adds_left_to_right(self):
+        # a compensated sum (``sum()`` since Python 3.12) gives 1.0 here
+        assert fold_sum([1e100, 1.0, -1e100]) == 0.0
+        assert fold_sum([1e100, -1e100, 1.0]) == 1.0
+
+    def test_matches_a_running_total(self):
+        rng = random.Random(3)
+        values = [rng.uniform(-1e6, 1e6) for _ in range(200)]
+        total = 0
+        for v in values:
+            total += v
+        assert fold_sum(values) == total
+        assert fold_sum(iter(values)) == total
+
+    def test_start_and_empty(self):
+        assert fold_sum([]) == 0
+        assert fold_sum([0.5], 1) == 1.5
+
+    def test_mean_uses_it(self):
+        assert mean([1e100, 1.0, -1e100]) == 0.0
 
 
 class TestPercentile:

@@ -8,11 +8,6 @@ cycle, so a process that runs many machines (the service daemon, a
 benchmark loop) holds every dead one until a full collection.  Objects
 from elsewhere are ignored: the stdlib's pure-Python JSON encoder, used
 for ``indent=`` output, builds a cycle of its own.
-
-The one known exception is not run here:
-``run_checkpoint_restore_experiment`` abandons its crashed incarnation
-mid-run, and that machine's in-flight work is cyclic by nature (see
-DESIGN.md, "Object lifetime").
 """
 
 import gc
@@ -22,7 +17,12 @@ import types
 import pytest
 
 import repro
-from repro.chaos import restore_from_snapshot, run_chaos_experiment, workload_spec
+from repro.chaos import (
+    restore_from_snapshot,
+    run_chaos_experiment,
+    run_checkpoint_restore_experiment,
+    workload_spec,
+)
 from repro.chaos.checkpoint_experiment import build_workload
 from repro.core.runtime import CheckpointManager, CheckpointPolicy
 from repro.experiments import run_jobs_experiment
@@ -130,6 +130,10 @@ RUNS = {
     # a context its caller drops without release_all()
     "opencl-unreleased": lambda: _opencl(release_all=False),
     "restore": _restore,
+    # the crashed incarnation is closed once its snapshot is chosen
+    "checkpoint-restore": lambda: run_checkpoint_restore_experiment(
+        "mini"
+    ).events_json(),
     "session-jobs": _session,
     # paused mid-run: closing the shard set ends its suspended processes
     "sharded-capture": lambda: capture_sharded_jobs(

@@ -296,3 +296,82 @@ class TestDeviceSelector:
     def test_min_samples_validation(self):
         with pytest.raises(ValueError):
             DeviceSelector(min_samples=1)
+
+
+def _fold(values):
+    """The brute-force reference: a plain left-to-right float fold."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+@seed(19)
+@settings(max_examples=80, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    ordered=st.lists(_records, max_size=24),
+    late=st.one_of(st.none(), st.tuples(_records, st.integers(0, 24))),
+    sinces=st.lists(st.floats(-1.0, 11.0, allow_nan=False), max_size=3),
+)
+def test_running_folds_match_a_left_to_right_fold(capacity, ordered, late, sinces):
+    """After every append -- through capacity eviction and one optional
+    out-of-order append -- the O(1) means and the in-place ``since=``
+    counts equal a brute-force left-to-right fold over ``records()``."""
+    appended = sorted(ordered, key=lambda r: r.timestamp)
+    if late is not None:
+        record, at = late
+        at = min(at, len(appended))
+        floor = appended[at - 1].timestamp if at else 0.0
+        # older than its predecessor, if any: the ordered regime ends
+        appended.insert(at, record._replace(timestamp=floor - 1.0))
+    h = ExecutionHistory(capacity=capacity)
+    for r in appended:
+        h.append(r)
+        log = h.records()
+        for function in _FUNCTIONS:
+            for device in (None, "sw", "hw"):
+                match = [
+                    r for r in log
+                    if r.function == function and (device is None or r.device == device)
+                ]
+                want_lat = _fold([r.latency_ns for r in match]) / len(match) if match else None
+                want_en = _fold([r.energy_pj for r in match]) / len(match) if match else None
+                assert h.mean_latency(function, device) == want_lat
+                assert h.mean_energy(function, device) == want_en
+            for since in [None, *_SINCES[1:], *sinces]:
+                window = [
+                    r for r in log
+                    if r.function == function
+                    and (since is None or r.timestamp >= since)
+                ]
+                want = _fold([r.items for r in window]) / len(window) if window else None
+                assert h.mean_items(function, since=since) == want
+        for since in [None, *_SINCES[1:], *sinces]:
+            counts = {}
+            for r in log:
+                if since is None or r.timestamp >= since:
+                    counts[r.function] = counts.get(r.function, 0) + 1
+            assert h.call_counts(since=since) == counts
+
+
+def test_means_build_no_list_while_ordered_and_not_full(monkeypatch):
+    """Outside the capacity-full regime a mean reads the running folds:
+    it never refolds a bucket (which would walk its records)."""
+    from repro.core.runtime import history as history_module
+
+    h = ExecutionHistory(capacity=4)
+    for i in range(3):
+        h.append(rec("f", "sw", latency=100.0 * (i + 1), t=float(i)))
+
+    def refold(bucket):
+        raise AssertionError("refolded a bucket that was never evicted")
+
+    monkeypatch.setattr(history_module._Bucket, "refold", refold)
+    assert h.mean_latency("f", "sw") == 200.0
+    assert h.mean_energy("f") == 10.0
+    assert h.mean_items("f") == 100.0
+    h.append(rec("f", "sw", latency=400.0, t=3.0))
+    h.append(rec("f", "sw", latency=500.0, t=4.0))     # evicts: refold due
+    with pytest.raises(AssertionError):
+        h.mean_latency("f", "sw")
