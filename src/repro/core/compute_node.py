@@ -17,7 +17,7 @@ from typing import Dict, Generator, Hashable, List, Optional, Tuple
 from repro.core.worker import Worker, WorkerParams
 from repro.energy.accounting import EnergyLedger
 from repro.fabric.floorplan import Floorplanner, Placement, TileGrid
-from repro.fabric.region import RegionWatch
+from repro.fabric.region import Region, RegionState, RegionWatch
 from repro.interconnect.link import LinkParams
 from repro.interconnect.message import Message, TransactionType
 from repro.interconnect.network import Network
@@ -137,11 +137,14 @@ class ComputeNode:
         # instead of resolving a route per call
         self._hops: List[List[int]] = shape.hops
         # bumped by every region state/module write on this node; the
-        # UNILOGIC hosting-region memo is keyed on it
+        # hosted-region view and the UNILOGIC nearest-region memo are
+        # keyed on it
         self.region_watch = RegionWatch()
         for w in self.workers:
             for region in w.fabric.regions:
                 region.watch = self.region_watch
+        self._hosted: Dict[str, List[Tuple[int, Region]]] = {}
+        self._hosted_generation = -1
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -158,6 +161,28 @@ class ComputeNode:
 
     def endpoint(self, worker_id: int) -> Hashable:
         return self.endpoints[worker_id]
+
+    def hosted_regions(self) -> Dict[str, List[Tuple[int, Region]]]:
+        """function -> [(worker_id, region)] over every READY region,
+        Workers and then regions in id order.
+
+        Rebuilt only when a region's ``state`` or ``module`` changed
+        since the last call (see :class:`~repro.fabric.region.RegionWatch`),
+        so a period with no load, eviction or fault rescans no region.
+        The answer is shared: read it, do not modify it.
+        """
+        generation = self.region_watch.generation
+        if generation != self._hosted_generation:
+            hosted: Dict[str, List[Tuple[int, Region]]] = {}
+            for w in self.workers:
+                for region in w.fabric.regions:
+                    if region.state is RegionState.READY and region.function:
+                        hosted.setdefault(region.function, []).append(
+                            (w.worker_id, region)
+                        )
+            self._hosted = hosted
+            self._hosted_generation = generation
+        return self._hosted
 
     # ------------------------------------------------------------------
     # UNIMEM transactions

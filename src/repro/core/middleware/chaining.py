@@ -22,6 +22,7 @@ from typing import Generator, List, Sequence
 from repro.core.worker import Worker
 from repro.fabric.module_library import AcceleratorModule
 from repro.sim import Timeout
+from repro.telemetry.quantiles import fold_sum
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class AcceleratorChain:
 
     # ------------------------------------------------------------------
     def _stage_latency_ns(self, items: int) -> float:
-        return sum(m.latency_ns(items) for m in self.modules)
+        return fold_sum(m.latency_ns(items) for m in self.modules)
 
     def cost_chained(self, items: int, bytes_per_item: int) -> ChainCost:
         """One DRAM read in, one DRAM write out; stages stream on-fabric."""
@@ -70,7 +71,7 @@ class AcceleratorChain:
         energy = (
             dram_bytes * self.worker.dram.timing.energy_per_byte_pj
             + fabric_bytes * self.ON_FABRIC_PJ_PER_BYTE
-            + sum(m.energy_pj(items) for m in self.modules)
+            + fold_sum(m.energy_pj(items) for m in self.modules)
         )
         return ChainCost(
             latency_ns=dram_ns + compute_ns,
@@ -90,7 +91,7 @@ class AcceleratorChain:
             + 2 * data / self.worker.dram.timing.bandwidth_gbps
         )
         compute_ns = self._stage_latency_ns(items)
-        energy = dram_bytes * self.worker.dram.timing.energy_per_byte_pj + sum(
+        energy = dram_bytes * self.worker.dram.timing.energy_per_byte_pj + fold_sum(
             m.energy_pj(items) for m in self.modules
         )
         return ChainCost(

@@ -16,6 +16,7 @@ from repro.core.worker import Worker
 from repro.fabric.module_library import AcceleratorModule, ModuleLibrary
 from repro.fabric.region import Region, RegionState
 from repro.sim import Timeout
+from repro.telemetry.quantiles import fold_sum
 
 
 @dataclass
@@ -66,7 +67,7 @@ class PartialReconfigDriver:
         free capacity is scattered in unusably small regions.
         """
         free = [r.capacity.area_units() for r in self.worker.fabric.free_regions()]
-        total = sum(free)
+        total = fold_sum(free)
         if total == 0:
             return 0.0
         return 1.0 - max(free) / total

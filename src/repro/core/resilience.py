@@ -21,6 +21,7 @@ from repro.core.compute_node import ComputeNode
 from repro.core.unilogic import UnilogicDomain
 from repro.fabric.region import Region, RegionState
 from repro.sim import Timeout
+from repro.telemetry.quantiles import mean
 
 
 @dataclass
@@ -221,7 +222,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def mean_recovery_ns(self) -> float:
         done = [r.recovery_ns for r in self.injector.records if r.recovery_ns is not None]
-        return sum(done) / len(done) if done else 0.0
+        return mean(done)
 
     def summary(self) -> dict:
         """Recovery outcome counts for chaos reports."""

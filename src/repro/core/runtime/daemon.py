@@ -94,10 +94,6 @@ class ReconfigurationDaemon:
         self._last_refresh_ns = 0.0
         self._refreshed = False
         self._cold_streak: Dict[str, int] = {}
-        # ``_hosted_regions``' answer, valid while the node's region
-        # watch stays at ``_hosted_generation``
-        self._hosted: Dict[str, List[Tuple[object, object]]] = {}
-        self._hosted_generation = -1
 
     def stop(self) -> None:
         self._running = False
@@ -128,7 +124,7 @@ class ReconfigurationDaemon:
         """(benefit_ns, function) for unhosted, acceleratable functions."""
         self._refresh_hotness()
         since = max(0.0, self.node.sim.now - self.window_ns)
-        hosted = self._hosted_regions()
+        hosted = self.node.hosted_regions()
         out = []
         for function, score in self.hotness.items():
             if function in hosted or function not in self.library:
@@ -168,25 +164,6 @@ class ReconfigurationDaemon:
 
         return min(self.node.workers, key=idle_key)
 
-    def _hosted_regions(self) -> Dict[str, List[Tuple[object, object]]]:
-        """function -> [(worker, region)] over all READY regions.
-
-        Rebuilt only when a region's ``state`` or ``module`` changed
-        since the last call (see :class:`~repro.fabric.region.RegionWatch`),
-        so a period with no load, eviction or fault rescans no region.
-        The answer is shared: read it, do not modify it.
-        """
-        generation = self.node.region_watch.generation
-        if generation != self._hosted_generation:
-            hosted: Dict[str, List[Tuple[object, object]]] = {}
-            for w in self.node.workers:
-                for r in w.fabric.regions:
-                    if r.state is RegionState.READY and r.function:
-                        hosted.setdefault(r.function, []).append((w, r))
-            self._hosted = hosted
-            self._hosted_generation = generation
-        return self._hosted
-
     def _evict_cold(self) -> None:
         """Blank regions whose function has stayed cold for a full streak.
 
@@ -195,7 +172,7 @@ class ReconfigurationDaemon:
         only blanked when it has not been used for a whole window --
         in-flight invocations keep their region alive.
         """
-        hosted = self._hosted_regions()
+        hosted = self.node.hosted_regions()
         for function in list(self._cold_streak):
             if function not in hosted:
                 del self._cold_streak[function]
@@ -212,14 +189,14 @@ class ReconfigurationDaemon:
                 return
             if self._cold_streak.get(function, 0) < self.evict_after_periods:
                 continue
-            for worker, region in hosted[function]:
+            for worker_id, region in hosted[function]:
                 if evicted >= self.max_evictions_per_period:
                     break
                 if region.state is not RegionState.READY:
                     continue
                 if region.last_used_at > now - self.window_ns:
                     continue
-                worker.reconfig.unload(region)
+                self.node.worker(worker_id).reconfig.unload(region)
                 evicted += 1
                 self.stats.evictions += 1
                 self.stats.functions_evicted.append(function)
@@ -228,7 +205,7 @@ class ReconfigurationDaemon:
                         "daemon.evict",
                         f"{self.node.name}.daemon",
                         function=function,
-                        worker=worker.worker_id,
+                        worker=worker_id,
                         region=region.region_id,
                         cold_periods=self._cold_streak[function],
                     )

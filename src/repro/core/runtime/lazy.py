@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence
 
 from repro.apps.taskgraph import Task
 from repro.sim import Simulator, Store
+from repro.telemetry.quantiles import mean
 
 
 class LocalWorkQueue:
@@ -122,4 +123,4 @@ class LazyStatusTracker:
         errors = [
             abs(self._cache[w] - self.queues[w].outstanding) for w in self._cache
         ]
-        return sum(errors) / len(errors)
+        return mean(errors)

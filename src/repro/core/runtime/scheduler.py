@@ -164,7 +164,7 @@ class WorkerScheduler:
 
         Each popped item is executed right here: its job's policy picks
         SW or HW, the call runs (a software call holds a core through
-        ``Worker.software_call``, the loop's only sub-generator on that
+        ``Worker.run_software``, the loop's only sub-generator on that
         path), and the completed call goes to the Execution History and
         its tenant's record.
 
@@ -267,7 +267,7 @@ class WorkerScheduler:
                         task.input_bytes,
                         TransactionType.DMA,
                     )
-                energy = yield from worker.software_call(kernel, task.items)
+                energy = yield from worker.run_software(kernel, task.items)
 
             latency = sim.now - start
             item.device_used = device

@@ -77,12 +77,7 @@ class UnilogicDomain:
     # ------------------------------------------------------------------
     def hosting_regions(self, function: str) -> List[Tuple[int, Region]]:
         """(worker_id, region) pairs across the whole domain, any Worker."""
-        out = []
-        for w in self.node.workers:
-            for region in w.fabric.regions:
-                if region.state is RegionState.READY and region.function == function:
-                    out.append((w.worker_id, region))
-        return out
+        return list(self.node.hosted_regions().get(function, ()))
 
     def nearest_region(
         self, function: str, near_worker: int
@@ -101,7 +96,7 @@ class UnilogicDomain:
         key = (function, near_worker)
         if key in memo:
             return memo[key]
-        candidates = self.hosting_regions(function)
+        candidates = self.node.hosted_regions().get(function)
         found = None
         if candidates:
             hops = self.node.hop_distance

@@ -96,12 +96,9 @@ class Worker:
         self.params = params
         self.name = name or f"worker{worker_id}"
         self.ledger = ledger if ledger is not None else EnergyLedger()
-        # this Worker's ledger categories, formatted once
+        # the ledger categories of the per-call paths, formatted once
         self.cpu_category = f"{self.name}.cpu"
         self.fabric_category = f"{self.name}.fabric"
-        self.config_category = f"{self.name}.config"
-        self.dram_category = f"{self.name}.dram"
-        self.cache_category = f"{self.name}.cache"
 
         self.cpu = Resource(sim, capacity=params.cpu_cores, name=f"{self.name}.cpu")
         self.cache = Cache(params.cache, name=f"{self.name}.cache")
@@ -144,34 +141,13 @@ class Worker:
     def run_software(self, kernel: Kernel, items: int) -> Generator:
         """Simulation process: run ``items`` iterations on one CPU core.
 
-        ``yield from worker.run_software(kernel, n)``; returns latency_ns.
-        """
-        start = self.sim.now
-        yield from self.software_call(kernel, items)
-        return self.sim.now - start
-
-    def software_call(self, kernel: Kernel, items: int) -> Generator:
-        """Simulation process: one software call on one CPU core; returns
-        the energy (pJ) it charged to this Worker's ledger.
-
-        The call is priced once, and the core is held right here (what
-        ``self.cpu.use(latency)`` does, one generator frame fewer): an
-        interrupt while queued gives the request up, and the core is
-        released however the hold ends.  Only a completed call counts
-        and is charged.
+        ``energy = yield from worker.run_software(kernel, n)``: the call
+        is priced once (latency and energy together), and only a
+        completed call counts and is charged.  Returns the energy (pJ)
+        it charged to this Worker's ledger.
         """
         latency, energy = self.params.software.cost(kernel, items)
-        cpu = self.cpu
-        req = cpu.request()
-        try:
-            yield req
-        except BaseException:
-            cpu.abandon(req)
-            raise
-        try:
-            yield Timeout(latency)
-        finally:
-            cpu.release(req)
+        yield from self.cpu.use(latency)
         self.sw_calls += 1
         self.ledger.add(self.cpu_category, energy)
         return energy
@@ -222,7 +198,7 @@ class Worker:
         """
         before = self.reconfig.config_energy_pj
         target = yield from self.reconfig.load(module, region)
-        self.ledger.add(self.config_category, self.reconfig.config_energy_pj - before)
+        self.ledger.add(f"{self.name}.config", self.reconfig.config_energy_pj - before)
         if target is not None:
             self._accelerators.pop(target.region_id, None)
         return target
@@ -263,7 +239,7 @@ class Worker:
         energy_before = self.dram.energy_pj
         latency = self.dram.access(offset % self.params.dram.capacity_bytes, dram_bytes, is_write)
         yield Timeout(latency)
-        self.ledger.add(self.dram_category, self.dram.energy_pj - energy_before)
+        self.ledger.add(f"{self.name}.dram", self.dram.energy_pj - energy_before)
         return latency
 
     #: per-line hit service time of the coherent (ACE-side) cache
@@ -290,8 +266,10 @@ class Worker:
             latency += self.dram.access(
                 offset % self.params.dram.capacity_bytes, misses * line, is_write
             )
-        self.ledger.add(self.dram_category, self.dram.energy_pj - energy_before)
-        self.ledger.add(self.cache_category, (hits + misses) * self.CACHE_ACCESS_PJ)
+        self.ledger.add(f"{self.name}.dram", self.dram.energy_pj - energy_before)
+        self.ledger.add(
+            f"{self.name}.cache", (hits + misses) * self.CACHE_ACCESS_PJ
+        )
         yield Timeout(latency)
         return latency
 

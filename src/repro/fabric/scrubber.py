@@ -21,6 +21,7 @@ from typing import Callable, Dict, Generator, List, Optional, Tuple
 from repro.fabric.bitstream import FRAME_BYTES
 from repro.fabric.region import Fabric, Region, RegionState
 from repro.sim import Simulator, Timeout
+from repro.telemetry.quantiles import mean
 
 
 @dataclass
@@ -157,4 +158,4 @@ class ConfigScrubber:
     # ------------------------------------------------------------------
     def mean_detection_ns(self) -> float:
         done = [u.detection_ns for u in self.upsets if u.detection_ns is not None]
-        return sum(done) / len(done) if done else 0.0
+        return mean(done)

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from repro.fabric.module_library import AcceleratorModule
 from repro.sim import Resource, Signal, Simulator, Timeout
+from repro.telemetry.quantiles import mean
 
 _invocation_ids = itertools.count()
 
@@ -121,7 +122,7 @@ class VirtualizedAccelerator:
     # ------------------------------------------------------------------
     def mean_latency_ns(self) -> float:
         done = [i.latency_ns for i in self.completed if i.latency_ns is not None]
-        return sum(done) / len(done) if done else 0.0
+        return mean(done)
 
     def throughput_items_per_us(self) -> float:
         if not self.completed:

@@ -22,6 +22,7 @@ from typing import Dict
 from repro.fabric.resources import ResourceVector
 from repro.hls.ir import Kernel, OpKind
 from repro.hls.transforms import HlsConfig
+from repro.telemetry.quantiles import fold_sum
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ class HlsEstimator:
         resources = self.resources(kernel, config)
         lanes = config.duplicate * config.unroll
 
-        energy_per_item = sum(
+        energy_per_item = fold_sum(
             count * self.op_costs[kind].energy_pj for kind, count in kernel.ops.items()
         )
         # static power scales with occupied area (rough: 0.1 uW per area unit)

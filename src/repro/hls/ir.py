@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
+from repro.telemetry.quantiles import fold_sum
+
 
 class OpKind(Enum):
     """Datapath operation classes with distinct hardware costs."""
@@ -131,7 +133,7 @@ class Kernel:
         try:
             return self._ops_per_iteration  # type: ignore[attr-defined]
         except AttributeError:
-            total = sum(self.ops.values())
+            total = fold_sum(self.ops.values())
             object.__setattr__(self, "_ops_per_iteration", total)
             return total
 
@@ -141,7 +143,7 @@ class Kernel:
         try:
             return self._bytes_per_iteration  # type: ignore[attr-defined]
         except AttributeError:
-            total = sum(a.accesses_per_iter * a.elem_bytes for a in self.arrays)
+            total = fold_sum(a.accesses_per_iter * a.elem_bytes for a in self.arrays)
             object.__setattr__(self, "_bytes_per_iteration", total)
             return total
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.hls.ir import Kernel, OpKind
+from repro.telemetry.quantiles import fold_sum
 
 #: CPU cycles per operation (superscalar OoO core, cache-resident data)
 _CPU_OP_CYCLES: Dict[OpKind, float] = {
@@ -79,10 +80,12 @@ def _cpu_cycles(kernel: Kernel) -> float:
     try:
         return kernel._cpu_cycles  # type: ignore[attr-defined]
     except AttributeError:
-        op_cycles = sum(
+        op_cycles = fold_sum(
             count * _CPU_OP_CYCLES[kind] for kind, count in kernel.ops.items()
         )
-        mem_cycles = sum(a.accesses_per_iter for a in kernel.arrays) * _CPU_MEM_CYCLES
+        mem_cycles = (
+            fold_sum(a.accesses_per_iter for a in kernel.arrays) * _CPU_MEM_CYCLES
+        )
         cycles = op_cycles + mem_cycles
         object.__setattr__(kernel, "_cpu_cycles", cycles)
         return cycles

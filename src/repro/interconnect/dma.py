@@ -16,6 +16,7 @@ from typing import Generator, Hashable, List, Optional, Tuple
 from repro.interconnect.message import Message, TransactionType
 from repro.interconnect.network import Network
 from repro.sim import Resource, Simulator, Timeout
+from repro.telemetry.quantiles import fold_sum
 
 
 @dataclass(frozen=True)
@@ -121,4 +122,4 @@ class DmaEngine:
     def mean_latency_ns(self) -> float:
         if not self.transfers:
             return 0.0
-        return sum(t.latency_ns for t in self.transfers) / len(self.transfers)
+        return fold_sum(t.latency_ns for t in self.transfers) / len(self.transfers)

@@ -196,18 +196,7 @@ class Link:
             self.tel_queue.set(float(channel.queue_length))
         for _ in range(attempts):
             self.account(size_bytes)
-            # the lane hold of ``channel.use(hold, priority)``, written
-            # out here to save a generator frame per hop
-            req = channel.request(priority)
-            try:
-                yield req
-            except BaseException:
-                channel.abandon(req)
-                raise
-            try:
-                yield Timeout(hold)
-            finally:
-                channel.release(req)
+            yield from channel.use(hold, priority)
         if traced:
             self.tel_queue.set(float(channel.queue_length))
             self.tel_latency.record(self.sim.now - start)

@@ -8,6 +8,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 from repro.interconnect.link import EnergyTally, Link, LinkParams
 from repro.interconnect.message import Message, TransactionType
 from repro.sim import Simulator
+from repro.telemetry.quantiles import fold_sum
 
 
 @dataclass
@@ -23,10 +24,12 @@ class Route:
 
     def latency(self, size_bytes: int) -> float:
         """Uncontended end-to-end latency, store-and-forward per hop."""
-        return sum(link.cost(size_bytes) for link in self.links)
+        return fold_sum(link.cost(size_bytes) for link in self.links)
 
     def energy(self, size_bytes: int) -> float:
-        return sum(size_bytes * link.params.energy_per_byte_pj for link in self.links)
+        return fold_sum(
+            size_bytes * link.params.energy_per_byte_pj for link in self.links
+        )
 
 
 class Network:

@@ -120,19 +120,17 @@ class Resource:
         try:
             yield req
         except BaseException:
-            self.abandon(req)
+            self._abandon(req)
             raise
         try:
             yield Timeout(hold)
         finally:
             self.release(req)
 
-    def abandon(self, req: Request) -> None:
+    def _abandon(self, req: Request) -> None:
         """Give up ``req`` after its waiter was interrupted: release the
         slot if it was granted (possibly in the same instant), else take
-        the request out of the wait queue.  A hold written out in place
-        of :meth:`use` (``Worker.software_call``, ``Link.transfer``)
-        calls it from the same ``except`` clause."""
+        the request out of the wait queue."""
         if req.triggered:
             self.release(req)
         else:
@@ -249,14 +247,14 @@ class PriorityResource(Resource):
         try:
             yield req
         except BaseException:
-            self.abandon(req)
+            self._abandon(req)
             raise
         try:
             yield Timeout(hold)
         finally:
             self.release(req)
 
-    def abandon(self, req: Request) -> None:
+    def _abandon(self, req: Request) -> None:
         if req.triggered:
             self.release(req)
         else:

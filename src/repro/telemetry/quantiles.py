@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-def fold_sum(values: Iterable[float], start: float = 0) -> float:
-    """``start + v0 + v1 + ...``, added strictly left to right.
+def fold_sum(values: Iterable[float]) -> float:
+    """``0 + v0 + v1 + ...``, added strictly left to right.
 
     This is what ``sum()`` computed up to Python 3.11.  From 3.12 on,
     ``sum()`` of floats uses compensated summation, whose result can
@@ -53,7 +53,7 @@ def fold_sum(values: Iterable[float], start: float = 0) -> float:
     any running total of the same values (``total += v`` in the same
     order) equals it bit for bit.
     """
-    return reduce(add, values, start)
+    return reduce(add, values, 0)
 
 
 def mean(values: Sequence[float]) -> float:

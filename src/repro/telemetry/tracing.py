@@ -30,6 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.telemetry.quantiles import fold_sum
+
 
 @dataclass
 class Span:
@@ -194,7 +196,9 @@ class Tracer:
         return [s for s in self.spans if s.end is not None]
 
     def busy_time(self, lane: str) -> float:
-        return sum(s.duration or 0.0 for s in self.closed_spans() if s.lane == lane)
+        return fold_sum(
+            s.duration or 0.0 for s in self.closed_spans() if s.lane == lane
+        )
 
     def utilization(self, lane: str, horizon: Optional[float] = None) -> float:
         """Busy fraction of ``lane`` over ``horizon`` time units.

@@ -5,7 +5,7 @@ import pytest
 from repro.core import FunctionRegistry, Worker, WorkerParams
 from repro.fabric import ModuleLibrary
 from repro.hls import HlsTool, SynthesisConstraints, saxpy_kernel, vecadd_kernel
-from repro.sim import Simulator, spawn
+from repro.sim import Interrupt, Simulator, spawn
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +58,39 @@ class TestSoftwarePath:
         sim = Simulator()
         w = Worker(sim, 0)
         k = saxpy_kernel(1024)
-        latency = run(sim, w.run_software(k, 1000))
-        assert latency == pytest.approx(w.software_latency_ns(k, 1000))
+        energy = run(sim, w.run_software(k, 1000))
+        assert sim.now == pytest.approx(w.software_latency_ns(k, 1000))
         assert w.sw_calls == 1
-        assert w.ledger.total_pj(f"{w.name}.cpu") > 0
+        # the call is priced once and returns exactly what it charged
+        assert energy == w.params.software.energy_pj(k, 1000) > 0
+        assert w.ledger.categories() == {f"{w.name}.cpu": energy}
+
+    def test_interrupted_call_neither_counts_nor_charges(self):
+        sim = Simulator()
+        w = Worker(sim, 0, WorkerParams(cpu_cores=1))
+        k = saxpy_kernel(1024)
+        single = w.software_latency_ns(k, 1000)
+        log = []
+
+        def proc(role):
+            try:
+                yield from w.run_software(k, 1000)
+                log.append(role)
+            except Interrupt:
+                log.append(f"{role} interrupted")
+
+        spawn(sim, proc("first"))
+        queued = spawn(sim, proc("queued"))
+        holding = spawn(sim, proc("holding"))
+        sim.schedule(0.5 * single, queued.interrupt)
+        sim.schedule(1.5 * single, holding.interrupt)
+        sim.run()
+        assert log == ["queued interrupted", "first", "holding interrupted"]
+        assert (w.cpu.in_use, w.cpu.queue_length) == (0, 0)
+        assert w.sw_calls == 1
+        assert w.ledger.categories() == {
+            f"{w.name}.cpu": w.params.software.energy_pj(k, 1000)
+        }
 
     def test_cores_limit_concurrency(self):
         sim = Simulator()

@@ -235,10 +235,10 @@ class TestEvictionWithConcurrentJobs:
 
 
 class TestHostedSetCache:
-    """The daemon keeps its view of which regions host what between
-    periods and rebuilds it only when the node's region watch moved: a
-    load, an eviction and a region fault must each show in the next
-    ranking, and an unchanged fabric must not be rescanned."""
+    """The daemon reads the node's one view of which regions host what,
+    rebuilt only when the node's region watch moved: a load, an
+    eviction and a region fault must each show in the next ranking, and
+    an unchanged fabric must not be rescanned."""
 
     @staticmethod
     def ranked(daemon):
@@ -262,14 +262,16 @@ class TestHostedSetCache:
         seed_calls(history, "montecarlo", 16)
         seed_calls(history, "saxpy", 16)
         assert self.ranked(daemon) == {"montecarlo", "saxpy"}
-        view = daemon._hosted_regions()
+        view = node.hosted_regions()
         # nothing moved: the next ranking reads the same view
         assert self.ranked(daemon) == {"montecarlo", "saxpy"}
-        assert daemon._hosted_regions() is view
+        assert node.hosted_regions() is view
 
         region = self.load(sim, node, library, "montecarlo")
         assert self.ranked(daemon) == {"saxpy"}
-        assert daemon._hosted_regions() == {"montecarlo": [(node.workers[0], region)]}
+        assert node.hosted_regions() == {"montecarlo": [(0, region)]}
+        # UNILOGIC reads the same view
+        assert UnilogicDomain(node).hosting_regions("montecarlo") == [(0, region)]
 
         node.workers[0].reconfig.unload(region)        # an eviction
         assert self.ranked(daemon) == {"montecarlo", "saxpy"}
@@ -278,4 +280,4 @@ class TestHostedSetCache:
         assert self.ranked(daemon) == {"montecarlo"}
         FaultInjector(node).inject_region_fault(1, region.region_id)
         assert self.ranked(daemon) == {"montecarlo", "saxpy"}
-        assert daemon._hosted_regions() == {}
+        assert node.hosted_regions() == {}
