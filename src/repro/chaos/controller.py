@@ -191,7 +191,7 @@ class ChaosController:
     ) -> None:
         self.sim = sim
         self.seed = seed
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self.telemetry = telemetry
         self.plan: List[PlannedFault] = []
         self.injected: List[Dict[str, Any]] = []
         self._armed = False
@@ -238,11 +238,11 @@ class ChaosController:
         return fault
 
     def _schedule(self, fault: PlannedFault) -> None:
-        def fire(f: PlannedFault = fault) -> None:
+        def fire(f: PlannedFault) -> None:
             f.apply(self)
             self._record(f)
 
-        self.sim.schedule_at(max(fault.at_ns, self.sim.now), fire)
+        self.sim.schedule_at(max(fault.at_ns, self.sim.now), fire, fault)
 
     # ------------------------------------------------------------------
     # explicit fault scheduling
@@ -552,10 +552,6 @@ class ChaosController:
             indent=indent,
             sort_keys=True,
         )
-
-    def events_json(self, indent: Optional[int] = None) -> str:
-        """Faults actually injected, with injection timestamps."""
-        return json.dumps(self.injected, indent=indent, sort_keys=True)
 
     @property
     def faults_planned(self) -> int:

@@ -153,14 +153,11 @@ class ComputeNode:
         """Route this node's Workers and NoC into a telemetry hub."""
         from repro.telemetry.wiring import attach_node
 
-        if hub is not None and hub.enabled:
+        if hub is not None:
             attach_node(hub, self)
 
     def worker(self, worker_id: int) -> Worker:
         return self.workers[worker_id]
-
-    def endpoint(self, worker_id: int) -> Hashable:
-        return self.endpoints[worker_id]
 
     def hosted_regions(self) -> Dict[str, List[Tuple[int, Region]]]:
         """function -> [(worker_id, region)] over every READY region,

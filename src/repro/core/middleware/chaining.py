@@ -52,9 +52,6 @@ class AcceleratorChain:
         self.worker = worker
         self.modules: List[AcceleratorModule] = list(modules)
 
-    def __len__(self) -> int:
-        return len(self.modules)
-
     # ------------------------------------------------------------------
     def _stage_latency_ns(self, items: int) -> float:
         return fold_sum(m.latency_ns(items) for m in self.modules)

@@ -98,7 +98,7 @@ class FaultInjector:
 
     def schedule_region_fault(self, delay_ns: float, worker_id: int, region_id: int) -> None:
         self.node.sim.schedule(
-            delay_ns, lambda: self.inject_region_fault(worker_id, region_id)
+            delay_ns, lambda _: self.inject_region_fault(worker_id, region_id)
         )
 
 
@@ -126,7 +126,7 @@ class RecoveryManager:
         self.library = library
         self.injector = injector
         self.check_period_ns = check_period_ns
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self.telemetry = telemetry
         self.recoveries = 0
         self.unrecoverable: List[FaultRecord] = []
         self._running = True

@@ -35,7 +35,7 @@ resubmits every unfinished job with its ``completed`` index set -- see
 :func:`repro.chaos.checkpoint_experiment.restore_from_snapshot`.
 
 A manager that is never constructed costs nothing, and a run without one
-is byte-identical to seed (the telemetry NULL-hub pattern).
+is byte-identical to seed.
 """
 
 from __future__ import annotations
@@ -126,15 +126,6 @@ class CheckpointPolicy:
             else max(self.checkpoint_cost_ns, 1.0)
         )
         return daly_interval_ns(cost, float(self.mtbf_ns))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "interval_ns": self.interval_ns,
-            "mode": self.mode,
-            "mtbf_ns": self.mtbf_ns,
-            "checkpoint_cost_ns": self.checkpoint_cost_ns,
-            "max_snapshots": self.max_snapshots,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +309,7 @@ class CheckpointManager:
         self.policy = policy
         self.store = store
         self.workload = dict(workload or {})
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.telemetry = telemetry
         self.snapshots: List[Snapshot] = []
         self.measured_cost_ns: Optional[float] = None
         self._rngs: Dict[str, random.Random] = {}

@@ -86,7 +86,7 @@ class ReconfigurationDaemon:
         self.evict_hotness = evict_hotness
         self.evict_after_periods = evict_after_periods
         self.max_evictions_per_period = max_evictions_per_period
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self.telemetry = telemetry
         self.stats = DaemonStats()
         self._running = True
         #: decayed per-function call score; refreshed once per sim instant

@@ -70,7 +70,7 @@ class ExecutionEngine:
         self.unilogic = UnilogicDomain(node)
         self.selector = selector
         self.retrain_every = retrain_every
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self.telemetry = telemetry
         if self.telemetry is not None and tracer is None:
             tracer = self.telemetry.tracer
 

@@ -26,7 +26,7 @@ The fabric layer already survives broken *regions*
   link) is duplicated onto another Worker; the first completion wins.
 
 With no supervisor armed the runtime's behaviour is bit-identical to
-the pre-fault-tolerance code path (the telemetry NULL-hub pattern).
+the pre-fault-tolerance code path.
 """
 
 from __future__ import annotations
@@ -122,17 +122,6 @@ class WorkerFailureRecord:
             return None
         return self.recovered_at - self.crashed_at
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "worker_id": self.worker_id,
-            "crashed_at": self.crashed_at,
-            "permanent": self.permanent,
-            "detected_at": self.detected_at,
-            "tasks_redispatched": self.tasks_redispatched,
-            "recovered_at": self.recovered_at,
-            "rejoined_at": self.rejoined_at,
-        }
-
 
 class TaskSupervisor:
     """Heartbeat monitor + retry machinery for one Execution Engine."""
@@ -142,7 +131,7 @@ class TaskSupervisor:
         # lifetime")
         self._engine = weakref.ref(engine)
         self.policy = policy
-        self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
+        self.telemetry = telemetry
         self.failures: List[WorkerFailureRecord] = []
         self.speculative: List[WorkerFailureRecord] = []   # timeout retries
         self.unrecovered: List[WorkItem] = []

@@ -152,9 +152,6 @@ class JobRegistry:
     def policy(self, job_id: int) -> SchedulingPolicy:
         return self.record(job_id).policy
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def __iter__(self):
         return iter(self._records.values())
 

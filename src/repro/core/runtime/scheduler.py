@@ -92,7 +92,7 @@ class WorkerScheduler:
         self.energy_weight = energy_weight
         self.allow_hardware = allow_hardware
         self.telemetry = telemetry
-        if tracer is None and telemetry is not None and telemetry.enabled:
+        if tracer is None and telemetry is not None:
             tracer = telemetry.tracer
         self.tracer = tracer
         # standalone schedulers (tests) get a single-tenant registry

@@ -115,10 +115,6 @@ class UnimemLock:
     def held(self) -> bool:
         return self._holder is not None
 
-    @property
-    def holder(self) -> Optional[int]:
-        return self._holder
-
     def acquire(self, caller: int) -> Generator:
         """Spin (with exponential backoff) until the lock is ours."""
         backoff = self.backoff_ns

@@ -46,14 +46,6 @@ class CacheStats:
     invalidations: int = 0
     flushes: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 @dataclass
 class _Line:

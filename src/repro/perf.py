@@ -1,9 +1,8 @@
 """The performance-regression harness behind ``python -m repro bench``.
 
 Times the micro-benchmarks no ``benchmarks/e2e`` workload reaches -- the
-raw event loop, timer cancellation churn, zero-delay process wake-ups,
-batched OpenCL work-group dispatch and SMMU translation -- and writes a
-canonical ``BENCH_perf.json`` (sorted keys, fixed schema).  End-to-end
+raw event loop, zero-delay process wake-ups, batched OpenCL work-group
+dispatch and SMMU translation -- and writes a canonical ``BENCH_perf.json`` (sorted keys, fixed schema).  End-to-end
 host speed (jobs, serving, chaos, shards) is measured by
 ``benchmarks/e2e`` alone, with fresh processes and repeated runs.
 
@@ -68,30 +67,6 @@ def bench_sim_engine(quick: bool) -> int:
 
     for c in range(chains):
         sim.schedule(float(c), tick, per_chain - 1)
-    sim.run()
-    return sim.events_processed
-
-
-def bench_sim_cancellation(quick: bool) -> int:
-    """Schedule/cancel churn: timeouts that are mostly cancelled.
-
-    Exercises the O(1) pending counter and heap compaction -- the
-    pattern batching timers (serving) and watchdogs (chaos) produce.
-    """
-    from repro.sim import Simulator
-
-    rounds = 2_000 if quick else 20_000
-    sim = Simulator()
-
-    def noop() -> None:
-        pass
-
-    for r in range(rounds):
-        keep = sim.schedule(float(r) + 1.0, noop)
-        for _ in range(4):
-            sim.schedule(float(r) + 2.0, noop).cancel()
-        assert sim.pending > 0  # O(1) now; this used to scan the heap
-        del keep
     sim.run()
     return sim.events_processed
 
@@ -183,7 +158,6 @@ def bench_smmu_translate(quick: bool) -> int:
 #: registered benchmarks, in canonical execution order
 BENCHMARKS: Dict[str, Callable[[bool], int]] = {
     "sim.engine": bench_sim_engine,
-    "sim.cancellation": bench_sim_cancellation,
     "sim.wakeups": bench_sim_wakeups,
     "opencl.ndrange_workgroups": bench_ndrange_workgroups,
     "memory.smmu_translate": bench_smmu_translate,

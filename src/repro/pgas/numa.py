@@ -22,10 +22,6 @@ class NumaDomain:
     worker_node: Hashable     # the network endpoint
     window: AddressRange
 
-    @property
-    def size(self) -> int:
-        return self.window.size
-
 
 class NumaMap:
     """Domains plus a hop-distance matrix."""

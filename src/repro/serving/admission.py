@@ -16,7 +16,7 @@ and the arrival stream continues (open-loop traffic does not retry).
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple
 
 from repro.serving.requests import Request
 
@@ -72,9 +72,6 @@ class AdmissionController:
         self, tenant: str, admit_rate_rps: float, admit_burst: float
     ) -> None:
         self._buckets[tenant] = TokenBucket(admit_rate_rps, admit_burst)
-
-    def bucket(self, tenant: str) -> Optional[TokenBucket]:
-        return self._buckets.get(tenant)
 
     def admit(
         self, request: Request, now_ns: float, backlog: int

@@ -119,9 +119,7 @@ class BurnRateAlerter:
         component: str = "serve.alerts",
     ) -> None:
         self.policy = policy or BurnRatePolicy()
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.telemetry = telemetry
         self._emit = (
             self.telemetry.emitter("slo.burn", component)
             if self.telemetry is not None

@@ -78,9 +78,7 @@ class Autoscaler:
         self.max_replicas = max_replicas
         self.cooldown_periods = cooldown_periods
         self.min_completions_for_slo = min_completions_for_slo
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.telemetry = telemetry
         self.daemon = ReconfigurationDaemon(
             engine.node,
             engine.unilogic,

@@ -48,9 +48,6 @@ class DynamicBatcher:
         self.flushes_timeout = 0
         self.requests_batched = 0
 
-    def depth(self, key: BatchKey) -> int:
-        return len(self._buckets.get(key, ()))
-
     def pending(self) -> int:
         """Requests parked across all buckets (not yet dispatched)."""
         return sum(len(b) for b in self._buckets.values())
@@ -68,9 +65,10 @@ class DynamicBatcher:
             wait = self.max_wait_ns
             if self.wait_stretch is not None:
                 wait *= self.wait_stretch()
-            self.sim.schedule(wait, self._timer, key, gen)
+            self.sim.schedule(wait, self._timer, (key, gen))
 
-    def _timer(self, key: BatchKey, gen: int) -> None:
+    def _timer(self, key_gen: Tuple[BatchKey, int]) -> None:
+        key, gen = key_gen
         if self._generation.get(key, 0) != gen:
             return                       # bucket already flushed and refilled
         if not self._buckets.get(key):

@@ -60,9 +60,7 @@ class BrownoutController:
     ) -> None:
         self.policy = policy
         self.sim = sim
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.telemetry = telemetry
         self._emit = (
             self.telemetry.emitter("serving.degraded", component)
             if self.telemetry is not None

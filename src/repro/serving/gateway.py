@@ -152,9 +152,7 @@ class ServingGateway:
         self.scenario = scenario
         self.seed = seed
         self.scenario_name = scenario_name
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.telemetry = telemetry
         # pre-bound emitters for the per-request hot sites: one bound
         # callable per site instead of rebuilding kind/component strings
         # and walking hub attributes on every request.  None when dark,

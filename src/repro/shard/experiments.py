@@ -122,7 +122,7 @@ def build_jobs_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCell
     else:
         gate = cell.gate(0.0)
 
-        def request_stage() -> None:
+        def request_stage(_: Any) -> None:
             peer = (node_id + 1) % plan.num_nodes
             cell.bridge.send(peer, "job-fetch", {"src": node_id}, plan.lookahead_ns)
             gate.next_send_ns = None
@@ -451,7 +451,7 @@ def build_chaos_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCel
     gate = cell.gate(0.0)
     injected: List[dict] = []
 
-    def announce() -> None:
+    def announce(_: Any) -> None:
         ready = {
             "node": node_id,
             "makespan_ns": baseline.makespan_ns,

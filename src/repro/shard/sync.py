@@ -151,7 +151,7 @@ class PartitionRuntime:
                     f"{self.partition}"
                 )
             heapq.heappush(self._pending, msg.deliver_ns)
-            cell.sim.schedule_at(msg.deliver_ns, self._dispatch, cell, msg)
+            cell.sim.schedule_at(msg.deliver_ns, self._dispatch, msg)
             self.delivered += 1
 
     def fragments(self) -> Dict[int, dict]:
@@ -186,8 +186,9 @@ class PartitionRuntime:
             cell.sim.close()
 
     # ------------------------------------------------------------------
-    def _dispatch(self, cell: NodeCell, msg: BridgeMessage) -> None:
+    def _dispatch(self, msg: BridgeMessage) -> None:
         self._fired[msg.deliver_ns] = self._fired.get(msg.deliver_ns, 0) + 1
+        cell = self.cells[msg.dst_node]
         cell.bridge.received += 1
         handler = cell.handlers.get(msg.kind)
         if handler is None:

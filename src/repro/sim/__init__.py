@@ -8,18 +8,18 @@ runs on this kernel.  It provides:
   software behaviour over simulated time,
 - :class:`Signal` -- one-shot completion events processes can wait on,
 - :class:`Resource` / :class:`Store` -- contention points (ports, buses,
-  configuration controllers),
-- :class:`Counter`, :class:`TimeWeighted` and :class:`Histogram` --
-  statistics collection.
+  configuration controllers).
+
+It also re-exports the statistics classes of :mod:`repro.sim.stats` and
+the tracer of :mod:`repro.telemetry.tracing`.
 
 The kernel is deterministic: events at equal timestamps fire in
-(priority, insertion-order) order, so simulations are exactly repeatable.
+insertion order, so simulations are exactly repeatable.
 """
 
-from repro.sim.engine import Event, Simulator, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 from repro.sim.process import (
     AllOf,
-    AnyOf,
     Interrupt,
     Process,
     Signal,
@@ -42,9 +42,7 @@ from repro.telemetry.tracing import Span, Tracer, render_timeline
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Counter",
-    "Event",
     "Histogram",
     "Interrupt",
     "PriorityResource",

@@ -6,7 +6,7 @@ A process is a Python generator that yields *waitables*:
 - :class:`Signal` -- a one-shot event another process triggers,
 - another :class:`Process` -- wait for its completion (its return value is
   delivered as the value of the ``yield``),
-- :class:`AllOf` / :class:`AnyOf` -- composite waits.
+- :class:`AllOf` -- a composite wait.
 
 Example::
 
@@ -25,7 +25,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -57,7 +57,7 @@ class Timeout(Waitable):
         self.value = value
 
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
-        sim._later(self.delay, callback, self.value)
+        sim.schedule(self.delay, callback, self.value)
 
 
 class Signal(Waitable):
@@ -68,12 +68,11 @@ class Signal(Waitable):
     and "fire then wait".
     """
 
-    __slots__ = ("sim", "_value", "_fired", "_waiters", "_failure")
+    __slots__ = ("sim", "_value", "_fired", "_waiters")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._value: Any = None
-        self._failure: Optional[BaseException] = None
         self._fired = False
         self._waiters: List[Callable[[Any], None]] = []
 
@@ -101,22 +100,9 @@ class Signal(Waitable):
                 lane.append((waiter, value))
         return self
 
-    def fail(self, exc: BaseException) -> "Signal":
-        """Fire the signal with an exception; waiters see it raised."""
-        if self._fired:
-            raise SimulationError("signal already fired")
-        self._fired = True
-        self._failure = exc
-        waiters, self._waiters = self._waiters, []
-        soon = self.sim._soon
-        for waiter in waiters:
-            soon(waiter, exc)
-        return self
-
     def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
         if self._fired:
-            payload = self._failure if self._failure is not None else self._value
-            sim._lane.append((callback, payload))  # sim._soon, inlined
+            sim._lane.append((callback, self._value))  # sim._soon, inlined
         else:
             self._waiters.append(callback)
 
@@ -145,29 +131,6 @@ class AllOf(Waitable):
                 remaining[0] -= 1
                 if remaining[0] == 0:
                     callback(results)
-
-            return child_cb
-
-        for i, child in enumerate(self.children):
-            child._subscribe(sim, make_child_cb(i))
-
-
-class AnyOf(Waitable):
-    """Wait for the first child; yields ``(index, value)`` of the winner."""
-
-    def __init__(self, children: Iterable[Waitable]) -> None:
-        self.children = list(children)
-        if not self.children:
-            raise SimulationError("AnyOf needs at least one child")
-
-    def _subscribe(self, sim: Simulator, callback: Callable[[Any], None]) -> None:
-        done = [False]
-
-        def make_child_cb(index: int) -> Callable[[Any], None]:
-            def child_cb(value: Any) -> None:
-                if not done[0]:
-                    done[0] = True
-                    callback((index, value))
 
             return child_cb
 
@@ -245,10 +208,7 @@ class Process(Waitable):
         if gen != self._wait_gen:
             return  # finished, or woken by a wait an Interrupt ended
         try:
-            if isinstance(value, BaseException):
-                item = self.gen.throw(value)
-            else:
-                item = self.gen.send(value)
+            item = self.gen.send(value)
         except StopIteration as stop:
             self._finish(stop.value)
             return

@@ -30,7 +30,6 @@ class Request(Signal):
         # request is built per resource acquisition
         self.sim = sim
         self._value: Any = None
-        self._failure: Optional[BaseException] = None
         self._fired = False
         self._waiters: List[Any] = []
         self.resource = resource
@@ -157,7 +156,7 @@ class Resource:
         if not all(hold >= 0 for hold in holds):  # also rejects NaN
             raise SimulationError(f"negative hold in {holds}")
         sim = self.sim
-        later = sim._later
+        schedule = sim.schedule
         done = Signal(sim)
         remaining = len(holds)
 
@@ -172,11 +171,11 @@ class Resource:
             req = self.request()
             if req.triggered:
                 # granted immediately: go straight to the timed release
-                later(hold, _finish_one, req)
+                schedule(hold, _finish_one, req)
             else:
                 req._subscribe(
                     sim,
-                    lambda _v, req=req, hold=hold: later(hold, _finish_one, req),
+                    lambda _v, req=req, hold=hold: schedule(hold, _finish_one, req),
                 )
         yield done
 
@@ -188,7 +187,6 @@ class PriorityRequest(Request):
         # Request's fields set here too, without the super() chain
         self.sim = sim
         self._value: Any = None
-        self._failure: Optional[BaseException] = None
         self._fired = False
         self._waiters: List[Any] = []
         self.resource = resource

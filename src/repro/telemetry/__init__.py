@@ -19,8 +19,7 @@ layer of the simulated machine shares:
   dumps.
 
 Telemetry is strictly optional: components default to ``telemetry =
-None`` (or the falsy :data:`NULL` hub) and pay one pointer check when
-disabled.
+None`` and pay one pointer check when disabled.
 """
 
 from repro.telemetry.events import (
@@ -40,7 +39,7 @@ from repro.telemetry.exporters import (
     snapshot_json,
     validate_chrome_trace,
 )
-from repro.telemetry.hub import NULL, NullTelemetry, Telemetry
+from repro.telemetry.hub import Telemetry
 from repro.telemetry.quantiles import (
     StreamingQuantile,
     fold_sum,
@@ -69,8 +68,6 @@ from repro.telemetry.wiring import (
 __all__ = [
     "EVENT_SCHEMA",
     "EventLog",
-    "NULL",
-    "NullTelemetry",
     "Span",
     "StreamingQuantile",
     "Telemetry",

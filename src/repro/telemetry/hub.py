@@ -15,10 +15,9 @@ Components never instantiate their own statistics; they are handed the
 hub (or attach to it via :mod:`repro.telemetry.wiring`) so one snapshot
 or trace export sees the whole machine.
 
-When telemetry is off, components hold ``telemetry = None`` (or the
-:data:`NULL` hub, which is falsy) and every instrumentation site reduces
-to a single ``is not None`` / truthiness check -- the "near-zero
-overhead when disabled" contract.
+When telemetry is off, components hold ``telemetry = None`` and every
+instrumentation site reduces to a single ``is not None`` check -- the
+"near-zero overhead when disabled" contract.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ Collector = Callable[["Telemetry"], None]
 class Telemetry:
     """The machine-wide observability hub."""
 
-    enabled = True
-
     def __init__(
         self,
         sim: Simulator,
@@ -57,9 +54,6 @@ class Telemetry:
         # pre-bound fast path for the per-sim-event kernel hook: one call
         # per fired event, so even one saved attribute walk matters
         self._sim_events_add = self._sim_events.add
-
-    def __bool__(self) -> bool:
-        return True
 
     # ------------------------------------------------------------------
     # metrics
@@ -87,8 +81,7 @@ class Telemetry:
         The returned function appends a structured event without any
         per-call attribute lookups on the hub (``emit(key=value, ...)``).
         Components grab one emitter per site at wiring time and call it
-        on the hot path; with the NULL hub the same accessor hands back a
-        shared no-op, so call sites need no enabled-checks at all.
+        on the hot path.
         """
         sim = self.sim
         log = self.events
@@ -135,100 +128,20 @@ class Telemetry:
     # kernel hooks (called by Simulator.step / Process.__init__ when the
     # hub is attached as ``sim.telemetry``)
     # ------------------------------------------------------------------
-    def sim_event_fired(self, event: Any) -> None:
+    def sim_event_fired(self, time: float, callback: Callable[[Any], None]) -> None:
         self._sim_events_add(1)
         if self.trace_sim_events:
-            cb = event.callback
+            # ``priority`` stays in the record's schema: the trace format
+            # and the pinned event-order digests read it, and every
+            # event fires at priority 0
             self.event(
                 "sim.event",
                 "sim",
-                callback=getattr(cb, "__qualname__", repr(cb)),
-                priority=event.priority,
+                callback=getattr(callback, "__qualname__", repr(callback)),
+                priority=0,
             )
 
     def process_spawned(self, process: Any) -> None:
         self.registry.counter("sim.processes_spawned").add(1)
         if self.trace_sim_events:
             self.event("sim.process_spawn", "sim", name=process.name)
-
-
-def _null_emit(**attrs: Any) -> None:
-    """Shared no-op emitter handed out by :class:`NullTelemetry`."""
-    return None
-
-
-class NullTelemetry:
-    """The disabled hub: same surface as :class:`Telemetry`, all no-ops.
-
-    Falsy, so ``if self.telemetry:`` instrumentation sites skip it, and
-    safe to call directly when a component does not bother checking.
-    Metric accessors hand out detached throwaway instruments.
-    """
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def counter(self, name: str) -> Counter:
-        return Counter(name)
-
-    def gauge(self, name: str, initial: float = 0.0) -> "_NullGauge":
-        return _NullGauge(initial)
-
-    def histogram(self, name: str, bin_edges: Optional[List[float]] = None) -> Histogram:
-        return Histogram(list(bin_edges) if bin_edges else [0.0, 1.0], name)
-
-    def event(self, kind: str, component: str, **attrs: Any) -> None:
-        return None
-
-    def emitter(self, kind: str, component: str) -> Callable[..., None]:
-        return _null_emit
-
-    def begin(self, lane: str, name: str) -> None:
-        return None
-
-    def end(self, lane: str, name: str) -> None:
-        return None
-
-    @contextmanager
-    def span(self, lane: str, name: str) -> Iterator[None]:
-        yield None
-
-    def register_collector(self, fn: Collector, name: str = "") -> None:
-        return None
-
-    def collect(self) -> None:
-        return None
-
-    def snapshot(self) -> Dict[str, float]:
-        return {}
-
-    def sim_event_fired(self, event: Any) -> None:
-        return None
-
-    def process_spawned(self, process: Any) -> None:
-        return None
-
-
-class _NullGauge:
-    """A gauge stand-in with no simulator clock behind it."""
-
-    def __init__(self, initial: float = 0.0) -> None:
-        self.value = initial
-        self.maximum = initial
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
-    def time_average(self) -> float:
-        return self.value
-
-
-#: Shared disabled hub -- pass this (or ``None``) to run dark.
-NULL = NullTelemetry()

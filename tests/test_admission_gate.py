@@ -267,9 +267,9 @@ class _FiredLog:
         self.callbacks = []
         self.spawned = []
 
-    def sim_event_fired(self, event):
-        self.fired.append((event.time, event.priority))
-        self.callbacks.append(event.callback.__qualname__)
+    def sim_event_fired(self, time, callback):
+        self.fired.append((time, 0))
+        self.callbacks.append(callback.__qualname__)
 
     def process_spawned(self, process):
         self.spawned.append(process.name)

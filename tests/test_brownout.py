@@ -77,7 +77,7 @@ class TestBrownoutController:
     def test_degraded_ns_accumulates_sim_time(self):
         sim, ctrl = self._controller()
         sim.schedule(100.0, ctrl.enter, "x")
-        sim.schedule(350.0, ctrl.exit)
+        sim.schedule(350.0, lambda _: ctrl.exit())
         sim.run()
         assert ctrl.degraded_ns == 250.0
         assert ctrl.report_block()["degraded_ns"] == 250.0
@@ -85,7 +85,7 @@ class TestBrownoutController:
     def test_open_window_counts_in_the_report(self):
         sim, ctrl = self._controller()
         sim.schedule(100.0, ctrl.enter, "x")
-        sim.schedule(400.0, lambda: None)   # advance the clock, stay degraded
+        sim.schedule(400.0, lambda _: None)   # advance the clock, stay degraded
         sim.run()
         block = ctrl.report_block()
         assert block["active"] is True

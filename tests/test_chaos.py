@@ -244,8 +244,8 @@ class TestSelfHealingRuntime:
     def test_transient_crash_heals_and_rejoins(self, compiled):
         ft = FaultTolerancePolicy(heartbeat_period_ns=10_000.0)
         sim, node, engine = build_engine(compiled, workers=2, ft=ft)
-        sim.schedule_at(30_000.0, lambda: engine.crash_worker(1, permanent=False))
-        sim.schedule_at(150_000.0, lambda: engine.recover_worker(1))
+        sim.schedule_at(30_000.0, lambda _: engine.crash_worker(1, permanent=False))
+        sim.schedule_at(150_000.0, lambda _: engine.recover_worker(1))
         report = engine.run_graph(graph_for(2, layers=6, width=10))
 
         assert report.worker_failures == 1
@@ -269,7 +269,7 @@ class TestSelfHealingRuntime:
     def test_permanent_crash_breaks_fabric_for_recovery_manager(self, compiled):
         ft = FaultTolerancePolicy(heartbeat_period_ns=10_000.0)
         sim, node, engine = build_engine(compiled, workers=2, ft=ft)
-        sim.schedule_at(50_000.0, lambda: engine.crash_worker(0, permanent=True))
+        sim.schedule_at(50_000.0, lambda _: engine.crash_worker(0, permanent=True))
         report = engine.run_graph(graph_for(2, layers=5, width=10))
         # every region of the dead Worker was reported to the injector
         assert engine.fault_injector is not None
@@ -465,7 +465,7 @@ class TestMultiJobChaos:
         b = manager.submit_job(graph_for(4, seed=22), policy="energy", priority=1)
         sigs = (graph_signature(a.graph), graph_signature(b.graph))
         # crash a Worker while both job streams are in flight
-        sim.schedule_at(40_000.0, lambda: engine.crash_worker(1, permanent=True))
+        sim.schedule_at(40_000.0, lambda _: engine.crash_worker(1, permanent=True))
         report = manager.run()
         return engine, manager, a, b, sigs, report
 

@@ -201,7 +201,7 @@ class TestWarpTo:
 
     def test_cannot_warp_with_events_pending(self):
         sim = Simulator()
-        sim.schedule(10.0, lambda: None)
+        sim.schedule(10.0, lambda _: None)
         with pytest.raises(SimulationError):
             sim.warp_to(1_000.0)
 

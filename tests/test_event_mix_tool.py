@@ -18,8 +18,8 @@ def test_resume_is_named_by_the_innermost_generator():
     names = []
 
     class Hook:
-        def sim_event_fired(self, event):
-            names.append(event_mix.callback_name(event.callback))
+        def sim_event_fired(self, time, callback):
+            names.append(event_mix.callback_name(callback))
 
         def process_spawned(self, process):
             pass

@@ -29,7 +29,7 @@ def test_sim_clock_monotone_under_any_schedule(delays):
     sim = Simulator()
     observed = []
     for d in delays:
-        sim.schedule(d, lambda: observed.append(sim.now))
+        sim.schedule(d, lambda _: observed.append(sim.now))
     sim.run()
     assert observed == sorted(observed)
     assert sim.now == max(delays)

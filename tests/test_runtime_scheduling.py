@@ -68,7 +68,7 @@ class TestLazyTracker:
     def test_lazy_refreshes_after_interval(self):
         sim, queues, tr = self.make(lazy=True, refresh=1000.0)
         tr.estimated_load(0, 1)
-        sim.schedule(2000.0, lambda: None)
+        sim.schedule(2000.0, lambda _: None)
         sim.run()
         tr.estimated_load(0, 1)
         assert tr.status_messages == 2

@@ -88,7 +88,7 @@ def _echo_cells(plan):
         cell = NodeCell(node_id, sim)
         gate = cell.gate(0.0)
 
-        def send(cell=cell, gate=gate, node_id=node_id):
+        def send(_, cell=cell, gate=gate, node_id=node_id):
             if node_id == 0:
                 cell.bridge.send(1, "probe", "a", plan.lookahead_ns)
                 cell.bridge.send(1, "probe", "b", plan.lookahead_ns)
@@ -129,7 +129,7 @@ def test_stalled_send_gate_raises():
     sim = Simulator()
     cell = NodeCell(0, sim)
     cell.gate(0.0)              # claims a send at t=0 ...
-    sim.schedule_at(1_000.0, lambda: None)   # ... but nothing fires there
+    sim.schedule_at(1_000.0, lambda _: None)   # ... but nothing fires there
     runtime = PartitionRuntime(0, plan)
     runtime.add_cell(cell)
     with pytest.raises(ShardError):
@@ -144,7 +144,7 @@ def test_unbounded_window_send_raises():
     runtime.add_cell(cell)
     # no gate registered, so the coordinator grants an infinite window;
     # a send inside it is a protocol violation, not silent corruption
-    sim.schedule_at(5.0, lambda: cell.bridge.send(0, "x", {}, plan.lookahead_ns))
+    sim.schedule_at(5.0, lambda _: cell.bridge.send(0, "x", {}, plan.lookahead_ns))
     with pytest.raises(ShardError):
         run_conservative(plan, [runtime])
 
@@ -155,7 +155,7 @@ def test_missing_handler_raises():
     cell = NodeCell(0, sim)
     gate = cell.gate(0.0)
 
-    def send():
+    def send(_):
         cell.bridge.send(0, "unhandled", {}, plan.lookahead_ns)
         gate.next_send_ns = None
 
@@ -171,8 +171,8 @@ def test_pause_stops_before_boundary_events_fire():
     sim = Simulator()
     cell = NodeCell(0, sim)
     fired = []
-    sim.schedule_at(10.0, lambda: fired.append(10.0))
-    sim.schedule_at(100.0, lambda: fired.append(100.0))
+    sim.schedule_at(10.0, lambda _: fired.append(10.0))
+    sim.schedule_at(100.0, lambda _: fired.append(100.0))
     runtime = PartitionRuntime(0, plan)
     runtime.add_cell(cell)
     run_conservative(plan, [runtime], pause_at_ns=100.0)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Interrupt,
     SimulationError,
     Signal,
@@ -134,24 +133,6 @@ def test_allof_empty_completes_immediately():
     spawn(sim, parent())
     sim.run()
     assert got == [[]]
-
-
-def test_anyof_returns_first_winner():
-    sim = Simulator()
-    got = []
-
-    def parent():
-        winner = yield AnyOf([Timeout(5.0, "slow"), Timeout(1.0, "fast")])
-        got.append((sim.now, winner))
-
-    spawn(sim, parent())
-    sim.run()
-    assert got == [(1.0, (1, "fast"))]
-
-
-def test_anyof_empty_rejected():
-    with pytest.raises(SimulationError):
-        AnyOf([])
 
 
 def test_interrupt_is_raised_inside_process():
@@ -396,7 +377,7 @@ def test_close_refuses_a_running_simulator():
     sim = Simulator()
     errors = []
 
-    def closer():
+    def closer(_):
         try:
             sim.close()
         except SimulationError as exc:

@@ -257,7 +257,7 @@ def _interrupted_waiter_run(cls, interrupt_at):
     procs = {}
     # scheduled before any process starts, so at t=5 it fires ahead of
     # the holder's release: the grant and the interrupt share an instant
-    sim.schedule(interrupt_at, lambda: procs["waiter"].interrupt())
+    sim.schedule(interrupt_at, lambda _: procs["waiter"].interrupt())
 
     def holder():
         yield from res.use(5.0)
@@ -314,7 +314,7 @@ def test_priority_use_withdrawal_keeps_queue_order():
     spawn(sim, user("holder", 0, 5.0))
     for tag, priority in (("a", 3), ("b", 1), ("c", 2)):
         procs[tag] = spawn(sim, user(tag, priority, 1.0))
-    sim.schedule(2.0, lambda: procs["b"].interrupt())
+    sim.schedule(2.0, lambda _: procs["b"].interrupt())
     sim.run()
     assert order == ["b-interrupted", "holder", "c", "a"]
     assert (res.in_use, res.queue_length) == (0, 0)

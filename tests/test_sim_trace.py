@@ -55,7 +55,7 @@ def test_span_context_manager():
     sim = Simulator()
     tracer = Tracer(sim)
     with tracer.span("w0", "block"):
-        sim.schedule(10.0, lambda: None)
+        sim.schedule(10.0, lambda _: None)
         sim.run()
     span = tracer.closed_spans()[0]
     assert span.duration == 10.0

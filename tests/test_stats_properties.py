@@ -52,11 +52,11 @@ def test_time_average_within_value_envelope(initial, steps, tail):
     g = TimeWeighted(sim, initial=initial)
     values = [initial]
     for dt, v in steps:
-        sim.schedule(sim.now + dt, lambda: None)
+        sim.schedule(sim.now + dt, lambda _: None)
         sim.run()
         g.set(v)
         values.append(v)
-    sim.schedule(sim.now + tail, lambda: None)
+    sim.schedule(sim.now + tail, lambda _: None)
     sim.run()
     avg = g.time_average()
     lo, hi = min(values), max(values)
@@ -75,8 +75,8 @@ def test_time_average_with_no_elapsed_time_is_current_value():
 def test_time_average_weights_by_duration():
     sim = Simulator()
     g = TimeWeighted(sim, initial=0.0)
-    sim.schedule(10.0, lambda: g.set(100.0))
-    sim.schedule(40.0, lambda: None)
+    sim.schedule(10.0, lambda _: g.set(100.0))
+    sim.schedule(40.0, lambda _: None)
     sim.run()
     # 0 for 10 ns, then 100 for 30 ns
     assert math.isclose(g.time_average(), (0 * 10 + 100 * 30) / 40.0)

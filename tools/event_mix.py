@@ -72,8 +72,8 @@ class _Count:
     def __init__(self, counts: Counter) -> None:
         self.counts = counts
 
-    def sim_event_fired(self, event: Any) -> None:
-        self.counts[callback_name(event.callback)] += 1
+    def sim_event_fired(self, time: float, callback: Any) -> None:
+        self.counts[callback_name(callback)] += 1
 
     def process_spawned(self, process: Any) -> None:
         pass
