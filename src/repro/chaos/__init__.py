@@ -4,8 +4,8 @@ ECOSCALE argues resilience must be a first-class property of an exascale
 machine ("to provide resilience, the Workers employ reconfigurable
 accelerators", Section 2).  This package is the adversary that claim is
 tested against: a :class:`ChaosController` injects crash-stop and
-transient Worker failures, link degradation/outages and MPI message
-loss from a seeded deterministic plan, and
+transient Worker failures and link degradation/outages from a seeded
+deterministic plan, and
 :func:`run_chaos_experiment` wraps a baseline-vs-faulted pair of runs
 into a :class:`ChaosReport` with a result-integrity verdict.
 

@@ -55,13 +55,9 @@ from repro.presets import JobMix, JobSpec, compiled_suite
 # ----------------------------------------------------------------------
 
 
-def workload_spec(
-    preset_name: str,
-    seed: int = 0,
-    policies: Tuple[str, ...] = ("greedy-hw", "energy"),
-    max_variants: int = 1,
-) -> Dict[str, Any]:
-    """The snapshot's ``workload`` block: a chaos preset's job mix in
+def workload_spec(preset_name: str, seed: int = 0) -> Dict[str, Any]:
+    """The snapshot's ``workload`` block: a chaos preset's two-tenant job
+    mix (``greedy-hw`` at priority 2, ``energy`` at priority 1) in
     self-contained form (restore rebuilds the machine from this alone;
     the task functions are recorded so restore rebuilds identical
     graphs)."""
@@ -74,9 +70,9 @@ def workload_spec(
         "width": preset.width,
         "graph_seed": preset.graph_seed,
         "functions": list(GRAPH_FUNCTIONS),
-        "policies": list(policies),
-        "priorities": [2 if i == 0 else 1 for i in range(len(policies))],
-        "max_variants": int(max_variants),
+        "policies": ["greedy-hw", "energy"],
+        "priorities": [2, 1],
+        "max_variants": 1,
         "seed": int(seed),
     }
 
@@ -308,7 +304,6 @@ def run_checkpoint_restore_experiment(
     preset_name: str = "mini",
     seed: int = 0,
     domain: str = "rack0",
-    interval_ns: Optional[float] = None,
     kill_fraction: float = 0.45,
     abandon_fraction: float = 0.6,
     store_dir=None,
@@ -322,7 +317,7 @@ def run_checkpoint_restore_experiment(
     1. **baseline** -- the workload uninterrupted (pins down makespan,
        per-job task counts and workload signatures),
     2. **crash** -- the same workload with periodic checkpointing
-       (default cadence: an eighth of the baseline makespan), a
+       (cadence: an eighth of the baseline makespan), a
        permanent correlated kill of ``domain`` at ``kill_fraction`` of
        the makespan, and abandonment of the crashed incarnation at
        ``abandon_fraction`` (rack-scale loss: nothing left to retry on),
@@ -345,8 +340,7 @@ def run_checkpoint_restore_experiment(
 
     # --- phase 2: checkpointed run, domain kill, abandonment -----------
     ft = preset.fault_tolerance()
-    if interval_ns is None:
-        interval_ns = baseline.makespan_ns / 8.0
+    interval_ns = baseline.makespan_ns / 8.0
     manager, _ = build_workload(
         workload, compiled=compiled, fault_tolerance=ft, telemetry=telemetry
     )

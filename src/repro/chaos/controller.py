@@ -2,13 +2,13 @@
 
 A :class:`ChaosController` schedules faults at every layer of the
 simulated machine -- crash-stop and transient Worker failures (runtime),
-link degradation and outages (interconnect), message loss/duplication
-(MPI) -- from either an explicit plan or a seeded-random generator.
+link degradation and outages (interconnect), correlated failure-domain
+outages -- from either an explicit plan or a seeded-random generator.
 
 Determinism contract: the fault *plan* is a pure function of the chaos
 seed and configuration (never of wall-clock or dict order), and every
-in-flight random decision (link drops, message losses) draws from a
-dedicated per-target RNG seeded from the master seed.  Same seed, same
+in-flight random decision (link drops) draws from a dedicated
+per-target RNG seeded from the master seed.  Same seed, same
 machine, same workload => identical fault schedule and identical
 recovery metrics -- the property the ``chaos`` and ``chaos-seed42``
 report digests in ``tests/test_report_digests.py`` pin.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.domains import (
     TIERS,
@@ -29,7 +29,6 @@ from repro.chaos.domains import (
     build_domain_tree,
 )
 from repro.interconnect.link import Link, LinkFault
-from repro.mpi.comm import Communicator, MessageFaults
 from repro.sim import Simulator
 
 
@@ -48,10 +47,6 @@ class ChaosConfig:
     link_degradations: int = 1
     link_drop_rate: float = 0.05
     link_latency_multiplier: float = 4.0
-    link_outage_ns: float = 0.0
-    link_duration_ns: Optional[float] = None   # None = degraded until the end
-    mpi_drop_rate: float = 0.0
-    mpi_duplicate_rate: float = 0.0
     window_ns: tuple = (100_000.0, 500_000.0)
 
     def __post_init__(self) -> None:
@@ -74,8 +69,8 @@ class PlannedFault:
     """
 
     at_ns: float
-    layer: str          # "worker" | "link" | "mpi" | "domain"
-    kind: str           # "crash-stop" | "transient" | "degrade" | "restore" | "lossy"
+    layer: str          # "worker" | "link" | "domain"
+    kind: str           # "crash-stop" | "transient" | "degrade" | "restore"
     target: str
     params: Dict[str, Any] = field(default_factory=dict)
     apply: Optional[Callable[["ChaosController"], None]] = None
@@ -90,40 +85,49 @@ class PlannedFault:
         }
 
 
+def draw_worker_crashes(
+    rng: random.Random, num_workers: int, config: ChaosConfig
+) -> List[Tuple[int, float, bool]]:
+    """The seeded worker-crash draws, as ``(worker, at_ns, transient)``
+    in draw order.
+
+    Victims are sampled first, leaving at least one survivor; then each
+    victim draws a time uniform inside ``config.window_ns`` and a
+    transient draw against ``config.transient_fraction``.  The caller
+    owns ``rng``, so the draws continue whatever stream it holds.
+    """
+    count = min(config.worker_crashes, max(0, num_workers - 1))
+    start, end = config.window_ns
+    draws: List[Tuple[int, float, bool]] = []
+    for worker in rng.sample(range(num_workers), count):
+        at_ns = rng.uniform(start, end)
+        draws.append((worker, at_ns, rng.random() < config.transient_fraction))
+    return draws
+
+
 def seeded_node_plan(
-    seed: int,
-    node_id: int,
-    num_workers: int,
-    makespan_ns: float,
-    window_fraction: tuple = (0.2, 0.6),
-    crashes: int = 1,
-    transient_fraction: float = 0.0,
-    downtime_ns: float = 300_000.0,
+    seed: int, node_id: int, num_workers: int, config: ChaosConfig
 ) -> List[Dict[str, Any]]:
     """Worker-crash plan for one Compute Node of a sharded machine.
 
     Pure function of ``(seed, node_id)`` plus the node's shape: the RNG
     stream is ``f"{seed}:shard:{node_id}"``, so the plan is identical at
-    any partition count and on any backend.  Mirrors
-    :meth:`ChaosController.schedule_random`'s worker draws -- victims
-    sampled leaving at least one survivor, times uniform inside the
-    window, a per-crash transient draw -- but emits plain dicts so it
-    can cross a process boundary.
+    any partition count and on any backend.  The draws are
+    :func:`draw_worker_crashes`, as in
+    :meth:`ChaosController.schedule_random`; the plan is plain dicts
+    sorted by time, so it can cross a process boundary.
     """
     rng = random.Random(f"{seed}:shard:{node_id}")
-    lo, hi = window_fraction
-    count = min(crashes, max(0, num_workers - 1))
-    faults: List[Dict[str, Any]] = []
-    for worker in rng.sample(range(num_workers), count):
-        at_ns = rng.uniform(lo * makespan_ns, hi * makespan_ns)
-        transient = rng.random() < transient_fraction
-        faults.append(
-            {
-                "worker": worker,
-                "at_ns": at_ns,
-                "downtime_ns": downtime_ns if transient else None,
-            }
+    faults = [
+        {
+            "worker": worker,
+            "at_ns": at_ns,
+            "downtime_ns": config.worker_downtime_ns if transient else None,
+        }
+        for worker, at_ns, transient in draw_worker_crashes(
+            rng, num_workers, config
         )
+    ]
     faults.sort(key=lambda f: (f["at_ns"], f["worker"]))
     return faults
 
@@ -334,47 +338,6 @@ class ChaosController:
             )
         return fault
 
-    def lose_messages(
-        self,
-        comm: Communicator,
-        at_ns: float,
-        drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        duration_ns: Optional[float] = None,
-    ) -> PlannedFault:
-        """Arm message loss/duplication on an MPI communicator."""
-        rng = self._rng(f"mpi:{comm.name}")
-
-        def apply(ctl: ChaosController) -> None:
-            comm.faults = MessageFaults(
-                rng=rng, drop_rate=drop_rate, duplicate_rate=duplicate_rate
-            )
-
-        fault = self._add(
-            PlannedFault(
-                at_ns=at_ns,
-                layer="mpi",
-                kind="lossy",
-                target=comm.name,
-                params={"drop_rate": drop_rate, "duplicate_rate": duplicate_rate},
-                apply=apply,
-            )
-        )
-        if duration_ns is not None:
-            def restore(ctl: ChaosController) -> None:
-                comm.faults = None
-
-            self._add(
-                PlannedFault(
-                    at_ns=at_ns + duration_ns,
-                    layer="mpi",
-                    kind="restore",
-                    target=comm.name,
-                    apply=restore,
-                )
-            )
-        return fault
-
     def fail_domain(
         self,
         engine,
@@ -476,29 +439,23 @@ class ChaosController:
         self,
         engine,
         links: List[Link],
-        comm: Optional[Communicator] = None,
         config: ChaosConfig = ChaosConfig(),
     ) -> List[PlannedFault]:
-        """Build a random-but-seeded fault plan over one engine's Workers,
-        a set of links, and (optionally) an MPI communicator."""
+        """Build a random-but-seeded fault plan over one engine's Workers
+        and a set of links."""
         rng = self._rng("schedule")
         start, end = config.window_ns
-        planned: List[PlannedFault] = []
-
-        num_workers = len(engine.schedulers)
-        crashes = min(config.worker_crashes, max(0, num_workers - 1))
-        victims = rng.sample(range(num_workers), crashes) if crashes else []
-        for worker_id in victims:
-            at = rng.uniform(start, end)
-            transient = rng.random() < config.transient_fraction
-            planned.append(
-                self.crash_worker(
-                    engine,
-                    worker_id,
-                    at_ns=at,
-                    downtime_ns=config.worker_downtime_ns if transient else None,
-                )
+        planned: List[PlannedFault] = [
+            self.crash_worker(
+                engine,
+                worker_id,
+                at_ns=at,
+                downtime_ns=config.worker_downtime_ns if transient else None,
             )
+            for worker_id, at, transient in draw_worker_crashes(
+                rng, len(engine.schedulers), config
+            )
+        ]
 
         degradations = min(config.link_degradations, len(links))
         chosen = rng.sample(range(len(links)), degradations) if degradations else []
@@ -510,18 +467,6 @@ class ChaosController:
                     at_ns=at,
                     drop_rate=config.link_drop_rate,
                     latency_multiplier=config.link_latency_multiplier,
-                    outage_ns=config.link_outage_ns,
-                    duration_ns=config.link_duration_ns,
-                )
-            )
-
-        if comm is not None and (config.mpi_drop_rate or config.mpi_duplicate_rate):
-            planned.append(
-                self.lose_messages(
-                    comm,
-                    at_ns=rng.uniform(start, end),
-                    drop_rate=config.mpi_drop_rate,
-                    duplicate_rate=config.mpi_duplicate_rate,
                 )
             )
         return planned

@@ -302,7 +302,6 @@ class MultiJobChaosReport:
 def run_multi_job_chaos_experiment(
     preset_name: str,
     seed: int = 0,
-    policies: Tuple[str, ...] = ("greedy-hw", "energy"),
     telemetry=None,
     compiled=None,
 ) -> MultiJobChaosReport:
@@ -321,7 +320,7 @@ def run_multi_job_chaos_experiment(
     """
     from repro.chaos.checkpoint_experiment import build_workload, workload_spec
 
-    workload = workload_spec(preset_name, seed=seed, policies=policies)
+    workload = workload_spec(preset_name, seed=seed)
     preset = chaos_preset(preset_name)
     if compiled is None:
         compiled = compiled_suite(max_variants=1)

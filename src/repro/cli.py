@@ -108,16 +108,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.runtime import ExecutionEngine
     from repro.experiments import DAEMON_PERIOD_NS, layered_graph
     from repro.presets import board_node, compiled_suite
-    from repro.sim import Simulator, Tracer, render_timeline
+    from repro.sim import Simulator, render_timeline
+    from repro.telemetry import Telemetry
 
     print("compiling the kernel suite through the HLS flow...")
     registry, library = compiled_suite(max_variants=1)
     sim = Simulator()
     node = ComputeNode(sim, board_node(workers=args.workers))
-    tracer = Tracer(sim)
+    hub = Telemetry(sim)
     engine = ExecutionEngine(
         node, registry, library, use_daemon=True,
-        daemon_period_ns=DAEMON_PERIOD_NS, tracer=tracer,
+        daemon_period_ns=DAEMON_PERIOD_NS, telemetry=hub,
     )
     graph = layered_graph(args.layers, args.width, args.workers, args.seed)
     print(f"running {len(graph)} tasks on {args.workers} workers...")
@@ -130,7 +131,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if engine.daemon is not None:
         print(f"  daemon loaded: {engine.daemon.stats.functions_loaded}")
     print("\nper-worker timeline:")
-    print(render_timeline(tracer, width=64))
+    print(render_timeline(hub.tracer, width=64))
     return 0
 
 

@@ -11,7 +11,7 @@ Per Section 4.2:
   "decides at runtime what functions should be loaded on the
   reconfiguration block" (:mod:`repro.core.runtime.history`,
   :mod:`repro.core.runtime.daemon`),
-- input-dependent execution-time/energy models (regression, PCA, kNN)
+- input-dependent execution-time/energy models (ridge regression, PCA)
   used to "select the best device to execute a function"
   (:mod:`repro.core.runtime.models`).
 """
@@ -46,7 +46,6 @@ from repro.core.runtime.jobs import (
 from repro.core.runtime.lazy import LazyStatusTracker, LocalWorkQueue
 from repro.core.runtime.models import (
     DeviceSelector,
-    KnnPredictor,
     LinearModel,
     PcaRegressor,
     kernel_features,
@@ -75,7 +74,6 @@ __all__ = [
     "FaultTolerancePolicy",
     "TaskSupervisor",
     "WorkerFailureRecord",
-    "KnnPredictor",
     "LazyStatusTracker",
     "LinearModel",
     "LocalWorkQueue",

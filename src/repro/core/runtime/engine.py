@@ -58,8 +58,6 @@ class ExecutionEngine:
         allow_hardware: bool = True,
         energy_weight: float = 0.0,
         distribution_policy: PolicyConfig = PolicyConfig(),
-        policy: Optional[SchedulingPolicy] = None,
-        tracer=None,
         telemetry=None,
         fault_tolerance: Optional[FaultTolerancePolicy] = None,
     ) -> None:
@@ -71,14 +69,12 @@ class ExecutionEngine:
         self.selector = selector
         self.retrain_every = retrain_every
         self.telemetry = telemetry
-        if self.telemetry is not None and tracer is None:
-            tracer = self.telemetry.tracer
 
         # the policy layer: one shared config, a default policy, and the
         # per-job registry the mechanism reads decisions through
         self.policy_config = distribution_policy
-        self.default_policy = (
-            policy if policy is not None else GreedyHardwarePolicy(distribution_policy)
+        self.default_policy: SchedulingPolicy = GreedyHardwarePolicy(
+            distribution_policy
         )
         self.jobs = JobRegistry(self.default_policy)
 
@@ -103,13 +99,11 @@ class ExecutionEngine:
                 selector=selector,
                 energy_weight=energy_weight,
                 allow_hardware=allow_hardware,
-                tracer=tracer,
                 telemetry=self.telemetry,
                 jobs=self.jobs,
             )
             for w in node.workers
         ]
-        self.tracer = tracer
         self.daemon: Optional[ReconfigurationDaemon] = None
         if use_daemon:
             self.daemon = ReconfigurationDaemon(
@@ -131,18 +125,17 @@ class ExecutionEngine:
             )
             for s in self.schedulers:
                 s.supervisor = self.supervisor
-            if fault_tolerance.recover_fabric:
-                from repro.core.resilience import FaultInjector, RecoveryManager
+            from repro.core.resilience import FaultInjector, RecoveryManager
 
-                self.fault_injector = FaultInjector(node)
-                self.recovery = RecoveryManager(
-                    node,
-                    self.unilogic,
-                    self.library,
-                    self.fault_injector,
-                    check_period_ns=fault_tolerance.heartbeat_period_ns,
-                    telemetry=self.telemetry,
-                )
+            self.fault_injector = FaultInjector(node)
+            self.recovery = RecoveryManager(
+                node,
+                self.unilogic,
+                self.library,
+                self.fault_injector,
+                check_period_ns=fault_tolerance.heartbeat_period_ns,
+                telemetry=self.telemetry,
+            )
         if self.telemetry is not None:
             from repro.telemetry.wiring import attach_engine
 

@@ -51,7 +51,6 @@ class FaultTolerancePolicy:
     backoff_base_ns: float = 10_000.0
     backoff_cap_ns: float = 200_000.0
     task_timeout_ns: Optional[float] = None   # None = no speculative retry
-    recover_fabric: bool = True  # reload a dead Worker's modules elsewhere
     # seed-deterministic backoff jitter: each retry waits the exponential
     # base scaled by a factor drawn uniformly from [1-j, 1+j] out of a
     # per-(task, attempt) RNG stream.  0.0 = the exact legacy schedule,

@@ -52,7 +52,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generator,
     List,
     Optional,
     Tuple,
@@ -61,7 +60,7 @@ from typing import (
 
 from repro.core.runtime.policy import PolicyConfig, SchedulingPolicy, make_policy
 from repro.core.runtime.report import JobOutcome, MachineReport, RunReport
-from repro.sim import AllOf, Signal, spawn
+from repro.sim import AllOf, Signal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.apps.taskgraph import Task, TaskGraph
@@ -272,7 +271,6 @@ class JobManager:
         # blocking order
         self._blocked: List[Tuple[JobHandle, Callable[[Any], None]]] = []
         self._draining = False
-        self._drain_signal: Optional[Signal] = None
         # built-in policies by name, built on first use (they hold only
         # the engine's PolicyConfig)
         self._policies: Dict[str, SchedulingPolicy] = {}
@@ -461,12 +459,8 @@ class JobManager:
             job.on_done()
         job.done.succeed(None)
         self._active -= 1
-        if self._active == 0:
-            if self._drain_signal is not None:
-                signal, self._drain_signal = self._drain_signal, None
-                signal.succeed(self)
-            if self.auto_stop:
-                engine.stop()
+        if self._active == 0 and self.auto_stop:
+            engine.stop()
 
     def _retrain(self, completed: int, finished: int) -> None:
         """A layer of ``finished`` tasks completed, ``completed`` in all:
@@ -487,38 +481,21 @@ class JobManager:
                 )
 
     # ------------------------------------------------------------------
-    # drain barrier
+    # drain
     # ------------------------------------------------------------------
     @property
     def draining(self) -> bool:
         return self._draining
 
-    def drain(self) -> Signal:
-        """Stop admitting jobs; the returned Signal fires once the last
-        in-flight job completes (immediately if the machine is idle).
+    def drain(self) -> None:
+        """Stop admitting jobs: later :meth:`submit_job` calls raise
+        ``RuntimeError``, while submitted work runs to completion.
 
-        The quiesce barrier the service daemon's ``drain``/``shutdown``
-        commands ride: submitted work finishes, new work is refused with
-        a ``RuntimeError``.  Calling :meth:`drain` again returns a fresh
-        signal honouring the same barrier.
+        The quiesce step of the service daemon's ``drain``/``shutdown``
+        commands, which then step the simulator until every handle is
+        finished.
         """
         self._draining = True
-        signal = Signal(self.sim)
-        if self._active == 0:
-            signal.succeed(self)
-            return signal
-        if self._drain_signal is None:
-            self._drain_signal = signal
-            return signal
-        # chain: both callers' signals fire at the barrier
-        prior = self._drain_signal
-
-        def relay() -> Generator:
-            yield prior
-            signal.succeed(self)
-
-        spawn(self.sim, relay(), name="jobs.drain")
-        return signal
 
     # ------------------------------------------------------------------
     # reporting

@@ -9,8 +9,8 @@ outputs) ... We intend to use an array of regression, SVM and PCA
 techniques for this purpose."
 
 Implemented here with numpy: ridge-regularized linear regression on
-engineered input features, a PCA+ridge pipeline for correlated feature
-sets, and a kNN fallback for small-sample regimes.  (SVM regression is
+engineered input features and a PCA+ridge pipeline for correlated
+feature sets, both fitted to log(y).  (SVM regression is
 substituted by ridge -- for the monotone size->time relations these
 workloads exhibit, both fit the same function class; DESIGN.md records
 the substitution.)
@@ -128,44 +128,6 @@ class PcaRegressor:
         return float(self.predict(x)[0])
 
 
-class KnnPredictor:
-    """Distance-weighted k-nearest-neighbour regression (small-sample
-    fallback while the parametric models are still cold)."""
-
-    def __init__(self, k: int = 3) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self._x: Optional[np.ndarray] = None
-        self._y: Optional[np.ndarray] = None
-
-    @property
-    def trained(self) -> bool:
-        return self._x is not None
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnPredictor":
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
-            raise ValueError(f"bad shapes {x.shape}, {y.shape}")
-        self._x, self._y = x, y
-        return self
-
-    def predict_one(self, x: np.ndarray) -> float:
-        import numpy as np
-
-        if self._x is None:
-            raise RuntimeError("fit() before predict()")
-        x = np.asarray(x, dtype=float)
-        d = np.linalg.norm(self._x - x, axis=1)
-        k = min(self.k, len(d))
-        nearest = np.argsort(d)[:k]
-        weights = 1.0 / (d[nearest] + 1e-9)
-        return float((self._y[nearest] * weights).sum() / weights.sum())
-
-
 class _LogModel:
     """Fits log(y): right for the multiplicative noise of real timings
     (cache effects, contention scale with the value, not add to it)."""
@@ -201,19 +163,15 @@ class DeviceSelector:
     the 'training part' of the paper's three-phase plan.
     """
 
-    def __init__(
-        self, min_samples: int = 5, use_pca: bool = False, log_target: bool = True
-    ) -> None:
+    def __init__(self, min_samples: int = 5, use_pca: bool = False) -> None:
         if min_samples < 2:
             raise ValueError("min_samples must be >= 2")
         self.min_samples = min_samples
         self.use_pca = use_pca
-        self.log_target = log_target
         self._models: Dict[str, _FunctionModels] = {}
 
     def _make_model(self):
-        base = PcaRegressor(components=2) if self.use_pca else LinearModel()
-        return _LogModel(base) if self.log_target else base
+        return _LogModel(PcaRegressor(components=2) if self.use_pca else LinearModel())
 
     # ------------------------------------------------------------------
     def train(self, history: ExecutionHistory) -> int:

@@ -77,7 +77,6 @@ class WorkerScheduler:
         selector: Optional[DeviceSelector] = None,
         energy_weight: float = 0.0,
         allow_hardware: bool = True,
-        tracer=None,
         telemetry=None,
         jobs: Optional[JobRegistry] = None,
     ) -> None:
@@ -92,9 +91,7 @@ class WorkerScheduler:
         self.energy_weight = energy_weight
         self.allow_hardware = allow_hardware
         self.telemetry = telemetry
-        if tracer is None and telemetry is not None:
-            tracer = telemetry.tracer
-        self.tracer = tracer
+        self.tracer = telemetry.tracer if telemetry is not None else None
         # standalone schedulers (tests) get a single-tenant registry
         self.jobs = jobs if jobs is not None else JobRegistry(GreedyHardwarePolicy())
         self.tasks_done = 0

@@ -196,16 +196,8 @@ def submit_job_mix(
 
 
 def run_jobs_experiment(
-    preset: str,
-    seed: int = 0,
-    telemetry=None,
-    fault_tolerance=None,
+    preset: str, seed: int = 0, telemetry=None
 ) -> MachineReport:
     """Run one job-mix preset end to end and return its MachineReport."""
-    manager, _ = build_jobs_machine(
-        preset,
-        seed=seed,
-        telemetry=telemetry,
-        fault_tolerance=fault_tolerance,
-    )
+    manager, _ = build_jobs_machine(preset, seed=seed, telemetry=telemetry)
     return manager.run()

@@ -17,9 +17,8 @@ carry MPI traffic.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.interconnect.message import Message, TransactionType
 from repro.interconnect.network import Network
@@ -36,37 +35,6 @@ class CollectiveResult:
     rounds: int
 
 
-@dataclass
-class MessageFaults:
-    """Lossy-channel state armed on a :class:`Communicator` by the chaos
-    controller (:mod:`repro.chaos`).
-
-    Each lost message is paid as a receiver-timeout (``timeout_ns``)
-    plus a full retransmission over the routed path, bounded by
-    ``max_retries``; each duplicated message spends the path's energy
-    and traffic again but rides concurrently (no latency penalty).  The
-    RNG is seeded by the chaos controller, so the loss pattern is a pure
-    function of the chaos seed and the deterministic message order.
-    """
-
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
-    drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    timeout_ns: float = 1_000.0
-    max_retries: int = 8
-    # counters (read by chaos reports)
-    lost: int = 0
-    duplicated: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError(f"drop rate must be in [0, 1), got {self.drop_rate}")
-        if not 0.0 <= self.duplicate_rate <= 1.0:
-            raise ValueError("duplicate rate must be in [0, 1]")
-        if self.timeout_ns < 0:
-            raise ValueError("timeout must be non-negative")
-
-
 class Communicator:
     """A set of ranks, each bound to a network endpoint."""
 
@@ -77,8 +45,6 @@ class Communicator:
         self.rank_to_node: List[Hashable] = list(rank_to_node)
         self.name = name
         self.collective_log: List[CollectiveResult] = []
-        # armed by repro.chaos (None = lossless channel, zero overhead)
-        self.faults: Optional[MessageFaults] = None
 
     @property
     def size(self) -> int:
@@ -98,38 +64,13 @@ class Communicator:
     # point to point
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, size_bytes: int) -> Tuple[float, float]:
-        """(latency_ns, energy_pj) for one message; accounts link traffic.
-
-        With :attr:`faults` armed, losses cost a timeout plus a
-        retransmission and duplicates re-spend path energy/traffic.
-        """
+        """(latency_ns, energy_pj) for one message; accounts link traffic."""
         if src == dst:
             return 0.0, 0.0
         msg = Message(
             self.node_of(src), self.node_of(dst), size_bytes, TransactionType.MPI
         )
-        latency, energy = self.network.send_cost(msg)
-        f = self.faults
-        if f is None:
-            return latency, energy
-        retries = 0
-        while retries < f.max_retries and f.rng.random() < f.drop_rate:
-            retries += 1
-            resend = Message(
-                self.node_of(src), self.node_of(dst), size_bytes, TransactionType.MPI
-            )
-            lat, e = self.network.send_cost(resend)
-            latency += f.timeout_ns + lat
-            energy += e
-        f.lost += retries
-        if f.rng.random() < f.duplicate_rate:
-            dup = Message(
-                self.node_of(src), self.node_of(dst), size_bytes, TransactionType.MPI
-            )
-            _, e = self.network.send_cost(dup)
-            energy += e
-            f.duplicated += 1
-        return latency, energy
+        return self.network.send_cost(msg)
 
     def _round_cost(self, pairs: Sequence[Tuple[int, int]], size_bytes: int) -> Tuple[float, float, int]:
         """One lockstep round of concurrent (src, dst) messages."""

@@ -28,7 +28,7 @@ audit trail of how the machine reshaped itself under load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List
 
 from repro.core.runtime.daemon import ReconfigurationDaemon
 from repro.fabric.region import RegionState
@@ -63,7 +63,6 @@ class Autoscaler:
         max_replicas: int = 2,
         cooldown_periods: int = 2,
         min_completions_for_slo: int = 20,
-        daemon_kwargs: Optional[Dict[str, Any]] = None,
         telemetry=None,
     ) -> None:
         if period_ns <= 0:
@@ -87,7 +86,6 @@ class Autoscaler:
             engine.history,
             period_ns=period_ns,
             telemetry=telemetry,
-            **(daemon_kwargs or {}),
         )
         self.stats = AutoscalerStats()
         self._cooldown: Dict[str, int] = {}

@@ -691,7 +691,6 @@ def run_serving_experiment(
     telemetry=None,
     fault_tolerance=None,
     faults: Optional[List[Dict[str, Any]]] = None,
-    max_variants: int = 2,
     tracing: Optional[TraceConfig] = None,
     alerts: Optional[BurnRatePolicy] = None,
     brownout: Optional[BrownoutPolicy] = None,
@@ -717,7 +716,6 @@ def run_serving_experiment(
         seed=seed,
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
-        max_variants=max_variants,
         tracing=tracing,
         alerts=alerts,
         brownout=brownout,

@@ -30,7 +30,6 @@ def capture_sharded_jobs(
     num_nodes: int = 2,
     partitions: int = 1,
     backend: str = "auto",
-    lookahead_ns: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Run sharded jobs up to ``pause_at_ns`` and snapshot every node."""
     from repro.presets import compiled_suite, job_preset
@@ -41,7 +40,7 @@ def capture_sharded_jobs(
         raise ShardError(f"pause_at_ns must be positive, got {pause_at_ns}")
     mix = job_preset(preset)  # resolve the name before any worker builds
     compiled_suite(max_variants=1)
-    plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
+    plan = PartitionPlan.build(num_nodes, partitions)
     config = {"mix": mix, "seed": seed}
     with ShardSet(plan, build_jobs_node, config, backend) as shards:
         shards.run(pause_at_ns=pause_at_ns)

@@ -357,7 +357,6 @@ def run_sharded_serving(
     num_nodes: int = 2,
     partitions: int = 1,
     backend: str = "auto",
-    lookahead_ns: Optional[float] = None,
     brownout_enter: Optional[int] = None,
     brownout_exit: Optional[int] = None,
 ) -> Dict[str, Any]:
@@ -368,7 +367,7 @@ def run_sharded_serving(
     scenario = serving_preset(preset)
     _check_split(scenario, num_nodes)  # before any worker builds
     compiled_suite(max_variants=2)
-    plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
+    plan = PartitionPlan.build(num_nodes, partitions)
     config = {
         "preset": preset,  # the name the node reports carry
         "scenario": scenario,
@@ -493,11 +492,7 @@ def build_chaos_node(node_id: int, plan: PartitionPlan, config: dict) -> NodeCel
                     config["seed"],
                     nid,
                     ready[nid]["workers"],
-                    ready[nid]["makespan_ns"],
-                    window_fraction=preset.window_fraction,
-                    crashes=preset.worker_crashes,
-                    transient_fraction=preset.transient_fraction,
-                    downtime_ns=preset.worker_downtime_ns,
+                    preset.fault_config(ready[nid]["makespan_ns"]),
                 )
                 for f in faults:
                     at = max(f["at_ns"], now + plan.lookahead_ns)
@@ -538,7 +533,6 @@ def run_sharded_chaos(
     num_nodes: int = 2,
     partitions: int = 1,
     backend: str = "auto",
-    lookahead_ns: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Chaos-test every node of a sharded machine; merged verdict report."""
     from repro.chaos.experiment import chaos_preset
@@ -547,7 +541,7 @@ def run_sharded_chaos(
 
     spec = chaos_preset(preset)  # resolve the name before any worker builds
     compiled_suite(max_variants=1)
-    plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
+    plan = PartitionPlan.build(num_nodes, partitions)
     config = {"chaos": spec, "seed": seed}
     with ShardSet(plan, build_chaos_node, config, backend) as shards:
         stats = shards.run()

@@ -13,7 +13,7 @@ with the layers it observes.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.telemetry.hub import Telemetry
 
@@ -22,15 +22,15 @@ from repro.telemetry.hub import Telemetry
 # ----------------------------------------------------------------------
 
 
-def attach_simulator(hub: Telemetry, sim: Any, prefix: str = "sim") -> None:
+def attach_simulator(hub: Telemetry, sim: Any) -> None:
     """Arm the kernel hooks and mirror event-loop counters."""
     sim.telemetry = hub
 
     def collect(h: Telemetry) -> None:
-        h.counter(f"{prefix}.events_processed").set(float(sim.events_processed))
-        h.gauge(f"{prefix}.pending_events").set(float(sim.pending))
+        h.counter("sim.events_processed").set(float(sim.events_processed))
+        h.gauge("sim.pending_events").set(float(sim.pending))
 
-    hub.register_collector(collect, name=prefix)
+    hub.register_collector(collect, name="sim")
 
 
 # ----------------------------------------------------------------------
@@ -133,8 +133,8 @@ def attach_fabric(hub: Telemetry, worker: Any, prefix: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def attach_worker(hub: Telemetry, worker: Any, prefix: Optional[str] = None) -> None:
-    prefix = prefix or worker.name
+def attach_worker(hub: Telemetry, worker: Any) -> None:
+    prefix = worker.name
     attach_memory(hub, worker, prefix)
     attach_fabric(hub, worker, prefix)
 

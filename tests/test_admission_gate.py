@@ -123,12 +123,8 @@ class _ProcessJobManager(JobManager):
             job.on_done()
         job.done.succeed(job)
         self._active -= 1
-        if self._active == 0:
-            if self._drain_signal is not None:
-                signal, self._drain_signal = self._drain_signal, None
-                signal.succeed(self)
-            if self.auto_stop:
-                engine.stop()
+        if self._active == 0 and self.auto_stop:
+            engine.stop()
 
     def _skip(self, job):
         return {t.task_id for i, t in enumerate(job.graph.tasks) if i in job.completed}

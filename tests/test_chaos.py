@@ -1,7 +1,7 @@
 """Tests for machine-wide fault injection and the self-healing runtime.
 
 Covers the chaos controller (seeded fault plans, determinism), the
-degraded interconnect/MPI paths, crash-stop and transient Worker
+degraded interconnect paths, crash-stop and transient Worker
 failures with heartbeat detection + retry, disabled parity, and the
 end-to-end acceptance scenario (board preset: one Worker killed
 mid-graph, one link degraded, zero unrecovered tasks).
@@ -19,7 +19,7 @@ from repro.chaos import (
     run_chaos_experiment,
     run_multi_job_chaos_experiment,
 )
-from repro.core import ComputeNode, ComputeNodeParams, Machine, MachineParams
+from repro.core import ComputeNode, ComputeNodeParams
 from repro.core.runtime import (
     ExecutionEngine,
     FaultTolerancePolicy,
@@ -27,8 +27,6 @@ from repro.core.runtime import (
 )
 from repro.interconnect import Link, LinkParams
 from repro.interconnect.link import LinkFault
-from repro.interconnect.network import Network
-from repro.mpi.comm import Communicator, MessageFaults
 from repro.presets import compiled_suite
 from repro.sim import Simulator, spawn
 
@@ -139,70 +137,6 @@ class TestLinkFault:
         link = Link(sim)
         with pytest.raises(ValueError):
             next(link.transfer(-4))
-
-
-# ----------------------------------------------------------------------
-# MPI message faults
-# ----------------------------------------------------------------------
-def two_node_comm():
-    sim = Simulator()
-    net = Network(sim)
-    net.add_node("a")
-    net.add_node("b")
-    net.add_link("a", "b", LinkParams(bandwidth_gbps=1.0, latency_ns=10.0))
-    return Communicator(net, ["a", "b"])
-
-
-class TestMessageFaults:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MessageFaults(drop_rate=1.0)
-        with pytest.raises(ValueError):
-            MessageFaults(duplicate_rate=1.5)
-        with pytest.raises(ValueError):
-            MessageFaults(timeout_ns=-1)
-
-    def test_losses_add_timeout_and_resend_latency(self):
-        clean = two_node_comm()
-        base_lat, base_e = clean.send(0, 1, 256)
-        lossy = two_node_comm()
-        lossy.faults = MessageFaults(
-            rng=random.Random(0), drop_rate=0.99, max_retries=2, timeout_ns=100.0
-        )
-        lat, energy = lossy.send(0, 1, 256)
-        assert lat == pytest.approx(base_lat * 3 + 200.0)
-        assert energy == pytest.approx(base_e * 3)
-        assert lossy.faults.lost == 2
-
-    def test_duplicates_spend_energy_not_latency(self):
-        clean = two_node_comm()
-        base_lat, base_e = clean.send(0, 1, 256)
-        dup = two_node_comm()
-        dup.faults = MessageFaults(rng=random.Random(0), duplicate_rate=1.0)
-        lat, energy = dup.send(0, 1, 256)
-        assert lat == pytest.approx(base_lat)
-        assert energy == pytest.approx(base_e * 2)
-        assert dup.faults.duplicated == 1
-
-    def test_same_seed_same_costs(self):
-        costs = []
-        for _ in range(2):
-            comm = two_node_comm()
-            comm.faults = MessageFaults(rng=random.Random(9), drop_rate=0.5)
-            costs.append([comm.send(0, 1, 128) for _ in range(20)])
-        assert costs[0] == costs[1]
-
-    def test_self_send_free_even_when_lossy(self):
-        comm = two_node_comm()
-        comm.faults = MessageFaults(rng=random.Random(0), drop_rate=0.9)
-        assert comm.send(0, 0, 4096) == (0.0, 0.0)
-
-    def test_collectives_survive_lossy_channel(self):
-        comm = two_node_comm()
-        clean = comm.allreduce(1024).latency_ns
-        comm.faults = MessageFaults(rng=random.Random(1), drop_rate=0.5)
-        lossy = comm.allreduce(1024).latency_ns
-        assert lossy >= clean
 
 
 # ----------------------------------------------------------------------
@@ -430,25 +364,6 @@ class TestChaosExperiment:
             assert preset.node in NODE_PRESETS, name
             lo, hi = preset.window_fraction
             assert 0 <= lo < hi <= 1, name
-
-
-# ----------------------------------------------------------------------
-# machine-level (cluster) communicator faults
-# ----------------------------------------------------------------------
-class TestClusterChaos:
-    def test_lossy_world_communicator(self, compiled):
-        registry, library = compiled
-        machine = Machine(
-            Simulator(),
-            MachineParams(num_nodes=2, node=ComputeNodeParams(num_workers=2)),
-        )
-        ctrl = ChaosController(machine.sim, seed=0)
-        ctrl.lose_messages(machine.world, at_ns=0.0, drop_rate=0.5)
-        ctrl.arm()
-        machine.sim.run()
-        assert machine.world.faults is not None
-        r = machine.world.allreduce(4096)
-        assert r.latency_ns > 0
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,11 @@ class TestCli:
         assert main(["demo", "--workers", "2", "--layers", "2", "--width", "4"]) == 0
         out = capsys.readouterr().out
         assert "makespan" in out
+        # the timeline reads the telemetry hub's tracer: one lane per worker
+        timeline = out.split("per-worker timeline:\n", 1)[1].splitlines()
+        assert timeline[0].startswith("lane ")
+        lanes = [line.split(" | ", 1)[0].strip() for line in timeline[1:] if line]
+        assert lanes == ["node0.w0", "node0.w1"]
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

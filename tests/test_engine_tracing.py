@@ -8,7 +8,8 @@ from repro.core.middleware import CallPath, HardwareCallLibrary
 from repro.core.runtime import ExecutionEngine
 from repro.fabric import ModuleLibrary
 from repro.hls import HlsTool, SynthesisConstraints, saxpy_kernel
-from repro.sim import Simulator, Tracer, render_timeline, spawn
+from repro.sim import Simulator, render_timeline, spawn
+from repro.telemetry import Telemetry
 
 
 class TestEngineTracing:
@@ -17,13 +18,13 @@ class TestEngineTracing:
         node = ComputeNode(sim, ComputeNodeParams(num_workers=2))
         registry = FunctionRegistry()
         registry.register(saxpy_kernel(1024))
-        tracer = Tracer(sim)
+        hub = Telemetry(sim)
         engine = ExecutionEngine(
-            node, registry, use_daemon=False, allow_hardware=False, tracer=tracer
+            node, registry, use_daemon=False, allow_hardware=False, telemetry=hub
         )
         graph = make_layered_dag(3, 6, 2, functions=("saxpy",), seed=2)
         report = engine.run_graph(graph)
-        return tracer, report
+        return hub.tracer, report
 
     def test_every_task_has_a_span(self):
         tracer, report = self.run_traced()

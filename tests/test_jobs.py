@@ -95,7 +95,8 @@ class TestPolicyLayer:
         task *results* (workload signature, full completion) may not."""
         outcomes = {}
         for name in sorted(POLICIES):
-            sim, node, engine = build_engine(compiled, policy=make_policy(name))
+            sim, node, engine = build_engine(compiled)
+            engine.default_policy = make_policy(name)
             graph = graph_for(4, seed=13)
             report = engine.run_graph(graph)
             outcomes[name] = (graph_signature(graph), report)
@@ -113,7 +114,8 @@ class TestPolicyLayer:
         their data home, which the greedy default does not."""
         results = {}
         for name in ("greedy-hw", "locality"):
-            sim, node, engine = build_engine(compiled, policy=make_policy(name))
+            sim, node, engine = build_engine(compiled)
+            engine.default_policy = make_policy(name)
             report = engine.run_graph(graph_for(4, seed=13))
             results[name] = report.placement_locality
         assert results["locality"] == 1.0

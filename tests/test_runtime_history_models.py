@@ -10,7 +10,6 @@ from repro.core.runtime import (
     DeviceSelector,
     ExecutionHistory,
     ExecutionRecord,
-    KnnPredictor,
     LinearModel,
     PcaRegressor,
     kernel_features,
@@ -231,14 +230,6 @@ class TestModels:
             PcaRegressor(components=0)
         with pytest.raises(RuntimeError):
             PcaRegressor().predict_one(kernel_features(10))
-
-    def test_knn_interpolates(self):
-        x = np.array([kernel_features(i) for i in (10, 20, 30)])
-        y = np.array([100.0, 200.0, 300.0])
-        m = KnnPredictor(k=1).fit(x, y)
-        assert m.predict_one(kernel_features(21)) == pytest.approx(200.0)
-        with pytest.raises(ValueError):
-            KnnPredictor(k=0)
 
 
 class TestDeviceSelector:

@@ -46,6 +46,25 @@ def test_serving_identical_at_1_and_2_partitions():
     assert r1["unrecovered"] == 0
 
 
+def test_serving_brownout_plane_enters_and_exits_on_every_node():
+    """Low thresholds drive node 0's brownout coordinator through one
+    enter and one exit, which every node's gateway follows."""
+    def run(partitions):
+        return run_sharded_serving(
+            "flash-crowd", seed=0, num_nodes=2, partitions=partitions,
+            backend="inline", brownout_enter=10, brownout_exit=5,
+        )
+
+    r1 = run(1)
+    control = r1["nodes"]["0"]["control"]
+    assert control["brownout_entries"] == 1
+    assert control["brownout_exits"] == 1
+    for node in ("0", "1"):
+        timeline = r1["nodes"][node]["serving"]["degraded"]["timeline"]
+        assert [e["event"] for e in timeline] == ["enter", "exit"]
+    assert report_json(r1) == report_json(run(2))
+
+
 def test_chaos_identical_at_1_and_2_partitions():
     r1 = run_sharded_chaos("mini", seed=0, num_nodes=2, partitions=1)
     r2 = run_sharded_chaos("mini", seed=0, num_nodes=2, partitions=2)
