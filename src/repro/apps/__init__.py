@@ -12,51 +12,18 @@ workload can be partitioned hierarchically (Fig. 1) or flat:
 - synthetic task DAGs with a tunable locality knob.
 """
 
-import importlib
+from repro import lazy_exports
 
-# name -> defining submodule; resolved on first access (PEP 562) so that
-# importing one app, or the numpy-free task graphs, loads no other app
-_EXPORTS = {
-    "CartTree": "cart",
-    "CsrGraph": "bfs",
-    "StencilDecomposition": "stencil",
-    "SortExchange": "sorting",
-    "Task": "taskgraph",
-    "TaskGraph": "taskgraph",
-    "block_mapping": "mapping",
-    "bfs_levels": "bfs",
-    "blocked_matmul": "matmul",
-    "communication_bytes": "mapping",
-    "cyclic_mapping": "mapping",
-    "decompose_grid": "stencil",
-    "european_call_mc": "montecarlo",
-    "frontier_exchange_plan": "bfs",
-    "gbm_paths": "montecarlo",
-    "graph_signature": "taskgraph",
-    "halo_pairs": "stencil",
-    "jacobi_reference": "stencil",
-    "jacobi_step": "stencil",
-    "make_classification": "cart",
-    "make_layered_dag": "taskgraph",
-    "matmul_task_list": "matmul",
-    "nbody_energy": "nbody",
-    "nbody_step": "nbody",
-    "partition_data": "sorting",
-    "plan_exchange": "sorting",
-    "random_graph": "bfs",
-    "random_mapping": "mapping",
-    "sample_sort": "sorting",
-    "choose_splitters": "sorting",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
-
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bfs": "CsrGraph bfs_levels frontier_exchange_plan random_graph",
+    "cart": "CartTree make_classification",
+    "mapping": "block_mapping communication_bytes cyclic_mapping random_mapping",
+    "matmul": "blocked_matmul matmul_task_list",
+    "montecarlo": "european_call_mc gbm_paths",
+    "nbody": "nbody_energy nbody_step",
+    "sorting": "SortExchange choose_splitters partition_data plan_exchange sample_sort",
+    "stencil": (
+        "StencilDecomposition decompose_grid halo_pairs jacobi_reference jacobi_step"
+    ),
+    "taskgraph": "Task TaskGraph graph_signature make_layered_dag",
+})

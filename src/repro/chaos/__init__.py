@@ -19,64 +19,18 @@ replayed, plus the MTBF x checkpoint-interval sweep that validates
 Daly's optimum cadence.
 """
 
-from repro.chaos.checkpoint_experiment import (
-    CheckpointRestoreReport,
-    CheckpointSweepReport,
-    JobRestoreVerdict,
-    restore_from_snapshot,
-    run_checkpoint_interval_sweep,
-    run_checkpoint_restore_experiment,
-    workload_spec,
-)
-from repro.chaos.controller import (
-    ChaosConfig,
-    ChaosController,
-    PlannedFault,
-    chaos_block,
-    plan_faults,
-)
-from repro.chaos.domains import (
-    TIERS,
-    DomainChaosConfig,
-    DomainTree,
-    FailureDomain,
-    build_domain_tree,
-)
-from repro.chaos.experiment import (
-    CHAOS_PRESETS,
-    ChaosPreset,
-    ChaosReport,
-    JobChaosVerdict,
-    MultiJobChaosReport,
-    chaos_preset,
-    run_chaos_experiment,
-    run_multi_job_chaos_experiment,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CHAOS_PRESETS",
-    "ChaosConfig",
-    "ChaosController",
-    "ChaosPreset",
-    "ChaosReport",
-    "CheckpointRestoreReport",
-    "CheckpointSweepReport",
-    "DomainChaosConfig",
-    "DomainTree",
-    "FailureDomain",
-    "JobChaosVerdict",
-    "JobRestoreVerdict",
-    "MultiJobChaosReport",
-    "PlannedFault",
-    "TIERS",
-    "build_domain_tree",
-    "chaos_block",
-    "chaos_preset",
-    "plan_faults",
-    "restore_from_snapshot",
-    "run_chaos_experiment",
-    "run_checkpoint_interval_sweep",
-    "run_checkpoint_restore_experiment",
-    "run_multi_job_chaos_experiment",
-    "workload_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "checkpoint_experiment": (
+        "CheckpointRestoreReport CheckpointSweepReport JobRestoreVerdict "
+        "restore_from_snapshot run_checkpoint_interval_sweep "
+        "run_checkpoint_restore_experiment workload_spec"
+    ),
+    "controller": "ChaosConfig ChaosController PlannedFault chaos_block plan_faults",
+    "domains": "TIERS DomainChaosConfig DomainTree FailureDomain build_domain_tree",
+    "experiment": (
+        "CHAOS_PRESETS ChaosPreset ChaosReport JobChaosVerdict MultiJobChaosReport "
+        "chaos_preset run_chaos_experiment run_multi_job_chaos_experiment"
+    ),
+})

@@ -19,27 +19,13 @@ substrate packages:
   the SW-HW communication library.
 """
 
-from repro.core.compute_node import ComputeNode, ComputeNodeParams
-from repro.core.machine import Machine, MachineParams
-from repro.core.resilience import FaultInjector, FaultRecord, RecoveryManager
-from repro.core.sync import AtomicCell, UnimemBarrier, UnimemLock
-from repro.core.unilogic import AcceleratorAccess, UnilogicDomain
-from repro.core.worker import FunctionRegistry, Worker, WorkerParams
+from repro import lazy_exports
 
-__all__ = [
-    "AcceleratorAccess",
-    "AtomicCell",
-    "ComputeNode",
-    "ComputeNodeParams",
-    "FaultInjector",
-    "FaultRecord",
-    "RecoveryManager",
-    "FunctionRegistry",
-    "Machine",
-    "MachineParams",
-    "UnilogicDomain",
-    "UnimemBarrier",
-    "UnimemLock",
-    "Worker",
-    "WorkerParams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "compute_node": "ComputeNode ComputeNodeParams",
+    "machine": "Machine MachineParams",
+    "resilience": "FaultInjector FaultRecord RecoveryManager",
+    "sync": "AtomicCell UnimemBarrier UnimemLock",
+    "unilogic": "AcceleratorAccess UnilogicDomain",
+    "worker": "FunctionRegistry Worker WorkerParams",
+})

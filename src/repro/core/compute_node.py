@@ -151,9 +151,9 @@ class ComputeNode:
 
     def attach_telemetry(self, hub) -> None:
         """Route this node's Workers and NoC into a telemetry hub."""
-        from repro.telemetry.wiring import attach_node
-
         if hub is not None:
+            from repro.telemetry.wiring import attach_node
+
             attach_node(hub, self)
 
     def worker(self, worker_id: int) -> Worker:

@@ -16,15 +16,10 @@ partial-reconfiguration toolset and the SW-HW communication library"
   energy-saving composition of Section 4.3.
 """
 
-from repro.core.middleware.chaining import AcceleratorChain, ChainCost
-from repro.core.middleware.comm import CallPath, HardwareCallLibrary
-from repro.core.middleware.driver import DefragReport, PartialReconfigDriver
+from repro import lazy_exports
 
-__all__ = [
-    "AcceleratorChain",
-    "CallPath",
-    "ChainCost",
-    "DefragReport",
-    "HardwareCallLibrary",
-    "PartialReconfigDriver",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaining": "AcceleratorChain ChainCost",
+    "comm": "CallPath HardwareCallLibrary",
+    "driver": "DefragReport PartialReconfigDriver",
+})

@@ -16,96 +16,25 @@ Per Section 4.2:
   (:mod:`repro.core.runtime.models`).
 """
 
-from repro.core.runtime.checkpoint import (
-    SNAPSHOT_FORMAT_VERSION,
-    CheckpointManager,
-    CheckpointPolicy,
-    JobProgress,
-    Snapshot,
-    SnapshotStore,
-    daly_interval_ns,
-    restore_rngs,
-    young_interval_ns,
-)
-from repro.core.runtime.daemon import DaemonStats, ReconfigurationDaemon
-from repro.core.runtime.distribution import DistributionPolicy, WorkDistributor
-from repro.core.runtime.engine import ExecutionEngine, RunReport
-from repro.core.runtime.faults import (
-    FaultTolerancePolicy,
-    TaskSupervisor,
-    WorkerFailureRecord,
-)
-from repro.core.runtime.history import ExecutionHistory, ExecutionRecord
-from repro.core.runtime.jobs import (
-    JobHandle,
-    JobManager,
-    JobRecord,
-    JobRegistry,
-    JobState,
-)
-from repro.core.runtime.lazy import LazyStatusTracker, LocalWorkQueue
-from repro.core.runtime.models import (
-    DeviceSelector,
-    LinearModel,
-    PcaRegressor,
-    kernel_features,
-)
-from repro.core.runtime.policy import (
-    POLICIES,
-    EnergyAwarePolicy,
-    GreedyHardwarePolicy,
-    LocalityPolicy,
-    PolicyConfig,
-    SchedulingPolicy,
-    make_policy,
-)
-from repro.core.runtime.report import JobOutcome, MachineReport
-from repro.core.runtime.scheduler import WorkItem, WorkerScheduler
+from repro import lazy_exports
 
-__all__ = [
-    "CheckpointManager",
-    "CheckpointPolicy",
-    "DaemonStats",
-    "DeviceSelector",
-    "DistributionPolicy",
-    "ExecutionEngine",
-    "ExecutionHistory",
-    "ExecutionRecord",
-    "FaultTolerancePolicy",
-    "TaskSupervisor",
-    "WorkerFailureRecord",
-    "LazyStatusTracker",
-    "LinearModel",
-    "LocalWorkQueue",
-    "PcaRegressor",
-    "ReconfigurationDaemon",
-    "RunReport",
-    "WorkDistributor",
-    "WorkItem",
-    "WorkerScheduler",
-    "kernel_features",
-    # policy layer
-    "POLICIES",
-    "EnergyAwarePolicy",
-    "GreedyHardwarePolicy",
-    "LocalityPolicy",
-    "PolicyConfig",
-    "SchedulingPolicy",
-    "make_policy",
-    # session/job layer
-    "JobHandle",
-    "JobManager",
-    "JobOutcome",
-    "JobRecord",
-    "JobRegistry",
-    "JobState",
-    "MachineReport",
-    # checkpoint/restart
-    "JobProgress",
-    "SNAPSHOT_FORMAT_VERSION",
-    "Snapshot",
-    "SnapshotStore",
-    "daly_interval_ns",
-    "restore_rngs",
-    "young_interval_ns",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "checkpoint": (
+        "SNAPSHOT_FORMAT_VERSION CheckpointManager CheckpointPolicy JobProgress "
+        "Snapshot SnapshotStore daly_interval_ns restore_rngs young_interval_ns"
+    ),
+    "daemon": "DaemonStats ReconfigurationDaemon",
+    "distribution": "WorkDistributor",
+    "engine": "ExecutionEngine",
+    "faults": "FaultTolerancePolicy TaskSupervisor WorkerFailureRecord",
+    "history": "ExecutionHistory ExecutionRecord",
+    "jobs": "JobHandle JobManager JobRecord JobRegistry JobState",
+    "lazy": "LazyStatusTracker LocalWorkQueue",
+    "models": "DeviceSelector LinearModel PcaRegressor kernel_features",
+    "policy": (
+        "POLICIES DistributionPolicy EnergyAwarePolicy GreedyHardwarePolicy "
+        "LocalityPolicy PolicyConfig SchedulingPolicy make_policy"
+    ),
+    "report": "JobOutcome MachineReport RunReport",
+    "scheduler": "WorkItem WorkerScheduler",
+})

@@ -14,7 +14,7 @@ the pre-multi-tenant runtime).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.apps.taskgraph import Task, TaskGraph
 from repro.core.compute_node import ComputeNode
@@ -24,12 +24,10 @@ from repro.core.runtime.faults import FaultTolerancePolicy, TaskSupervisor
 from repro.core.runtime.history import ExecutionHistory
 from repro.core.runtime.jobs import JobManager, JobRegistry
 from repro.core.runtime.lazy import LazyStatusTracker, LocalWorkQueue
-from repro.core.runtime.models import DeviceSelector
 from repro.core.runtime.policy import (
     DistributionPolicy,
     GreedyHardwarePolicy,
     PolicyConfig,
-    SchedulingPolicy,
 )
 from repro.core.runtime.report import RunReport
 from repro.core.runtime.scheduler import WorkerScheduler, WorkItem
@@ -37,6 +35,9 @@ from repro.core.unilogic import UnilogicDomain
 from repro.core.worker import FunctionRegistry
 from repro.fabric.module_library import ModuleLibrary
 from repro.sim import Process, spawn
+
+if TYPE_CHECKING:
+    from repro.core.runtime.models import DeviceSelector
 
 __all__ = ["ExecutionEngine", "RunReport", "DistributionPolicy"]
 
@@ -70,13 +71,10 @@ class ExecutionEngine:
         self.retrain_every = retrain_every
         self.telemetry = telemetry
 
-        # the policy layer: one shared config, a default policy, and the
-        # per-job registry the mechanism reads decisions through
+        # the policy layer: one shared config, and the per-job registry
+        # the mechanism reads decisions through (it holds the default)
         self.policy_config = distribution_policy
-        self.default_policy: SchedulingPolicy = GreedyHardwarePolicy(
-            distribution_policy
-        )
-        self.jobs = JobRegistry(self.default_policy)
+        self.jobs = JobRegistry(GreedyHardwarePolicy(distribution_policy))
 
         self.queues: List[LocalWorkQueue] = [
             LocalWorkQueue(node.sim, w.worker_id) for w in node.workers

@@ -121,16 +121,15 @@ class JobRecord:
 class JobRegistry:
     """job id -> :class:`JobRecord`; the one table the mechanism reads.
 
-    Created by the engine with its default policy; the session layer
-    registers additional tenants.  Unknown ids resolve to a fresh record
-    under the default policy, so a bare scheduler never key-errors.
+    Holds the engine's default policy; the session layer registers
+    tenants.  An unregistered id (job 0 of an untagged submission, or a
+    bare scheduler's) gets a record under the default policy on first
+    use, so a lookup never key-errors.
     """
 
     def __init__(self, default_policy: SchedulingPolicy) -> None:
         self.default_policy = default_policy
-        self._records: Dict[int, JobRecord] = {
-            0: JobRecord(0, default_policy)
-        }
+        self._records: Dict[int, JobRecord] = {}
 
     def register(
         self, job_id: int, policy: SchedulingPolicy, priority: int = 1
@@ -282,7 +281,7 @@ class JobManager:
         self, policy: Union[None, str, SchedulingPolicy]
     ) -> SchedulingPolicy:
         if policy is None:
-            return self.engine.default_policy
+            return self.engine.jobs.default_policy
         if isinstance(policy, str):
             resolved = self._policies.get(policy)
             if resolved is None:

@@ -20,19 +20,21 @@ jobs.JobRecord`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.apps.taskgraph import Task
 from repro.core.compute_node import ComputeNode
 from repro.core.runtime.history import ExecutionHistory, ExecutionRecord
 from repro.core.runtime.jobs import JobRegistry
 from repro.core.runtime.lazy import LocalWorkQueue
-from repro.core.runtime.models import DeviceSelector
 from repro.core.runtime.policy import GreedyHardwarePolicy
 from repro.core.unilogic import AcceleratorLost, UnilogicDomain
 from repro.core.worker import FunctionRegistry
 from repro.interconnect.message import TransactionType
 from repro.sim import Signal
+
+if TYPE_CHECKING:
+    from repro.core.runtime.models import DeviceSelector
 
 
 @dataclass

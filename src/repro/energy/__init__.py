@@ -11,20 +11,12 @@ when extrapolating from Tianhe-2, "with similar, albeit smaller, figures
 ... extrapolating even the best system of the Green 500 list".
 """
 
-from repro.energy.accounting import EnergyLedger
-from repro.energy.exascale import (
-    GREEN500_2015_LEADER,
-    TIANHE2,
-    ReferenceSystem,
-    efficiency_required_for,
-    extrapolate_power_mw,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EnergyLedger",
-    "GREEN500_2015_LEADER",
-    "ReferenceSystem",
-    "TIANHE2",
-    "efficiency_required_for",
-    "extrapolate_power_mw",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "accounting": "EnergyLedger",
+    "exascale": (
+        "GREEN500_2015_LEADER TIANHE2 ReferenceSystem efficiency_required_for "
+        "extrapolate_power_mw"
+    ),
+})

@@ -14,40 +14,18 @@ pipelines invocations from many callers at the module's initiation
 interval.
 """
 
-from repro.fabric.bitstream import (
-    Bitstream,
-    CompressedBitstream,
-    compress_rle,
-    decompress_rle,
-    synthesize_config_data,
-)
-from repro.fabric.floorplan import Floorplanner, Placement, TileGrid
-from repro.fabric.module_library import AcceleratorModule, ModuleLibrary
-from repro.fabric.region import Fabric, Region, RegionState
-from repro.fabric.reconfiguration import ConfigPort, ReconfigurationController
-from repro.fabric.resources import ResourceVector
-from repro.fabric.scrubber import ConfigScrubber, UpsetRecord
-from repro.fabric.virtualization import Invocation, VirtualizedAccelerator
+from repro import lazy_exports
 
-__all__ = [
-    "AcceleratorModule",
-    "Bitstream",
-    "CompressedBitstream",
-    "ConfigScrubber",
-    "ConfigPort",
-    "Fabric",
-    "Floorplanner",
-    "Invocation",
-    "ModuleLibrary",
-    "Placement",
-    "ReconfigurationController",
-    "Region",
-    "RegionState",
-    "ResourceVector",
-    "TileGrid",
-    "UpsetRecord",
-    "VirtualizedAccelerator",
-    "compress_rle",
-    "decompress_rle",
-    "synthesize_config_data",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bitstream": (
+        "Bitstream CompressedBitstream compress_rle decompress_rle "
+        "synthesize_config_data"
+    ),
+    "floorplan": "Floorplanner Placement TileGrid",
+    "module_library": "AcceleratorModule ModuleLibrary",
+    "region": "Fabric Region RegionState",
+    "reconfiguration": "ConfigPort ReconfigurationController",
+    "resources": "ResourceVector",
+    "scrubber": "ConfigScrubber UpsetRecord",
+    "virtualization": "Invocation VirtualizedAccelerator",
+})

@@ -18,44 +18,18 @@ recurrences -- exactly the features a real HLS scheduler's II/resource
 models consume.
 """
 
-from repro.hls.dse import DesignPoint, DesignSpaceExplorer, pareto_front
-from repro.hls.estimator import Estimate, HlsEstimator, OP_COSTS
-from repro.hls.frontend import ParseError, parse_kernel
-from repro.hls.ir import ArrayArg, Kernel, OpKind
-from repro.hls.kernels import (
-    cart_split_kernel,
-    fir_kernel,
-    matmul_kernel,
-    montecarlo_kernel,
-    saxpy_kernel,
-    stencil_kernel,
-    vecadd_kernel,
-)
-from repro.hls.synthesis import HlsTool, SynthesisConstraints
-from repro.hls.transforms import HlsConfig
-from repro.hls.software import SoftwareCostModel
+from repro import lazy_exports
 
-__all__ = [
-    "ArrayArg",
-    "DesignPoint",
-    "DesignSpaceExplorer",
-    "Estimate",
-    "HlsConfig",
-    "HlsEstimator",
-    "HlsTool",
-    "Kernel",
-    "OP_COSTS",
-    "OpKind",
-    "ParseError",
-    "SoftwareCostModel",
-    "SynthesisConstraints",
-    "cart_split_kernel",
-    "fir_kernel",
-    "matmul_kernel",
-    "montecarlo_kernel",
-    "pareto_front",
-    "parse_kernel",
-    "saxpy_kernel",
-    "stencil_kernel",
-    "vecadd_kernel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dse": "DesignPoint DesignSpaceExplorer pareto_front",
+    "estimator": "Estimate HlsEstimator OP_COSTS",
+    "frontend": "ParseError parse_kernel",
+    "ir": "ArrayArg Kernel OpKind",
+    "kernels": (
+        "cart_split_kernel fir_kernel matmul_kernel montecarlo_kernel saxpy_kernel "
+        "stencil_kernel vecadd_kernel"
+    ),
+    "software": "SoftwareCostModel",
+    "synthesis": "HlsTool SynthesisConstraints",
+    "transforms": "HlsConfig",
+})

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.fabric.resources import ResourceVector
 from repro.hls.ir import Kernel, OpKind
@@ -104,6 +104,31 @@ class HlsEstimator:
         # and Estimate is frozen, so sharing the result object is safe;
         # design-space exploration re-estimates the same points constantly.
         self._estimate_memo: Dict[tuple, Estimate] = {}
+        # kernel key -> the config-independent terms (see _kernel_terms)
+        self._kernel_memo: Dict[tuple, Tuple[ResourceVector, int, float]] = {}
+
+    def _kernel_terms(self, kernel: Kernel) -> Tuple[ResourceVector, int, float]:
+        """The terms no config changes, computed once per kernel: the
+        per-iteration operator resources, the pipeline depth before any
+        unroll combine tree, and the energy per item."""
+        key = kernel.cache_key()
+        terms = self._kernel_memo.get(key)
+        if terms is None:
+            body = ResourceVector()
+            for kind, count in kernel.ops.items():
+                body = body + self.op_costs[kind].resources * math.ceil(count)
+            depth = _MEM_LATENCY
+            if any(_is_streamed(a) for a in kernel.arrays):
+                depth += _DRAM_LATENCY_CYCLES
+            for kind, count in kernel.ops.items():
+                if count > 0:
+                    depth += self.op_costs[kind].latency_cycles
+            energy = fold_sum(
+                count * self.op_costs[kind].energy_pj
+                for kind, count in kernel.ops.items()
+            )
+            terms = self._kernel_memo[key] = (body, depth, energy)
+        return terms
 
     # ------------------------------------------------------------------
     def initiation_interval(self, kernel: Kernel, config: HlsConfig) -> int:
@@ -132,12 +157,7 @@ class HlsEstimator:
         return ii
 
     def pipeline_depth(self, kernel: Kernel, config: HlsConfig) -> int:
-        depth = _MEM_LATENCY
-        if any(_is_streamed(a) for a in kernel.arrays):
-            depth += _DRAM_LATENCY_CYCLES
-        for kind, count in kernel.ops.items():
-            if count > 0:
-                depth += self.op_costs[kind].latency_cycles
+        depth = self._kernel_terms(kernel)[1]
         # unrolled reductions add a log-depth combine tree
         if config.unroll > 1:
             depth += math.ceil(math.log2(config.unroll))
@@ -148,10 +168,7 @@ class HlsEstimator:
         return _BASE_CLOCK_NS * (1.0 + 0.015 * (width - 1))
 
     def resources(self, kernel: Kernel, config: HlsConfig) -> ResourceVector:
-        body = ResourceVector()
-        for kind, count in kernel.ops.items():
-            body = body + self.op_costs[kind].resources * math.ceil(count)
-        datapath = body * (config.unroll * config.duplicate)
+        datapath = self._kernel_terms(kernel)[0] * (config.unroll * config.duplicate)
 
         brams = 0
         streamed = False
@@ -185,9 +202,7 @@ class HlsEstimator:
         resources = self.resources(kernel, config)
         lanes = config.duplicate * config.unroll
 
-        energy_per_item = fold_sum(
-            count * self.op_costs[kind].energy_pj for kind, count in kernel.ops.items()
-        )
+        energy_per_item = self._kernel_terms(kernel)[2]
         # static power scales with occupied area (rough: 0.1 uW per area unit)
         static_mw = 1.0 + resources.area_units() * 1e-4
         result = self._estimate_memo[memo_key] = Estimate(

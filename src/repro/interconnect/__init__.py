@@ -18,33 +18,15 @@ This package provides:
   study of Fig. 1.
 """
 
-from repro.interconnect.dma import DmaEngine, DmaParams, DmaTransfer
-from repro.interconnect.link import Link, LinkParams
-from repro.interconnect.message import Message, TransactionType
-from repro.interconnect.network import Network, Route
-from repro.interconnect.topology import (
-    build_dragonfly,
-    build_fat_tree,
-    build_flat_crossbar,
-    build_mesh2d,
-    build_slimfly_like,
-    build_tree,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DmaEngine",
-    "DmaParams",
-    "DmaTransfer",
-    "Link",
-    "LinkParams",
-    "Message",
-    "Network",
-    "Route",
-    "TransactionType",
-    "build_dragonfly",
-    "build_fat_tree",
-    "build_flat_crossbar",
-    "build_mesh2d",
-    "build_slimfly_like",
-    "build_tree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dma": "DmaEngine DmaParams DmaTransfer",
+    "link": "Link LinkParams",
+    "message": "Message TransactionType",
+    "network": "Network Route",
+    "topology": (
+        "build_dragonfly build_fat_tree build_flat_crossbar build_mesh2d "
+        "build_slimfly_like build_tree"
+    ),
+})

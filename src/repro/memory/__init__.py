@@ -15,48 +15,15 @@ Units used throughout: simulated time in **nanoseconds**, sizes in
 **bytes**, energy in **picojoules**.
 """
 
-from repro.memory.address import (
-    PAGE_SHIFT,
-    PAGE_SIZE,
-    AddressRange,
-    GlobalAddressMap,
-)
-from repro.memory.cache import Cache, CacheGeometry, CacheStats
-from repro.memory.dram import Dram, DramTiming
-from repro.memory.page import Page, PageOwnershipError, PageRegistry
-from repro.memory.smmu import PageTable, Smmu, SmmuFault, TranslationRegime
-from repro.memory.ssd import Ssd, SsdTiming, out_of_core_passes, out_of_core_sort_cost_ns
-from repro.memory.translation import (
-    ProgressiveTranslator,
-    TranslationStep,
-    build_hierarchy_translator,
-)
-from repro.memory.unimem import AccessPlan, UnimemSpace
+from repro import lazy_exports
 
-__all__ = [
-    "AccessPlan",
-    "AddressRange",
-    "Cache",
-    "CacheGeometry",
-    "CacheStats",
-    "Dram",
-    "DramTiming",
-    "GlobalAddressMap",
-    "PAGE_SHIFT",
-    "PAGE_SIZE",
-    "Page",
-    "PageOwnershipError",
-    "PageRegistry",
-    "PageTable",
-    "ProgressiveTranslator",
-    "Smmu",
-    "Ssd",
-    "SsdTiming",
-    "SmmuFault",
-    "TranslationRegime",
-    "TranslationStep",
-    "UnimemSpace",
-    "build_hierarchy_translator",
-    "out_of_core_passes",
-    "out_of_core_sort_cost_ns",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "address": "PAGE_SHIFT PAGE_SIZE AddressRange GlobalAddressMap",
+    "cache": "Cache CacheGeometry CacheStats",
+    "dram": "Dram DramTiming",
+    "page": "Page PageOwnershipError PageRegistry",
+    "smmu": "PageTable Smmu SmmuFault TranslationRegime",
+    "ssd": "Ssd SsdTiming out_of_core_passes out_of_core_sort_cost_ns",
+    "translation": "ProgressiveTranslator TranslationStep build_hierarchy_translator",
+    "unimem": "AccessPlan UnimemSpace",
+})

@@ -9,22 +9,10 @@ classic algorithms so their cost *scales* correctly), and MPI-3.0-style
 cartesian/graph process topologies.
 """
 
-from repro.mpi.comm import CollectiveResult, Communicator
-from repro.mpi.placement import (
-    improve_by_swaps,
-    place_by_blocks,
-    place_round_robin,
-    placement_cost,
-)
-from repro.mpi.topology import CartTopology, GraphTopology
+from repro import lazy_exports
 
-__all__ = [
-    "CartTopology",
-    "CollectiveResult",
-    "Communicator",
-    "GraphTopology",
-    "improve_by_swaps",
-    "place_by_blocks",
-    "place_round_robin",
-    "placement_cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "comm": "CollectiveResult Communicator",
+    "placement": "improve_by_swaps place_by_blocks place_round_robin placement_cost",
+    "topology": "CartTopology GraphTopology",
+})

@@ -23,25 +23,14 @@ queues and transparent command queue management across workers in a
 node" -- :class:`DistributedCommandQueue`.
 """
 
-from repro.opencl.cluster import ClusterContext
-from repro.opencl.context import Buffer, Context
-from repro.opencl.event import Event
-from repro.opencl.platform import Device, DeviceType, Platform
-from repro.opencl.program import KernelHandle, Program
-from repro.opencl.queue import CommandQueue, DistributedCommandQueue
-from repro.opencl.types import DataScope
+from repro import lazy_exports
 
-__all__ = [
-    "Buffer",
-    "ClusterContext",
-    "CommandQueue",
-    "Context",
-    "DataScope",
-    "Device",
-    "DeviceType",
-    "DistributedCommandQueue",
-    "Event",
-    "KernelHandle",
-    "Platform",
-    "Program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cluster": "ClusterContext",
+    "context": "Buffer Context",
+    "event": "Event",
+    "platform": "Device DeviceType Platform",
+    "program": "KernelHandle Program",
+    "queue": "CommandQueue DistributedCommandQueue",
+    "types": "DataScope",
+})

@@ -7,16 +7,10 @@ the OpenCL runtime for implicit data allocation, migration and
 replication between workers" (Section 4.4).
 """
 
-from repro.pgas.allocator import Allocation, AllocationError, GlobalAllocator
-from repro.pgas.migration import MigrationPolicy, MigrationStats
-from repro.pgas.numa import NumaDomain, NumaMap
+from repro import lazy_exports
 
-__all__ = [
-    "Allocation",
-    "AllocationError",
-    "GlobalAllocator",
-    "MigrationPolicy",
-    "MigrationStats",
-    "NumaDomain",
-    "NumaMap",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "allocator": "Allocation AllocationError GlobalAllocator",
+    "migration": "MigrationPolicy MigrationStats",
+    "numa": "NumaDomain NumaMap",
+})

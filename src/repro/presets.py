@@ -9,10 +9,9 @@ imply (Zynq-class Workers) and the scaling study uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.core.compute_node import ComputeNodeParams
-from repro.core.machine import MachineParams
 from repro.core.worker import FunctionRegistry, WorkerParams
 from repro.fabric.module_library import ModuleLibrary
 from repro.hls.kernels import (
@@ -28,6 +27,9 @@ from repro.hls.software import SoftwareCostModel
 from repro.hls.synthesis import HlsTool, SynthesisConstraints
 from repro.memory.cache import CacheGeometry
 from repro.memory.dram import DramTiming
+
+if TYPE_CHECKING:
+    from repro.core.machine import MachineParams
 
 
 def zynq_worker() -> WorkerParams:
@@ -73,11 +75,15 @@ def chassis_node(workers: int = 16, fanout: int = 4) -> ComputeNodeParams:
 
 def testbench_machine() -> MachineParams:
     """The small machine the ECOSCALE project's prototype targets."""
+    from repro.core.machine import MachineParams
+
     return MachineParams(num_nodes=2, node=board_node())
 
 
 def petascale_machine() -> MachineParams:
     """A petascale-ish hierarchy: 4 chassis x 16 workers."""
+    from repro.core.machine import MachineParams
+
     return MachineParams(
         num_nodes=4, node=chassis_node(), inter_node_fanouts=[4]
     )
@@ -85,6 +91,8 @@ def petascale_machine() -> MachineParams:
 
 def exascale_machine() -> MachineParams:
     """The deepest hierarchy the experiments sweep: 64 nodes, 3 levels."""
+    from repro.core.machine import MachineParams
+
     return MachineParams(
         num_nodes=64,
         node=chassis_node(workers=8, fanout=4),

@@ -28,27 +28,13 @@ Fig. 5 reconfiguration loop -- that daemon manages fabric regions; this
 one manages the whole machine's lifecycle.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.protocol import (
-    COMMANDS,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    error_reply,
-    ok_reply,
-)
-from repro.service.session import ServiceError, ServiceSession
+from repro import lazy_exports
 
-__all__ = [
-    "COMMANDS",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceSession",
-    "decode_frame",
-    "encode_frame",
-    "error_reply",
-    "ok_reply",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": "ServiceClient",
+    "protocol": (
+        "COMMANDS PROTOCOL_VERSION ProtocolError decode_frame encode_frame error_reply "
+        "ok_reply"
+    ),
+    "session": "ServiceError ServiceSession",
+})

@@ -357,7 +357,6 @@ class _JobsEpoch:
         if "policy" in args:
             engine = self.manager.engine
             policy = make_policy(str(args["policy"]), engine.policy_config)
-            engine.default_policy = policy
             engine.jobs.default_policy = policy
             applied["policy"] = policy.name
         _require(bool(applied), "bad-args", "reconfigure had no applicable knobs")

@@ -15,63 +15,21 @@ Entry points: :class:`ServingGateway` for hand-wired setups,
 (``python -m repro serve --preset flash-crowd --seed 7``).
 """
 
-from repro.serving.admission import (
-    OK,
-    QUEUE_FULL,
-    RATE_LIMIT,
-    AdmissionController,
-    AdmissionVerdict,
-    TokenBucket,
-)
-from repro.serving.alerts import BurnRateAlerter, BurnRatePolicy
-from repro.serving.arrivals import ARRIVAL_KINDS, arrival_process
-from repro.serving.autoscaler import Autoscaler, AutoscalerStats
-from repro.serving.batcher import DynamicBatcher
-from repro.serving.brownout import BROWNOUT, BrownoutController, BrownoutPolicy
-from repro.serving.gateway import (
-    ServingGateway,
-    ServingReport,
-    build_serving_gateway,
-    run_serving_experiment,
-)
-from repro.serving.requests import Request, shape_class
-from repro.serving.slo import SLOTracker, TenantSLO
-from repro.serving.tracing import (
-    STAGES,
-    CriticalPathAnalyzer,
-    RequestTracer,
-    TraceConfig,
-    TraceContext,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "AdmissionController",
-    "AdmissionVerdict",
-    "Autoscaler",
-    "AutoscalerStats",
-    "BROWNOUT",
-    "BrownoutController",
-    "BrownoutPolicy",
-    "BurnRateAlerter",
-    "BurnRatePolicy",
-    "CriticalPathAnalyzer",
-    "DynamicBatcher",
-    "OK",
-    "QUEUE_FULL",
-    "RATE_LIMIT",
-    "Request",
-    "RequestTracer",
-    "SLOTracker",
-    "STAGES",
-    "ServingGateway",
-    "ServingReport",
-    "TenantSLO",
-    "TokenBucket",
-    "TraceConfig",
-    "TraceContext",
-    "arrival_process",
-    "build_serving_gateway",
-    "run_serving_experiment",
-    "shape_class",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "admission": (
+        "OK QUEUE_FULL RATE_LIMIT AdmissionController AdmissionVerdict TokenBucket"
+    ),
+    "alerts": "BurnRateAlerter BurnRatePolicy",
+    "arrivals": "ARRIVAL_KINDS arrival_process",
+    "autoscaler": "Autoscaler AutoscalerStats",
+    "batcher": "DynamicBatcher",
+    "brownout": "BROWNOUT BrownoutController BrownoutPolicy",
+    "gateway": (
+        "ServingGateway ServingReport build_serving_gateway run_serving_experiment"
+    ),
+    "requests": "Request shape_class",
+    "slo": "SLOTracker TenantSLO",
+    "tracing": "STAGES CriticalPathAnalyzer RequestTracer TraceConfig TraceContext",
+})

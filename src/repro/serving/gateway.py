@@ -51,19 +51,18 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from repro.apps.taskgraph import Task, TaskGraph
 from repro.core.runtime.jobs import JobManager
 from repro.serving.admission import AdmissionController
-from repro.serving.alerts import BurnRateAlerter, BurnRatePolicy
 from repro.serving.arrivals import arrival_process
 from repro.serving.batcher import BatchKey, DynamicBatcher
 from repro.serving.brownout import BROWNOUT, BrownoutController, BrownoutPolicy
 from repro.serving.requests import Request
 from repro.serving.slo import SLOTracker
-from repro.serving.tracing import RequestTracer, TraceConfig
 from repro.serving.autoscaler import Autoscaler
 from repro.sim import spawn
-from repro.telemetry.tracing import Tracer
 
 if TYPE_CHECKING:
     from repro.presets import ServingScenario
+    from repro.serving.alerts import BurnRateAlerter, BurnRatePolicy
+    from repro.serving.tracing import RequestTracer, TraceConfig
 
 
 @dataclass
@@ -172,6 +171,9 @@ class ServingGateway:
         # must not change the report (byte-identity contract), and traced
         # runs work dark too (spans land on a standalone tracer)
         if tracing is not None:
+            from repro.serving.tracing import RequestTracer
+            from repro.telemetry.tracing import Tracer
+
             span_sink = (
                 self.telemetry.tracer
                 if self.telemetry is not None
@@ -182,15 +184,13 @@ class ServingGateway:
             )
         else:
             self.request_tracer = None
-        self.alerter: Optional[BurnRateAlerter] = (
-            BurnRateAlerter(
-                alerts,
-                telemetry=telemetry,
-                component=f"{engine.node.name}.alerts",
+        self.alerter: Optional[BurnRateAlerter] = None
+        if alerts is not None:
+            from repro.serving.alerts import BurnRateAlerter
+
+            self.alerter = BurnRateAlerter(
+                alerts, telemetry=telemetry, component=f"{engine.node.name}.alerts"
             )
-            if alerts is not None
-            else None
-        )
         # auto_stop off: the engine must idle between batches, not tear
         # down the moment the in-flight job count touches zero
         self.manager = JobManager(engine, fair_share=False, auto_stop=False)

@@ -10,49 +10,14 @@ or node 0 and travels over the bridge.  Canonical merged reports
 any backend.
 """
 
-from repro.shard.backends import BACKENDS, ShardSet, resolve_backend
-from repro.shard.bridge import BridgeMessage, NodeBridge, sort_messages
-from repro.shard.checkpoint import (
-    capture_sharded_jobs,
-    manifest_json,
-    restore_sharded_jobs,
-)
-from repro.shard.experiments import (
-    run_sharded_chaos,
-    run_sharded_jobs,
-    run_sharded_serving,
-)
-from repro.shard.merge import merged_report, report_json
-from repro.shard.plan import PartitionPlan, ShardError, default_lookahead_ns
-from repro.shard.sync import (
-    NodeCell,
-    PartitionRuntime,
-    SendGate,
-    SyncStats,
-    run_conservative,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "BridgeMessage",
-    "NodeBridge",
-    "NodeCell",
-    "PartitionPlan",
-    "PartitionRuntime",
-    "SendGate",
-    "ShardError",
-    "ShardSet",
-    "SyncStats",
-    "capture_sharded_jobs",
-    "default_lookahead_ns",
-    "manifest_json",
-    "merged_report",
-    "report_json",
-    "resolve_backend",
-    "restore_sharded_jobs",
-    "run_conservative",
-    "run_sharded_chaos",
-    "run_sharded_jobs",
-    "run_sharded_serving",
-    "sort_messages",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "backends": "BACKENDS ShardSet resolve_backend",
+    "bridge": "BridgeMessage NodeBridge sort_messages",
+    "checkpoint": "capture_sharded_jobs manifest_json restore_sharded_jobs",
+    "experiments": "run_sharded_chaos run_sharded_jobs run_sharded_serving",
+    "merge": "merged_report report_json",
+    "plan": "PartitionPlan ShardError default_lookahead_ns",
+    "sync": "NodeCell PartitionRuntime SendGate SyncStats run_conservative",
+})

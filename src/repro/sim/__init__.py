@@ -11,53 +11,20 @@ runs on this kernel.  It provides:
   configuration controllers).
 
 It also re-exports the statistics classes of :mod:`repro.sim.stats` and
-the tracer of :mod:`repro.telemetry.tracing`.
+the lane tracer of :mod:`repro.telemetry.tracing`.  Like every package
+here it re-exports lazily: importing the kernel loads neither, and
+``from repro.sim import Tracer`` loads only the tracer's module.
 
 The kernel is deterministic: events at equal timestamps fire in
 insertion order, so simulations are exactly repeatable.
 """
 
-from repro.sim.engine import Simulator, SimulationError
-from repro.sim.process import (
-    AllOf,
-    Interrupt,
-    Process,
-    Signal,
-    Timeout,
-    spawn,
-)
-from repro.sim.resources import PriorityResource, Request, Resource, Store
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    StatRegistry,
-    TimeWeighted,
-)
+from repro import lazy_exports
 
-# The tracer lives in repro.telemetry.tracing (one span type, one export
-# path); re-exported here for compatibility and because lane tracing is
-# conceptually part of the kernel's observability surface.  The module
-# is stdlib-only, so this import cannot cycle back into repro.sim.
-from repro.telemetry.tracing import Span, Tracer, render_timeline
-
-__all__ = [
-    "AllOf",
-    "Counter",
-    "Histogram",
-    "Interrupt",
-    "PriorityResource",
-    "Process",
-    "Request",
-    "Resource",
-    "Signal",
-    "Span",
-    "SimulationError",
-    "Simulator",
-    "StatRegistry",
-    "Store",
-    "TimeWeighted",
-    "Timeout",
-    "Tracer",
-    "render_timeline",
-    "spawn",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": "Simulator SimulationError",
+    "process": "AllOf Interrupt Process Signal Timeout spawn",
+    "resources": "PriorityResource Request Resource Store",
+    "stats": "Counter Histogram StatRegistry TimeWeighted",
+    ".telemetry.tracing": "Span Tracer render_timeline",
+})

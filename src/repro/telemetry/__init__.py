@@ -22,80 +22,22 @@ Telemetry is strictly optional: components default to ``telemetry =
 None`` and pay one pointer check when disabled.
 """
 
-from repro.telemetry.events import (
-    EVENT_SCHEMA,
-    EventLog,
-    TelemetryEvent,
-    validate_event,
-)
-from repro.telemetry.exporters import (
-    chrome_trace,
-    chrome_trace_json,
-    events_json,
-    events_tail,
-    metrics_snapshot,
-    prometheus_text,
-    snapshot_csv,
-    snapshot_json,
-    validate_chrome_trace,
-)
-from repro.telemetry.hub import Telemetry
-from repro.telemetry.quantiles import (
-    StreamingQuantile,
-    fold_sum,
-    histogram_percentile,
-    latency_summary,
-    mean,
-    percentile,
-)
-from repro.telemetry.tracing import (
-    Span,
-    Tracer,
-    render_timeline,
-    validate_span_tree,
-)
-from repro.telemetry.wiring import (
-    attach_engine,
-    attach_fabric,
-    attach_link,
-    attach_memory,
-    attach_network,
-    attach_node,
-    attach_simulator,
-    attach_worker,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EVENT_SCHEMA",
-    "EventLog",
-    "Span",
-    "StreamingQuantile",
-    "Telemetry",
-    "TelemetryEvent",
-    "Tracer",
-    "attach_engine",
-    "attach_fabric",
-    "attach_link",
-    "attach_memory",
-    "attach_network",
-    "attach_node",
-    "attach_simulator",
-    "attach_worker",
-    "chrome_trace",
-    "chrome_trace_json",
-    "events_json",
-    "events_tail",
-    "fold_sum",
-    "histogram_percentile",
-    "latency_summary",
-    "mean",
-    "metrics_snapshot",
-    "percentile",
-    "prometheus_text",
-    "render_timeline",
-    "snapshot_csv",
-    "snapshot_json",
-    "validate_chrome_trace",
-    "validate_event",
-    "validate_span_tree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "events": "EVENT_SCHEMA EventLog TelemetryEvent validate_event",
+    "exporters": (
+        "chrome_trace chrome_trace_json events_json events_tail metrics_snapshot "
+        "prometheus_text snapshot_csv snapshot_json validate_chrome_trace"
+    ),
+    "hub": "Telemetry",
+    "quantiles": (
+        "StreamingQuantile fold_sum histogram_percentile latency_summary mean "
+        "percentile"
+    ),
+    "tracing": "Span Tracer render_timeline validate_span_tree",
+    "wiring": (
+        "attach_engine attach_fabric attach_link attach_memory attach_network "
+        "attach_node attach_simulator attach_worker"
+    ),
+})

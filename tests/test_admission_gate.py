@@ -48,7 +48,7 @@ class _ProcessJobManager(JobManager):
 
     def _resolve_policy(self, policy):
         if policy is None:
-            return self.engine.default_policy
+            return self.engine.jobs.default_policy
         if isinstance(policy, str):
             return make_policy(policy, self.engine.policy_config)
         return policy

@@ -96,7 +96,7 @@ class TestPolicyLayer:
         outcomes = {}
         for name in sorted(POLICIES):
             sim, node, engine = build_engine(compiled)
-            engine.default_policy = make_policy(name)
+            engine.jobs.default_policy = make_policy(name)
             graph = graph_for(4, seed=13)
             report = engine.run_graph(graph)
             outcomes[name] = (graph_signature(graph), report)
@@ -115,7 +115,7 @@ class TestPolicyLayer:
         results = {}
         for name in ("greedy-hw", "locality"):
             sim, node, engine = build_engine(compiled)
-            engine.default_policy = make_policy(name)
+            engine.jobs.default_policy = make_policy(name)
             report = engine.run_graph(graph_for(4, seed=13))
             results[name] = report.placement_locality
         assert results["locality"] == 1.0
@@ -225,7 +225,7 @@ class TestJobManager:
         default = manager.submit_job(graph_for(2, seed=3))
         assert by_name.policy.name == "energy"
         assert by_instance.policy.name == "locality"
-        assert default.policy is engine.default_policy
+        assert default.policy is engine.jobs.default_policy
         manager.run()
         assert all(
             h.state is JobState.DONE for h in (by_name, by_instance, default)

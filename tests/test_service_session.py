@@ -205,7 +205,10 @@ class TestReconfigure:
         ])
         reply = session.handle({"cmd": "reconfigure", "policy": "energy"})
         assert reply["ok"]
-        assert session.workload.manager.engine.default_policy.name == "energy"
+        engine = session.workload.manager.engine
+        assert engine.jobs.default_policy.name == "energy"
+        # one default: an untagged submission's job 0 follows it too
+        assert engine.jobs.record(0).policy.name == "energy"
         run_script(session, [{"cmd": "run"}])
 
     def test_reconfigure_while_idle_retargets_defaults(self):

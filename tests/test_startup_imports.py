@@ -13,8 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import repro.apps
-
 _RUN_EACH_WORKLOAD = """
 import repro.experiments, repro.serving, repro.chaos, repro.shard
 from repro.chaos import run_chaos_experiment
@@ -49,9 +47,3 @@ def test_workloads_leave_numpy_and_networkx_unloaded():
 def test_task_graphs_load_no_other_app():
     loaded = _modules_after("from repro.apps.taskgraph import Task")
     assert {m for m in loaded if m.startswith("repro.apps.")} == {"repro.apps.taskgraph"}
-
-
-def test_star_import_resolves_every_app_export():
-    namespace = {}
-    exec("from repro.apps import *", namespace)
-    assert set(repro.apps.__all__) <= set(namespace)
